@@ -143,6 +143,8 @@ def _compute_members(args: argparse.Namespace, instance: Instance, spec: Relatio
     if algo == "gap":
         if spec.kind is not RelationKind.EPSILON:
             raise UsageError("--algo gap computes plain epsilon approximation sets")
+        if not instance.solutions:
+            return []
         m = derive_value_bound(instance)
         found = construct_via_gap(
             lambda q: gap_oracle(instance, q), spec.eps, m, instance.p

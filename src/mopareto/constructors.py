@@ -189,17 +189,17 @@ def construct_grid_approx(instance: Instance, spec: RelationSpec) -> Approximati
             raise UnsupportedRelationError(
                 f"quasi-k grid construction needs k <= ceil(p/2) = {half_up}, got k={spec.k}"
             )
-    bucketing = bucket(instance, spec.eps)
-    retained = filter_weakly_nondominated_cells(bucketing)
     members: list[str] = []
-    for cell in sorted(retained):
-        ids = bucketing.cells[cell]
-        if kind is RelationKind.QUASI_K and spec.k is not None:
-            cell_solutions = [instance.solution(i) for i in ids]
-            view = tournament_view(cell_solutions, spec.k)
-            members.extend(sorted(greedy_tournament_dominating_set(view)))
-        else:
-            members.append(_pick_lex_min(instance, ids))
+    if instance.solutions:  # an empty instance has no grid; the empty set covers it
+        bucketing = bucket(instance, spec.eps)
+        for cell in sorted(filter_weakly_nondominated_cells(bucketing)):
+            ids = bucketing.cells[cell]
+            if kind is RelationKind.QUASI_K and spec.k is not None:
+                cell_solutions = [instance.solution(i) for i in ids]
+                view = tournament_view(cell_solutions, spec.k)
+                members.extend(sorted(greedy_tournament_dominating_set(view)))
+            else:
+                members.append(_pick_lex_min(instance, ids))
     result = verify_approximation(instance, members, spec)
     if not result.ok:  # pragma: no cover - construction is sound by design
         raise VerificationFailed(result.counterexample or "?")

@@ -2,15 +2,15 @@
 
 All relations here are monotonic: componentwise "at least as good" always
 implies relation membership, so in particular every relation is reflexive.
-Pairwise checks run in O(n^2 p); at the explicit-instance scale this package
-targets, exact rational comparisons dominate the cost anyway.
+The efficient filters are presorted skylines (only a lexicographically
+smaller image can dominate); the digraph is built pairwise in O(n^2 p).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .model import Instance, RelationKind, RelationSpec, Solution
 
@@ -97,26 +97,27 @@ def exact_components(x: Solution, y: Solution) -> tuple[int, ...]:
     return tuple(i + 1 for i, (a, b) in enumerate(zip(x.f, y.f)) if a <= b)
 
 
+def _skyline(instance: Instance, beats: Callable[[Solution, Solution], bool]) -> set[str]:
+    """Ids no other solution beats; `beats` is transitive and needs a lex-smaller image."""
+    front: list[Solution] = []
+    for x in sorted(instance.solutions, key=lambda s: s.f):
+        if not any(beats(y, x) for y in front):
+            front.append(x)
+    return {x.id for x in front}
+
+
 def efficient_set(instance: Instance) -> set[str]:
     """Ids of solutions not dominated by any other solution.
 
     Dominance is computed on images, so a solution tied with another on all
     components is not dominated by it (one strict inequality is required).
     """
-    return {
-        x.id
-        for x in instance.solutions
-        if not any(dominates(y, x) for y in instance.solutions if y.id != x.id)
-    }
+    return _skyline(instance, dominates)
 
 
 def weakly_efficient_set(instance: Instance) -> set[str]:
     """Ids of solutions not strictly dominated by any other solution."""
-    return {
-        x.id
-        for x in instance.solutions
-        if not any(strictly_dominates(y, x) for y in instance.solutions if y.id != x.id)
-    }
+    return _skyline(instance, strictly_dominates)
 
 
 @dataclass(frozen=True)

@@ -6,15 +6,15 @@ factor strictly below 1 + eps in every component.  Anchors are the
 per-dimension instance minima rather than the global value-range floor:
 identical correctness, far fewer cells.
 
-Cell coordinates are found by exact search; boundary values always land in
-the upper cell, giving every value a unique home.
+`bucket` walks each column's sorted values up the rungs anchor * (1+eps)**t,
+jumping by `cell_coord`; boundary values always land in the upper cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .model import Instance
 from .numerics import pow_ratio
@@ -68,19 +68,34 @@ def cell_coord(value: Fraction, anchor: Fraction, eps: Fraction) -> int:
     return lo
 
 
+def _rung_walk(column: Sequence[Fraction], anchor: Fraction, eps: Fraction) -> dict[Fraction, int]:
+    """cell_coord(v, anchor, eps) for every distinct v of one column, in one walk."""
+    num, den = (1 + eps).as_integer_ratio()
+    rung_num, rung_den = anchor.as_integer_ratio()  # anchor * (1+eps)**t, unreduced
+    t, coords = 0, {}
+    for v in sorted(set(column)):
+        a, b = v.as_integer_ratio()
+        while b * rung_num * num <= a * rung_den * den:  # v reaches the next rung
+            # num.bit_length() + 2 bits of v/rung put q at most one rung below it
+            shift = max(0, (b * rung_num).bit_length() - num.bit_length() - 2)
+            q = Fraction(a * rung_den >> shift, -(-b * rung_num >> shift))
+            s = max(1, cell_coord(q, Fraction(1), eps))
+            t, rung_num, rung_den = t + s, rung_num * num**s, rung_den * den**s
+        coords[v] = t
+    return coords
+
+
 def bucket(instance: Instance, eps: Fraction) -> GridBucketing:
     """Assign every solution to its grid cell; anchors are per-dimension minima."""
     if not instance.solutions:
         raise ValueError("cannot bucket an empty instance")
-    anchors = tuple(
-        min(sol.f[i] for sol in instance.solutions) for i in range(instance.p)
-    )
+    columns = list(zip(*(sol.f for sol in instance.solutions)))
+    anchors = tuple(min(column) for column in columns)
+    coords = [_rung_walk(c, a, eps) for c, a in zip(columns, anchors)]
     cells: dict[CellIndex, list[str]] = {}
     for sol in instance.solutions:
-        coords = tuple(
-            cell_coord(sol.f[i], anchors[i], eps) for i in range(instance.p)
-        )
-        cells.setdefault(coords, []).append(sol.id)
+        key = tuple(coord[v] for coord, v in zip(coords, sol.f))
+        cells.setdefault(key, []).append(sol.id)
     return GridBucketing(
         eps=eps, lower=anchors, cells={c: tuple(ids) for c, ids in cells.items()}
     )
@@ -89,15 +104,16 @@ def bucket(instance: Instance, eps: Fraction) -> GridBucketing:
 def filter_weakly_nondominated_cells(bucketing: GridBucketing) -> set[CellIndex]:
     """Keep a nonempty cell unless another nonempty cell is strictly below it
     in every coordinate (in which case that cell's points cover it under any
-    monotonic relation)."""
-    cells = list(bucketing.cells)
-    return {
-        c
-        for c in cells
-        if not any(
-            all(d_i < c_i for d_i, c_i in zip(d, c)) for d in cells if d != c
-        )
-    }
+    monotonic relation).  One lexicographic pass suffices: cells below come
+    first, and each has a cell minimal under <= below or equal to it."""
+    minimal: list[CellIndex] = []
+    kept: set[CellIndex] = set()
+    for c in sorted(bucketing.cells):
+        if not any(all(m_i < c_i for m_i, c_i in zip(m, c)) for m in minimal):
+            kept.add(c)
+            if not any(all(m_i <= c_i for m_i, c_i in zip(m, c)) for m in minimal):
+                minimal.append(c)
+    return kept
 
 
 def diagonal_of(cell: CellIndex) -> CellIndex:

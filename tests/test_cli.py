@@ -96,6 +96,21 @@ class TestComputeAndVerify:
                 == 0
             ), algo
 
+    def test_every_algorithm_covers_an_empty_instance_with_the_empty_set(self, tmp_path):
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"p": 2, "solutions": []}')
+        for algo in ("grid", "greedy-cover", "gap", "bi-greedy", "bi-dual2"):
+            set_path = tmp_path / f"{algo}.json"
+            assert (
+                run(
+                    "compute", "--relation", "epsilon", "--eps", "1",
+                    "--algo", algo, "-i", str(empty), "-o", str(set_path),
+                )
+                == 0
+            ), algo
+            aset = load_set(set_path.read_bytes())
+            assert aset.members == () and aset.certificate == (), algo
+
     def test_verify_failure_exits_4_and_prints_counterexample(
         self, dominated_family, tmp_path, capsys
     ):

@@ -33,6 +33,23 @@ def inst(*vectors):
     )
 
 
+# The pairwise filters, kept as references for the presorted implementations.
+def reference_efficient_set(instance: Instance) -> set[str]:
+    return {
+        x.id
+        for x in instance.solutions
+        if not any(dominates(y, x) for y in instance.solutions if y.id != x.id)
+    }
+
+
+def reference_weakly_efficient_set(instance: Instance) -> set[str]:
+    return {
+        x.id
+        for x in instance.solutions
+        if not any(strictly_dominates(y, x) for y in instance.solutions if y.id != x.id)
+    }
+
+
 ALL_KINDS = [
     RelationSpec(RelationKind.EPSILON, Fraction(1, 2)),
     RelationSpec(RelationKind.ONE_EXACT, Fraction(1, 2)),
@@ -139,6 +156,19 @@ class TestEfficientSets:
     def test_efficient_subset_of_weakly_efficient(self):
         i = inst((1, 4), (1, 5), (3, 3), (4, 4))
         assert efficient_set(i) <= weakly_efficient_set(i)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda p: st.lists(
+                st.tuples(*[st.integers(min_value=1, max_value=4)] * p), min_size=1, max_size=40
+            )
+        )
+    )
+    def test_match_pairwise_references_with_duplicate_images(self, vectors):
+        i = inst(*vectors)
+        assert efficient_set(i) == reference_efficient_set(i)
+        assert weakly_efficient_set(i) == reference_weakly_efficient_set(i)
 
 
 class TestDigraph:

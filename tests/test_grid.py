@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from mopareto.dominance import values_r_dominate
 from mopareto.generators import gen_random
 from mopareto.grid import (
+    GridBucketing,
     bucket,
     cell_coord,
     diagonal_of,
@@ -30,6 +32,57 @@ def inst(*vectors):
             for i, vec in enumerate(vectors, start=1)
         ),
     )
+
+
+# The per-value bucketing and the pairwise cell filter, kept as references
+# for the presorted implementations.
+def reference_bucket(instance: Instance, eps: Fraction) -> GridBucketing:
+    """Assign every solution to its grid cell; anchors are per-dimension minima."""
+    if not instance.solutions:
+        raise ValueError("cannot bucket an empty instance")
+    anchors = tuple(
+        min(sol.f[i] for sol in instance.solutions) for i in range(instance.p)
+    )
+    cells: dict[tuple[int, ...], list[str]] = {}
+    for sol in instance.solutions:
+        coords = tuple(
+            cell_coord(sol.f[i], anchors[i], eps) for i in range(instance.p)
+        )
+        cells.setdefault(coords, []).append(sol.id)
+    return GridBucketing(
+        eps=eps, lower=anchors, cells={c: tuple(ids) for c, ids in cells.items()}
+    )
+
+
+def reference_filter(bucketing: GridBucketing) -> set[tuple[int, ...]]:
+    cells = list(bucketing.cells)
+    return {
+        c
+        for c in cells
+        if not any(
+            all(d_i < c_i for d_i, c_i in zip(d, c)) for d in cells if d != c
+        )
+    }
+
+
+@st.composite
+def grid_inputs(draw):
+    """An instance whose columns mix values exactly on rungs of their minimum,
+    repeated values, and arbitrary distinct values, with the eps to bucket it."""
+    p = draw(st.integers(min_value=1, max_value=3))
+    eps = draw(st.fractions(min_value=Fraction(1, 64), max_value=Fraction(4)))
+    anchor_values = st.fractions(min_value=Fraction(1, 16), max_value=Fraction(16))
+    columns = []
+    for anchor in draw(st.lists(anchor_values, min_size=p, max_size=p)):
+        on_rung = st.integers(min_value=0, max_value=20).map(
+            lambda t, a=anchor: a * (1 + eps) ** t
+        )
+        free = st.fractions(min_value=anchor, max_value=anchor * 256)
+        column = draw(st.lists(st.one_of(on_rung, free), min_size=1, max_size=30))
+        columns.append([anchor] + column)
+    n = max(len(column) for column in columns)
+    rows = [tuple(column[i % len(column)] for column in columns) for i in range(n)]
+    return Instance(p, tuple(Solution(f"s{i}", row) for i, row in enumerate(rows))), eps
 
 
 class TestCellCoord:
@@ -80,6 +133,47 @@ class TestBucketing:
         seen = [i for ids in b.cells.values() for i in ids]
         assert sorted(seen) == sorted(instance.ids)
 
+    @settings(max_examples=150, deadline=None)
+    @given(grid_inputs())
+    def test_matches_per_value_reference(self, case):
+        instance, eps = case
+        got, want = bucket(instance, eps), reference_bucket(instance, eps)
+        assert got.lower == want.lower
+        assert list(got.cells.items()) == list(want.cells.items())
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_all_distinct_columns_match_reference(self, p):
+        instance = gen_random(300, p, seed=p, value_range=30)
+        for eps in (Fraction(1, 64), Fraction(1, 2), Fraction(5, 3)):
+            assert list(bucket(instance, eps).cells.items()) == list(
+                reference_bucket(instance, eps).cells.items()
+            )
+
+    def test_values_many_rungs_apart_jump_exactly_and_fast(self):
+        # about 710 rungs between neighbouring values and 56810 in all: a
+        # materialised ladder would hold gigabytes, and cell_coord on every
+        # value would take seconds
+        eps = Fraction(1, 1024)
+        values = [Fraction(2) ** k for k in range(-40, 41)]
+        instance = Instance(1, tuple(Solution(f"s{k}", (v,)) for k, v in enumerate(values)))
+        start = time.perf_counter()
+        b = bucket(instance, eps)
+        assert time.perf_counter() - start < 1.0
+        assert len(b.cells) == len(values)
+        # cell_coord's definition, the maximal t with anchor * (1+eps)**t <= value,
+        # checked with (1+eps)**t = rung_num / rung_den grown along the column
+        num, den = (1 + eps).as_integer_ratio()
+        rung_num, rung_den, last = 1, 1, 0
+        for (t,), (sid,) in b.cells.items():
+            ratio = values[int(sid[1:])] / values[0]
+            rung_num, rung_den = rung_num * num ** (t - last), rung_den * den ** (t - last)
+            last = t
+            assert rung_num * ratio.denominator <= ratio.numerator * rung_den
+            assert rung_num * num * ratio.denominator > ratio.numerator * rung_den * den
+        # and cell_coord itself where it is cheap, on the values nearest the anchor
+        for (t,), (sid,) in list(b.cells.items())[:10]:
+            assert t == cell_coord(values[int(sid[1:])], values[0], eps)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3)]))
     def test_cellmates_mutually_epsilon_dominate(self, seed, eps):
@@ -113,6 +207,16 @@ class TestCellFiltering:
     def test_tie_in_one_coordinate_keeps_both(self):
         kept = filter_weakly_nondominated_cells(self._bucketing([(0, 0), (0, 5)]))
         assert kept == {(0, 0), (0, 5)}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda p: st.sets(st.tuples(*[st.integers(min_value=-6, max_value=6)] * p), max_size=60)
+        )
+    )
+    def test_matches_pairwise_reference(self, cells):
+        fake = self._bucketing(cells)
+        assert filter_weakly_nondominated_cells(fake) == reference_filter(fake)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
