@@ -6,6 +6,7 @@ with an independent verifier that re-checks coverage from the definitions.
 """
 
 from .constructors import (
+    QueryLimitExceeded,
     UnsupportedRelationError,
     VerificationFailed,
     VerifyResult,

@@ -2,7 +2,7 @@
 
 Machine-readable results go to stdout or --out; human-readable summaries go
 to stderr.  Exit codes: 0 success, 2 usage error, 3 malformed input file,
-4 verification failure, 5 exact-solver limit exceeded.
+4 verification failure, 5 exact-solver node limit or gap-query limit exceeded.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .constructors import (
+    QueryLimitExceeded,
     UnsupportedRelationError,
     VerificationFailed,
     construct_grid_approx,
@@ -412,6 +413,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except NodeLimitExceeded as exc:
         _say(f"exact-solver limit: {exc}")
+        return EXIT_LIMIT
+    except QueryLimitExceeded as exc:
+        _say(f"gap-query limit: {exc}")
         return EXIT_LIMIT
     except FormatError as exc:
         _say(f"bad input file: {exc}")

@@ -46,11 +46,21 @@ __all__ = [
     "construct_grid_approx",
     "weakly_efficient_lift",
     "construct_via_gap",
+    "GAP_QUERY_LIMIT",
+    "QueryLimitExceeded",
 ]
+
+# budget queries one construct_via_gap sweep may issue; the sweep issues
+# levels**p, checked before the first query
+GAP_QUERY_LIMIT = 10**6
 
 
 class UnsupportedRelationError(ValueError):
     """The requested relation has no general polynomial grid construction."""
+
+
+class QueryLimitExceeded(RuntimeError):
+    """The gap sweep would issue more budget queries than GAP_QUERY_LIMIT."""
 
 
 class VerificationFailed(ValueError):
@@ -274,6 +284,9 @@ def construct_via_gap(
     componentwise dominance (factor-1 pruning keeps the end-to-end guarantee
     at (1+delta)**2).  Returns the chosen solutions; callers verify against
     the underlying instance where one is available.
+
+    The sweep issues exactly (steps+1)**p queries; when that exceeds
+    GAP_QUERY_LIMIT it raises QueryLimitExceeded before the first query.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
@@ -283,6 +296,12 @@ def construct_via_gap(
     # top budget must reach (1+delta) * 2**M so every value has a grid
     # threshold at most a factor (1+delta) above its (1+delta)-scaled image
     steps = ratio_steps_to_reach(Fraction(1 << (2 * value_bound)), delta) + 1
+    queries = (steps + 1) ** p
+    if queries > GAP_QUERY_LIMIT:
+        raise QueryLimitExceeded(
+            f"{queries} budget queries ({steps + 1} levels, p={p}) exceed "
+            f"the gap-query limit {GAP_QUERY_LIMIT}"
+        )
     floor = Fraction(1, 1 << value_bound)
     levels = [floor * pow_ratio(1 + delta, t) for t in range(steps + 1)]
     discovered: dict[str, Solution] = {}

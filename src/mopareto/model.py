@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Mapping
 
 from .numerics import parse_rational, render_rational
@@ -94,6 +95,49 @@ class Instance:
             return self._pos[sol_id]
         except KeyError:
             raise KeyError(f"unknown solution id: {sol_id!r}") from None
+
+    @cached_property
+    def _budget_columns(self) -> tuple[_BudgetColumn, ...]:
+        """Per-objective budget bitsets for the gap oracle, built on first use.
+
+        Cached in the instance's __dict__, outside the dataclass fields, so it
+        takes no part in ==, hash or repr.
+        """
+        return tuple(
+            _BudgetColumn([s.f[i] for s in self.solutions]) for i in range(self.p)
+        )
+
+
+class _BudgetColumn:
+    """Which solutions fit a budget on one objective, as bitsets in instance order.
+
+    `within(b)` has bit k set when solutions[k].f[i] <= b.  Each bitset is
+    built once per distinct budget value, by one pass over the solutions
+    presorted on this objective that stops at the first value above b, and
+    then cached: one n-bit integer per distinct budget queried.
+    """
+
+    __slots__ = ("_ascending", "_masks")
+
+    def __init__(self, values: list[Fraction]):
+        order = sorted(range(len(values)), key=values.__getitem__)
+        self._ascending = [(values[k], k) for k in order]
+        self._masks: dict[object, int] = {}
+
+    def within(self, bound: Fraction) -> int:
+        try:
+            key: object = (bound.numerator, bound.denominator)  # cheaper to hash
+        except AttributeError:  # a float or Decimal budget keys on its exact value
+            key = bound
+        mask = self._masks.get(key)
+        if mask is None:
+            mask = 0
+            for value, k in self._ascending:
+                if value > bound:
+                    break
+                mask |= 1 << k
+            self._masks[key] = mask
+        return mask
 
 
 class RelationKind(str, Enum):

@@ -2,8 +2,12 @@
 biobjective greedy algorithms built on them, and the adversarial query
 answerer that makes two instances indistinguishable to budget queries.
 
-All oracles are exhaustive scans: their value is contract fidelity, not
-speed.  Each answer can be validated independently against the instance.
+The gap oracle answers from a per-instance index: for each objective, a
+cached bitset per budget value of the solutions within it, so a query costs p
+lookups and p big-integer ANDs instead of a scan of the instance.  The other
+oracles are exhaustive scans.  Every answer can be validated independently
+against the instance: `valid_gap_answer` is the exhaustive check that shares
+no code with the index.
 """
 
 from __future__ import annotations
@@ -49,13 +53,20 @@ def gap_oracle(instance: Instance, query: GapQuery) -> Solution | None:
     Returns the first solution in instance order with f(x) <= b componentwise.
     Answering None when nothing fits b is always correct, since nonexistence
     under b implies nonexistence under the stricter b/(1+delta).
+
+    The answer is the lowest set bit of the AND of the instance's cached
+    per-objective bitsets for b (see Instance._budget_columns).  The index
+    keeps one n-bit bitset per distinct budget value queried on each
+    objective; on the construct_via_gap path that is one per budget level.
     """
     if len(query.b) != instance.p:
         raise ValueError("query dimension does not match the instance")
-    for sol in instance.solutions:
-        if all(v <= bound for v, bound in zip(sol.f, query.b)):
-            return sol
-    return None
+    fits = -1  # every bit set
+    for column, bound in zip(instance._budget_columns, query.b):
+        fits &= column.within(bound)
+        if not fits:
+            return None
+    return instance.solutions[(fits & -fits).bit_length() - 1]
 
 
 def valid_gap_answer(
@@ -67,9 +78,11 @@ def valid_gap_answer(
     None answer requires that no solution fits b/(1+delta) componentwise.
     """
     if answer is not None:
-        if answer.id not in instance.ids:
+        try:
+            known = instance.solution(answer.id)
+        except KeyError:
             return False
-        if instance.solution(answer.id).f != answer.f:
+        if known.f != answer.f:
             return False
         return all(v <= bound for v, bound in zip(answer.f, query.b))
     shrunk = tuple(bound / (1 + query.delta) for bound in query.b)

@@ -148,6 +148,23 @@ class TestComputeAndVerify:
         )
         assert code == 2
 
+    def test_gap_query_limit_exits_5_before_any_query(self, tmp_path, capsys):
+        # values span [1/16, 16], so M=4; at eps=1/2 the sweep has 30 levels
+        # and would issue 30**5 = 24 300 000 queries at p=5
+        path = tmp_path / "p5.json"
+        path.write_text(json.dumps({"p": 5, "solutions": [
+            {"id": "lo", "f": ["1/16"] * 5},
+            {"id": "hi", "f": ["16"] * 5},
+        ]}))
+        code = run(
+            "compute", "--relation", "epsilon", "--eps", "1/2",
+            "--algo", "gap", "-i", str(path),
+        )
+        assert code == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "24300000" in captured.err and "1000000" in captured.err
+
 
 class TestMin:
     def test_dominated_family_quasi_one_minimum(self, dominated_family, capsys):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mopareto import constructors
 from mopareto.constructors import (
+    QueryLimitExceeded,
     UnsupportedRelationError,
     VerificationFailed,
     certificate_is_valid,
@@ -20,7 +22,7 @@ from mopareto.generators import (
     gen_prop_one_exact,
     gen_random,
 )
-from mopareto.grid import bucket, filter_weakly_nondominated_cells
+from mopareto.grid import bucket, filter_weakly_nondominated_cells, ratio_steps_to_reach
 from mopareto.model import (
     ApproximationSet,
     CertificateEntry,
@@ -31,6 +33,7 @@ from mopareto.model import (
     Solution,
     derive_value_bound,
 )
+from mopareto.numerics import half_step_delta
 from mopareto.oracles import gap_oracle, valid_gap_answer
 
 F = Fraction
@@ -239,3 +242,34 @@ class TestGapConstruction:
         )
         spec = RelationSpec(RelationKind.EPSILON, F(1))
         assert verify_approximation(instance, [s.id for s in found], spec).ok
+
+    @pytest.mark.parametrize(
+        "eps, value_bound, p",
+        [(F(1), 0, 1), (F(1), 1, 2), (F(1, 2), 1, 3), (F(3), 2, 2), (F(1), 1, 4)],
+    )
+    def test_issues_exactly_levels_to_the_p_queries(self, eps, value_bound, p):
+        # the query limit and the benchmark's budget guard both rely on this count
+        steps = ratio_steps_to_reach(F(1 << (2 * value_bound)), half_step_delta(eps)) + 1
+        queries = []
+
+        def counting_oracle(query: GapQuery):
+            queries.append(query)
+            return None
+
+        assert construct_via_gap(counting_oracle, eps, value_bound, p) == []
+        assert len(queries) == (steps + 1) ** p
+        assert len(set(queries)) == len(queries)
+
+    def test_query_limit_refuses_before_the_first_query(self, monkeypatch):
+        def refusing_oracle(query: GapQuery):
+            raise AssertionError("no query may be issued over the limit")
+
+        # eps=1/2, M=4: 30 levels, 30**5 = 24 300 000 queries
+        with pytest.raises(QueryLimitExceeded, match="24300000"):
+            construct_via_gap(refusing_oracle, F(1, 2), 4, 5)
+        # eps=1, M=1: 7 levels, 7**2 = 49 queries; the limit itself is allowed
+        monkeypatch.setattr(constructors, "GAP_QUERY_LIMIT", 49)
+        assert construct_via_gap(lambda q: None, F(1), 1, 2) == []
+        monkeypatch.setattr(constructors, "GAP_QUERY_LIMIT", 48)
+        with pytest.raises(QueryLimitExceeded, match="49 budget queries"):
+            construct_via_gap(refusing_oracle, F(1), 1, 2)

@@ -42,6 +42,56 @@ def inst(*vectors):
 STAIRCASE = inst((1, 4), (2, 3), (3, 2), (4, 1))
 
 
+def scan_gap_oracle(instance, query):
+    """The exhaustive scan gap_oracle answered with before it was indexed."""
+    if len(query.b) != instance.p:
+        raise ValueError("query dimension does not match the instance")
+    for sol in instance.solutions:
+        if all(v <= bound for v, bound in zip(sol.f, query.b)):
+            return sol
+    return None
+
+
+# few distinct values, so columns repeat values and images repeat whole
+VALUES = [F(1, 3), F(1, 2), F(1), F(3, 2), F(2), F(3), F(7, 2)]
+
+
+@st.composite
+def instances_with_duplicates(draw):
+    p = draw(st.integers(min_value=1, max_value=4))
+    vectors = draw(
+        st.lists(
+            st.tuples(*[st.sampled_from(VALUES)] * p), min_size=1, max_size=12
+        )
+    )
+    repeats = draw(st.lists(st.sampled_from(vectors), max_size=4))
+    order = draw(st.permutations(vectors + repeats))
+    return Instance(
+        p=p,
+        solutions=tuple(Solution(f"s{i}", vec) for i, vec in enumerate(order, start=1)),
+    )
+
+
+def budget_component(column):
+    """A budget on one objective: a solution value, a value between two of
+    them, below or above every value, or an int."""
+    distinct = sorted(set(column))
+    between = [(a + b) / 2 for a, b in zip(distinct, distinct[1:])]
+    return st.one_of(
+        st.sampled_from(distinct),
+        st.sampled_from(between or distinct),
+        st.just(distinct[0] / 2),
+        st.just(distinct[-1] + 1),
+        st.integers(min_value=1, max_value=4),
+    )
+
+
+def draw_queries(data, instance, count):
+    columns = list(zip(*(s.f for s in instance.solutions)))
+    budgets = st.tuples(*[budget_component(c) for c in columns])
+    return [GapQuery(b=data.draw(budgets), delta=F(1, 2)) for _ in range(count)]
+
+
 class TestGapOracle:
     def test_no_when_nothing_fits(self):
         two = inst((1, 4), (4, 1))
@@ -73,12 +123,56 @@ class TestGapOracle:
         query = GapQuery(b=budgets, delta=delta)
         assert valid_gap_answer(instance, query, gap_oracle(instance, query))
 
+    @settings(max_examples=100, deadline=None)
+    @given(instances_with_duplicates(), st.data())
+    def test_index_matches_the_scan(self, instance, data):
+        # many queries against one instance, so later ones hit the cache
+        for query in draw_queries(data, instance, 25) * 2:
+            expected = scan_gap_oracle(instance, query)
+            assert gap_oracle(instance, query) is expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(instances_with_duplicates(), st.data())
+    def test_cache_does_not_leak_into_the_reversed_instance(self, instance, data):
+        reversed_instance = Instance(p=instance.p, solutions=instance.solutions[::-1])
+        for query in draw_queries(data, instance, 10):
+            answer = gap_oracle(instance, query)
+            assert answer is scan_gap_oracle(instance, query)
+            reversed_answer = gap_oracle(reversed_instance, query)
+            assert reversed_answer is scan_gap_oracle(reversed_instance, query)
+
+    def test_same_points_reversed_give_the_other_first_answer(self):
+        forward = inst((1, 2), (2, 1))
+        backward = Instance(p=2, solutions=forward.solutions[::-1])
+        query = GapQuery(b=(F(2), 2), delta=F(1, 2))
+        assert gap_oracle(forward, query).id == "s1"
+        assert gap_oracle(backward, query).id == "s2"
+        assert gap_oracle(forward, query).id == "s1"
+
+    def test_int_and_float_budgets_answer_like_the_scan(self):
+        for b in [(1, 4), (F(1), F(4)), (1.0, 4.0), (2, 2.5), (0.5, 9), (4, 1)]:
+            query = GapQuery(b=b, delta=F(1, 2))
+            assert gap_oracle(STAIRCASE, query) is scan_gap_oracle(STAIRCASE, query)
+
+    def test_querying_leaves_equality_hash_and_repr_unchanged(self):
+        queried = inst((1, 4), (2, 3), (3, 2), (4, 1))
+        fresh = inst((1, 4), (2, 3), (3, 2), (4, 1))
+        before = (hash(queried), repr(queried))
+        for b in [(F(3), F(3)), (1, 1), (F(5), F(5))]:
+            gap_oracle(queried, GapQuery(b=b, delta=F(1, 2)))
+        assert (hash(queried), repr(queried)) == before
+        assert queried == fresh and hash(queried) == hash(fresh)
+        assert repr(queried) == repr(fresh)
+
     def test_validator_rejects_wrong_answers(self):
         query = GapQuery(b=(F(2), F(2)), delta=F(1, 2))
         outsider = Solution("s9", (F(1), F(1)))
         assert not valid_gap_answer(STAIRCASE, query, outsider)
         over_budget = STAIRCASE.solution("s4")
         assert not valid_gap_answer(STAIRCASE, query, over_budget)
+        # a known id with another image is not the instance's solution
+        impostor = Solution("s1", (F(1), F(1)))
+        assert not valid_gap_answer(STAIRCASE, query, impostor)
         # a "NO" is wrong when something fits even the shrunken budgets
         roomy = GapQuery(b=(F(4), F(8)), delta=F(1, 2))
         assert not valid_gap_answer(STAIRCASE, roomy, None)
