@@ -13,6 +13,7 @@ from .constructors import (
     certificate_is_valid,
     construct_grid_approx,
     construct_via_gap,
+    grid_select,
     verify_approximation,
     weakly_efficient_lift,
 )

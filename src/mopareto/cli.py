@@ -20,8 +20,10 @@ from .constructors import (
     QueryLimitExceeded,
     UnsupportedRelationError,
     VerificationFailed,
+    _grid_supported,
     construct_grid_approx,
     construct_via_gap,
+    grid_select,
     verify_approximation,
     weakly_efficient_lift,
 )
@@ -31,8 +33,6 @@ from .domsets import (
     NodeLimitExceeded,
     exact_min_dominating_set,
     greedy_cover_dominating_set,
-    greedy_tournament_dominating_set,
-    tournament_view,
 )
 from .generators import (
     gen_antichain,
@@ -42,7 +42,7 @@ from .generators import (
     gen_quasi2_gap,
     gen_random,
 )
-from .grid import bucket, diagonal_of, filter_weakly_nondominated_cells
+from .grid import diagonal_of
 from .model import (
     FormatError,
     Instance,
@@ -55,7 +55,7 @@ from .model import (
     save_set,
 )
 from .numerics import parse_rational, render_rational
-from .oracles import gap_oracle
+from .oracles import dual_restrict_2approx, gap_oracle, greedy_biobjective_min
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -144,16 +144,12 @@ def _compute_members(args: argparse.Namespace, instance: Instance, spec: Relatio
     if algo == "gap":
         if spec.kind is not RelationKind.EPSILON:
             raise UsageError("--algo gap computes plain epsilon approximation sets")
-        if not instance.solutions:
-            return []
         m = derive_value_bound(instance)
         found = construct_via_gap(
             lambda q: gap_oracle(instance, q), spec.eps, m, instance.p
         )
         return [s.id for s in found]
     # biobjective sweeps
-    from .oracles import dual_restrict_2approx, greedy_biobjective_min
-
     if instance.p != 2:
         raise UsageError(f"--algo {algo} requires a biobjective instance")
     if algo == "bi-greedy":
@@ -231,40 +227,17 @@ def _cmd_lift(args: argparse.Namespace) -> int:
 def _stats_row(
     args: argparse.Namespace, instance: Instance, eps: Fraction
 ) -> dict[str, object]:
-    kind = RelationKind(args.relation)
-    k = getattr(args, "k", None)
-    spec = RelationSpec(kind, eps, k)
-    bucketing = bucket(instance, eps)
-    retained = filter_weakly_nondominated_cells(bucketing)
+    spec = RelationSpec(RelationKind(args.relation), eps, args.k)
+    bucketing, retained, picks = grid_select(instance, spec)
     row: dict[str, object] = {
         "eps": render_rational(eps),
         "nonempty_cells": len(bucketing.cells),
         "retained_cells": len(retained),
         "nonempty_diagonals": len({diagonal_of(c) for c in bucketing.cells}),
+        # None: no general grid construction for this relation kind
+        "grid_members": None if picks is None else sum(map(len, picks)),
+        "max_cell_set": None if picks is None else max(map(len, picks), default=0),
     }
-    constructible = kind in (RelationKind.EPSILON, RelationKind.ONE_EXACT) or (
-        kind is RelationKind.QUASI_K and k is not None and 2 * k - 1 <= instance.p
-    )
-    if constructible:
-        cell_sizes = []
-        members: set[str] = set()
-        for cell in sorted(retained):
-            ids = bucketing.cells[cell]
-            if kind is RelationKind.QUASI_K:
-                view = tournament_view([instance.solution(i) for i in ids], k)
-                picked = greedy_tournament_dominating_set(view)
-            else:
-                picked = {
-                    min(ids, key=lambda i: (instance.solution(i).f, instance.position(i)))
-                }
-            cell_sizes.append(len(picked))
-            members |= picked
-        row["grid_members"] = len(members)
-        row["max_cell_set"] = max(cell_sizes) if cell_sizes else 0
-    else:
-        # no general grid construction for this relation kind
-        row["grid_members"] = None
-        row["max_cell_set"] = None
     if args.exact:
         limit = _node_limit(args)
         graph = domination_digraph(instance, spec)
@@ -279,11 +252,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if kind in (RelationKind.QUASI_K, RelationKind.ONE_EXACT_QUASI_K) and args.k is None:
         raise UsageError(f"--k is required for --relation {kind.value}")
     instance = _read_instance(args.instance)
-    if kind is RelationKind.QUASI_K and args.k is not None:
-        if 2 * args.k - 1 > instance.p:
-            raise UsageError(
-                f"per-cell selection needs 2k-1 <= p; got k={args.k}, p={instance.p}"
-            )
+    if kind is RelationKind.QUASI_K and not _grid_supported(kind, args.k, instance.p):
+        raise UsageError(
+            f"per-cell selection needs 2k-1 <= p; got k={args.k}, p={instance.p}"
+        )
     summary = {
         "n": len(instance),
         "p": instance.p,

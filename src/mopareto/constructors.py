@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .dominance import (
     DominationDigraph,
@@ -25,7 +25,13 @@ from .domsets import (
     greedy_tournament_dominating_set,
     tournament_view,
 )
-from .grid import bucket, filter_weakly_nondominated_cells, ratio_steps_to_reach
+from .grid import (
+    CellIndex,
+    GridBucketing,
+    bucket,
+    filter_weakly_nondominated_cells,
+    ratio_steps_to_reach,
+)
 from .model import (
     ApproximationSet,
     CertificateEntry,
@@ -43,6 +49,7 @@ __all__ = [
     "VerifyResult",
     "verify_approximation",
     "certificate_is_valid",
+    "grid_select",
     "construct_grid_approx",
     "weakly_efficient_lift",
     "construct_via_gap",
@@ -126,26 +133,14 @@ def verify_approximation(
     return VerifyResult(approximation=approx, counterexample=None)
 
 
-def _witnesses_relation(spec: RelationSpec, exact: tuple[int, ...]) -> bool:
-    kind = spec.kind
-    if kind is RelationKind.EPSILON:
-        return True
-    if kind is RelationKind.ONE_EXACT:
-        return 1 in exact
-    if kind is RelationKind.TWO_EXACT:
-        return 1 in exact and 2 in exact
-    if kind is RelationKind.QUASI_K:
-        return len(exact) >= (spec.k or 0)
-    return 1 in exact and len(exact) >= (spec.k or 0)
-
-
 def certificate_is_valid(instance: Instance, aset: ApproximationSet) -> bool:
     """Re-check an approximation set's certificate from scratch.
 
     Requires: members belong to the instance, every instance solution is
     covered exactly once, each entry's member actually dominates the covered
-    solution under the relation, and the claimed exact components are
-    precisely those in which the member is at least as good.
+    solution under the relation, the claimed exact components are precisely
+    those in which the member is at least as good, and they witness the
+    relation's exactness rule (`RelationSpec.exact_rule`) on their own.
     """
     try:
         member_set = set(aset.members)
@@ -163,20 +158,46 @@ def certificate_is_valid(instance: Instance, aset: ApproximationSet) -> bool:
                 return False
             if entry.exact_indices != exact_components(by, target):
                 return False
-            if not _witnesses_relation(aset.relation, entry.exact_indices):
+            required, min_exact = aset.relation.exact_rule(instance.p)
+            exact = entry.exact_indices
+            if len(exact) < min_exact or any(i + 1 not in exact for i in required):
                 return False
     except (KeyError, ValueError):
         return False
     return True
 
 
-def _pick_lex_min(instance: Instance, cell_ids: Sequence[str]) -> str:
-    """Representative with the lexicographically smallest image, ties by order.
+def _grid_supported(kind: RelationKind, k: int | None, p: int) -> bool:
+    """Epsilon, one-exact, and quasi-k with 2k - 1 <= p (complete cell tournaments)."""
+    if kind is RelationKind.QUASI_K:
+        return k is not None and 2 * k - 1 <= p
+    return kind in (RelationKind.EPSILON, RelationKind.ONE_EXACT)
 
-    The lex-minimal image in particular attains the cell's minimum first
-    objective, so one rule serves both the plain and the first-exact cases.
+
+def grid_select(
+    instance: Instance, spec: RelationSpec
+) -> tuple[GridBucketing, list[CellIndex], list[list[str]] | None]:
+    """Bucketing, retained cells in sorted order, and each retained cell's picks.
+
+    The picks are None when the relation has no grid construction; an empty
+    instance has no cells.
     """
-    return min(cell_ids, key=lambda i: (instance.solution(i).f, instance.position(i)))
+    if not instance.solutions:
+        bucketing = GridBucketing(eps=spec.eps, lower=(), cells={})
+    else:
+        bucketing = bucket(instance, spec.eps)
+    retained = sorted(filter_weakly_nondominated_cells(bucketing))
+    if not _grid_supported(spec.kind, spec.k, instance.p):
+        return bucketing, retained, None
+    picks = []
+    for cell in retained:
+        ids = bucketing.cells[cell]
+        if spec.kind is RelationKind.QUASI_K and spec.k is not None:
+            view = tournament_view([instance.solution(i) for i in ids], spec.k)
+            picks.append(sorted(greedy_tournament_dominating_set(view)))
+        else:  # the lex-min image attains the cell's minimum f1, so it serves one-exact
+            picks.append([min(ids, key=lambda i: (instance.solution(i).f, instance.position(i)))])
+    return bucketing, retained, picks
 
 
 def construct_grid_approx(instance: Instance, spec: RelationSpec) -> ApproximationSet:
@@ -188,29 +209,16 @@ def construct_grid_approx(instance: Instance, spec: RelationSpec) -> Approximati
     polynomial-cardinality construction exists for them.
     """
     kind = spec.kind
-    if kind in (RelationKind.TWO_EXACT, RelationKind.ONE_EXACT_QUASI_K):
-        raise UnsupportedRelationError(
-            f"no general grid construction for {kind.value} sets"
-        )
-    if kind is RelationKind.QUASI_K:
-        assert spec.k is not None
-        half_up = -(-instance.p // 2)
-        if spec.k > half_up:
+    if not _grid_supported(kind, spec.k, instance.p):
+        if kind is RelationKind.QUASI_K:
             raise UnsupportedRelationError(
-                f"quasi-k grid construction needs k <= ceil(p/2) = {half_up}, got k={spec.k}"
+                f"quasi-k grid construction needs k <= ceil(p/2) = {-(-instance.p // 2)}, "
+                f"got k={spec.k}"
             )
-    members: list[str] = []
-    if instance.solutions:  # an empty instance has no grid; the empty set covers it
-        bucketing = bucket(instance, spec.eps)
-        for cell in sorted(filter_weakly_nondominated_cells(bucketing)):
-            ids = bucketing.cells[cell]
-            if kind is RelationKind.QUASI_K and spec.k is not None:
-                cell_solutions = [instance.solution(i) for i in ids]
-                view = tournament_view(cell_solutions, spec.k)
-                members.extend(sorted(greedy_tournament_dominating_set(view)))
-            else:
-                members.append(_pick_lex_min(instance, ids))
-    result = verify_approximation(instance, members, spec)
+        raise UnsupportedRelationError(f"no general grid construction for {kind.value} sets")
+    _, _, picks = grid_select(instance, spec)
+    assert picks is not None
+    result = verify_approximation(instance, [m for cell in picks for m in cell], spec)
     if not result.ok:  # pragma: no cover - construction is sound by design
         raise VerificationFailed(result.counterexample or "?")
     assert result.approximation is not None

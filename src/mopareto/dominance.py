@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .model import Instance, RelationKind, RelationSpec, Solution
+from .model import Instance, RelationSpec, Solution
 
 __all__ = [
     "r_dominates",
@@ -37,42 +37,23 @@ def values_r_dominate(
 ) -> bool:
     """Does the vector fx approximately dominate fy under the given relation?
 
-    epsilon:            every component within factor 1 + eps.
-    one-exact:          first component exact, the rest within 1 + eps.
-    two-exact:          first two components exact, the rest within 1 + eps.
-    quasi-k:            every component within 1 + eps and at least k exact.
-    one-exact-quasi-k:  quasi-k and additionally exact in the first component.
-
-    "Exact" means fx[i] <= fy[i]; "within 1 + eps" means fx[i] <= (1+eps)*fy[i].
-    quasi-k uses the counting criterion, which is equivalent to asking for an
-    exact k-subset of components because any k exact components can serve.
+    The relation's exactness rule (`RelationSpec.exact_rule`, one table in
+    `model` for all five kinds) names the components that must be exact and
+    the minimum number of exact components; every component must be within
+    1 + eps.  "Exact" means fx[i] <= fy[i]; "within 1 + eps" means
+    fx[i] <= (1+eps)*fy[i].  quasi-k uses the counting criterion, which is
+    equivalent to asking for an exact k-subset of components because any k
+    exact components can serve.  Values are positive, so exact implies within.
     """
     _check_dims(fx, fy)
-    p = len(fx)
+    required, min_exact = spec.exact_rule(len(fx))
+    for i in required:
+        if fx[i] > fy[i]:
+            return False
     slack = 1 + spec.eps
-    kind = spec.kind
-    if kind is RelationKind.EPSILON:
-        return all(a <= slack * b for a, b in zip(fx, fy))
-    if kind is RelationKind.ONE_EXACT:
-        return fx[0] <= fy[0] and all(a <= slack * b for a, b in zip(fx[1:], fy[1:]))
-    if kind is RelationKind.TWO_EXACT:
-        if p < 2:
-            raise ValueError("two-exact dominance needs at least two objectives")
-        return (
-            fx[0] <= fy[0]
-            and fx[1] <= fy[1]
-            and all(a <= slack * b for a, b in zip(fx[2:], fy[2:]))
-        )
-    k = spec.k
-    assert k is not None
-    if k > p:
-        raise ValueError(f"k={k} exceeds the number of objectives p={p}")
-    if not all(a <= slack * b for a, b in zip(fx, fy)):
+    if not all(a <= b or a <= slack * b for a, b in zip(fx, fy)):  # exact needs no product
         return False
-    exact = sum(1 for a, b in zip(fx, fy) if a <= b)
-    if kind is RelationKind.QUASI_K:
-        return exact >= k
-    return exact >= k and fx[0] <= fy[0]
+    return min_exact == 0 or sum(1 for a, b in zip(fx, fy) if a <= b) >= min_exact
 
 
 def r_dominates(x: Solution, y: Solution, spec: RelationSpec) -> bool:

@@ -8,14 +8,15 @@ Three solvers with different contracts:
 * exact branch-and-bound minimum (test oracle and the `min` command),
   guarded by a node limit.
 
-All tie-breaking follows the node order handed in, so identical inputs
-produce identical outputs.
+Both greedy solvers build closed out-neighborhood bitmasks with one helper
+and run one greedy core.  All tie-breaking follows the node order handed in,
+so identical inputs produce identical outputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .dominance import DominationDigraph
 from .model import Solution
@@ -100,37 +101,28 @@ def greedy_tournament_dominating_set(view: TournamentView) -> set[str]:
     so the result has at most ceil(log2 n) + 1 members.
     """
     ids = [sol.id for sol in view.points]
-    index = {u: i for i, u in enumerate(ids)}
-    cover = []
-    for u in ids:
-        mask = 1 << index[u]
-        for v in view.out[u]:
-            mask |= 1 << index[v]
-        cover.append(mask)
     full = (1 << len(ids)) - 1
-    return {ids[i] for i in _greedy_cover_indices(cover, full)}
+    return {ids[i] for i in _greedy_cover_indices(_closed_masks(ids, view.out), full)}
 
 
-def _closed_masks(graph: DominationDigraph) -> tuple[list[str], list[int]]:
-    ids = list(graph.nodes)
-    index = {u: i for i, u in enumerate(ids)}
+def _closed_masks(nodes: Sequence[str], out: Mapping[str, Iterable[str]]) -> list[int]:
+    """Bitmask of each node's closed out-neighborhood, one bit per node in order."""
+    index = {u: i for i, u in enumerate(nodes)}
     cover = []
-    for u in ids:
+    for u in nodes:
         mask = 1 << index[u]
-        for v in graph.out[u]:
+        for v in out[u]:
             mask |= 1 << index[v]
         cover.append(mask)
-    return ids, cover
+    return cover
 
 
 def greedy_cover_dominating_set(graph: DominationDigraph) -> set[str]:
     """Greedy set cover: repeatedly take the node covering the most uncovered
     nodes (ties to the earliest node).  At most (1 + ln n) times the minimum."""
-    if not graph.nodes:
-        return set()
-    ids, cover = _closed_masks(graph)
+    ids = graph.nodes
     full = (1 << len(ids)) - 1
-    return {ids[i] for i in _greedy_cover_indices(cover, full)}
+    return {ids[i] for i in _greedy_cover_indices(_closed_masks(ids, graph.out), full)}
 
 
 def exact_min_dominating_set(
@@ -148,7 +140,8 @@ def exact_min_dominating_set(
         return set()
     if n > node_limit:
         raise NodeLimitExceeded(f"{n} nodes exceeds the exact-solver limit {node_limit}")
-    ids, cover = _closed_masks(graph)
+    ids = graph.nodes
+    cover = _closed_masks(ids, graph.out)
     full = (1 << n) - 1
 
     best = _greedy_cover_indices(cover, full)

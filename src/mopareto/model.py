@@ -152,6 +152,15 @@ class RelationKind(str, Enum):
 
 _KINDS_WITH_K = (RelationKind.QUASI_K, RelationKind.ONE_EXACT_QUASI_K)
 
+# 0-based components each kind requires exact; the quasi kinds also need k exact
+_REQUIRED_EXACT = {
+    RelationKind.EPSILON: (),
+    RelationKind.ONE_EXACT: (0,),
+    RelationKind.TWO_EXACT: (0, 1),
+    RelationKind.QUASI_K: (),
+    RelationKind.ONE_EXACT_QUASI_K: (0,),
+}
+
 
 @dataclass(frozen=True)
 class RelationSpec:
@@ -175,6 +184,15 @@ class RelationSpec:
                 raise ValueError("k must be at least 1")
         elif self.k is not None:
             raise ValueError(f"relation {self.kind.value} does not take k")
+
+    def exact_rule(self, p: int) -> tuple[tuple[int, ...], int]:
+        """(0-based components that must be exact, minimum exact count) at p >= 1."""
+        required = _REQUIRED_EXACT[self.kind]
+        if len(required) > p:  # only two-exact requires more than one component
+            raise ValueError("two-exact dominance needs at least two objectives")
+        if self.k is not None and self.k > p:
+            raise ValueError(f"k={self.k} exceeds the number of objectives p={p}")
+        return required, self.k or 0
 
 
 @dataclass(frozen=True)
@@ -218,10 +236,8 @@ def derive_value_bound(instance: Instance) -> int:
     """Smallest integer M >= 0 with every objective value in [2**-M, 2**M].
 
     Derived, never user-supplied, so the value-range assumption cannot be
-    violated by configuration.
+    violated by configuration.  An empty instance has M = 0 (vacuously).
     """
-    if not instance.solutions:
-        raise ValueError("cannot derive a value bound for an empty instance")
     m = 0
     for sol in instance.solutions:
         for v in sol.f:
@@ -265,8 +281,6 @@ def load_instance(data: bytes | str) -> Instance:
         if not isinstance(values, list):
             raise FormatError(f"solution {sol_id!r}: \"f\" must be a list")
         vec = tuple(_parse_value(v, f"solution {sol_id!r}") for v in values)
-        if any(v <= 0 for v in vec):
-            raise FormatError(f"nonpositive objective value in solution {sol_id!r}")
         solutions.append(Solution(id=sol_id, f=vec))
     try:
         return Instance(p=p, solutions=tuple(solutions))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .constructors import verify_approximation
 from .dominance import r_dominates
@@ -206,24 +206,21 @@ def dual_restrict_oracle(
     return min(candidates, key=lambda s: (s.f, instance.position(s.id)))
 
 
-def greedy_biobjective_min(instance: Instance, eps: Fraction) -> ApproximationSet:
-    """Minimum-cardinality cover of a biobjective instance within 1 + eps.
+def _biobjective_sweep(
+    instance: Instance, eps: Fraction, answer: Callable[[Fraction], Solution | None]
+) -> ApproximationSet:
+    """The sweep both biobjective covers share; they differ only in `answer`.
 
-    Repeatedly takes the uncovered solution with the smallest first objective
-    value t, asks the constrained oracle for the second-objective minimizer
-    subject to f1 <= (1+eps) * t, and removes everything the answer covers.
-    Members are weakly efficient, so the result also covers every solution
-    with at least one exact component.
+    Repeatedly takes the smallest first objective value t among the uncovered
+    solutions, adds answer(t) and drops everything it covers within 1 + eps.
+    The members are certified as a quasi-1 set (weakly efficient members).
     """
-    if instance.p != 2:
-        raise ValueError("the greedy cover works on biobjective instances only")
     eps_spec = RelationSpec(RelationKind.EPSILON, eps)
     uncovered = list(instance.solutions)
     members: list[str] = []
     while uncovered:
-        t = min(s.f[0] for s in uncovered)
-        pick = constrained_oracle(instance, objective=2, bounds=[(1 + eps) * t])
-        assert pick is not None  # the attainer of t is feasible
+        pick = answer(min(s.f[0] for s in uncovered))
+        assert pick is not None  # the attainer of t meets the bound
         members.append(pick.id)
         uncovered = [s for s in uncovered if not r_dominates(pick, s, eps_spec)]
     result = verify_approximation(
@@ -231,32 +228,35 @@ def greedy_biobjective_min(instance: Instance, eps: Fraction) -> ApproximationSe
     )
     assert result.ok and result.approximation is not None
     return result.approximation
+
+
+def greedy_biobjective_min(instance: Instance, eps: Fraction) -> ApproximationSet:
+    """Minimum-cardinality cover of a biobjective instance within 1 + eps.
+
+    Runs the shared sweep: for the smallest uncovered first objective value t,
+    asks the constrained oracle for the second-objective minimizer subject to
+    f1 <= (1+eps) * t, and removes everything the answer covers.  Members are
+    weakly efficient, so the result also covers every solution with at least
+    one exact component.
+    """
+    if instance.p != 2:
+        raise ValueError("the greedy cover works on biobjective instances only")
+    return _biobjective_sweep(
+        instance, eps, lambda t: constrained_oracle(instance, objective=2, bounds=[(1 + eps) * t])
+    )
 
 
 def dual_restrict_2approx(instance: Instance, eps: Fraction) -> ApproximationSet:
     """Cover within 1 + eps using the budget-relaxed oracle only.
 
-    Runs the same sweep as greedy_biobjective_min but with bound (1+delta) * t
-    where (1+delta)**2 <= 1+eps, so the relaxed answer still covers the
-    sweep's anchor solution.  Cardinality is at most twice the minimum; all
-    members are efficient.
+    Runs the same sweep as greedy_biobjective_min, asking the budget-relaxed
+    oracle with bound (1+delta) * t where (1+delta)**2 <= 1+eps, so the
+    relaxed answer still covers the sweep's anchor solution.  Cardinality is
+    at most twice the minimum; all members are efficient.
     """
     if instance.p != 2:
         raise ValueError("the relaxed greedy cover works on biobjective instances only")
     delta = half_step_delta(eps)
-    eps_spec = RelationSpec(RelationKind.EPSILON, eps)
-    uncovered = list(instance.solutions)
-    members: list[str] = []
-    while uncovered:
-        t = min(s.f[0] for s in uncovered)
-        pick = dual_restrict_oracle(
-            instance, objective=2, bounds=[(1 + delta) * t], delta=delta
-        )
-        assert pick is not None
-        members.append(pick.id)
-        uncovered = [s for s in uncovered if not r_dominates(pick, s, eps_spec)]
-    result = verify_approximation(
-        instance, members, RelationSpec(RelationKind.QUASI_K, eps, k=1)
+    return _biobjective_sweep(
+        instance, eps, lambda t: dual_restrict_oracle(instance, 2, [(1 + delta) * t], delta)
     )
-    assert result.ok and result.approximation is not None
-    return result.approximation

@@ -1,9 +1,20 @@
 import json
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from mopareto.cli import main
-from mopareto.model import load_instance, load_set
+from mopareto.constructors import construct_grid_approx
+from mopareto.generators import gen_random
+from mopareto.grid import bucket
+from mopareto.model import (
+    RelationKind,
+    RelationSpec,
+    load_instance,
+    load_set,
+    save_instance,
+)
 
 
 def run(*argv):
@@ -260,6 +271,75 @@ class TestStats:
         row = payload["grids"][0]
         assert row["grid_members"] is None
         assert row["nonempty_cells"] >= 1
+
+
+    def test_empty_instance_reports_zero_counts(self, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"p": 2, "solutions": []}')
+        assert run("stats", "-i", str(empty), "--eps", "1", "--exact") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["instance"] == {
+            "n": 0, "p": 2, "value_bound": 0, "efficient": 0, "weakly_efficient": 0,
+        }
+        assert payload["grids"] == [{
+            "eps": "1", "nonempty_cells": 0, "retained_cells": 0, "nonempty_diagonals": 0,
+            "grid_members": 0, "max_cell_set": 0, "exact_min": 0, "exact_min_epsilon": 0,
+        }]
+        assert run("stats", "-i", str(empty), "--csv", "--eps", "1/2", "1") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == ["0,2,0,0,0,1/2,0,0,0,0,0", "0,2,0,0,0,1,0,0,0,0,0"]
+
+
+def _largest_cell_pick(instance, members, eps):
+    cell_of = {i: cell for cell, ids in bucket(instance, eps).cells.items() for i in ids}
+    return max(Counter(cell_of[m] for m in members).values())
+
+
+class TestGridCallersAgree:
+    """`stats` and `compute --algo grid` select per cell through one definition."""
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_stats_counts_match_the_grid_construction(self, p, tmp_path, capsys):
+        instance = gen_random(100, p, seed=10 + p, value_range=2)  # crowded cells
+        path = tmp_path / "r.json"
+        path.write_bytes(save_instance(instance))
+        supported = [("epsilon", None), ("one-exact", None)] + [
+            ("quasi-k", k) for k in range(1, (p + 1) // 2 + 1)
+        ]
+        for kind, k in supported:
+            k_args = ["--k", str(k)] if k else []
+            for eps in ("1/2", "4"):
+                assert run("stats", "-i", str(path), "--relation", kind, *k_args, "--eps", eps) == 0
+                row = json.loads(capsys.readouterr().out)["grids"][0]
+                spec = RelationSpec(RelationKind(kind), Fraction(eps), k)
+                members = construct_grid_approx(instance, spec).members
+                assert row["grid_members"] == len(members), (kind, k, eps)
+                assert row["max_cell_set"] == _largest_cell_pick(instance, members, spec.eps)
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_unsupported_relations(self, p, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        path.write_bytes(save_instance(gen_random(20, p, seed=p)))
+        for kind, k_args in [("two-exact", []), ("one-exact-quasi-k", ["--k", "1"])]:
+            assert run("stats", "-i", str(path), "--relation", kind, *k_args, "--eps", "1") == 0
+            row = json.loads(capsys.readouterr().out)["grids"][0]
+            assert row["grid_members"] is None and row["max_cell_set"] is None
+        too_big = str((p + 1) // 2 + 1)
+        assert run("stats", "-i", str(path), "--relation", "quasi-k", "--k", too_big,
+                   "--eps", "1") == 2
+        assert capsys.readouterr().err == (
+            f"usage error: per-cell selection needs 2k-1 <= p; got k={too_big}, p={p}\n"
+        )
+        grid = ["compute", "--algo", "grid", "--eps", "1", "-i", str(path)]
+        assert run(*grid, "--relation", "two-exact") == 2
+        assert capsys.readouterr().err == (
+            "usage error: no general grid construction for two-exact sets\n"
+        )
+        assert run(*grid, "--relation", "quasi-k", "--k", too_big) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: quasi-k grid construction needs k <= ceil(p/2) = {(p + 1) // 2}, "
+            f"got k={too_big}\n"
+        )
 
 
 class TestFailureModes:

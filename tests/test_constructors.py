@@ -119,6 +119,17 @@ class TestVerify:
         )
         assert not certificate_is_valid(instance, outsider)  # x1 is not a member
 
+    def test_relation_rule_is_only_checked_against_entries(self):
+        # an empty instance has an empty certificate, valid even when k > p
+        empty = Instance(p=2, solutions=())
+        for kind, k in ((RelationKind.QUASI_K, 3), (RelationKind.TWO_EXACT, None)):
+            aset = ApproximationSet(RelationSpec(kind, F(1), k), ())
+            assert certificate_is_valid(empty, aset)
+        one = Instance(p=1, solutions=(Solution("a", (F(1),)),))
+        two_exact = RelationSpec(RelationKind.TWO_EXACT, F(1))
+        entry = CertificateEntry("a", "a", (1,))
+        assert not certificate_is_valid(one, ApproximationSet(two_exact, ("a",), (entry,)))
+
 
 class TestGridConstruction:
     def test_single_solution_any_supported_relation(self):

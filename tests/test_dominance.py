@@ -1,11 +1,12 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mopareto.dominance import (
+    _check_dims,
     dominates,
     domination_digraph,
     efficient_set,
@@ -237,3 +238,96 @@ class TestProperties:
         if holds(RelationKind.QUASI_K, k=2):
             assert holds(RelationKind.QUASI_K, k=1)
             assert holds(RelationKind.EPSILON)
+
+
+# The five-branch relation definition, kept as the reference for the rule table.
+def reference_values_r_dominate(fx, fy, spec):
+    _check_dims(fx, fy)
+    p = len(fx)
+    slack = 1 + spec.eps
+    kind = spec.kind
+    if kind is RelationKind.EPSILON:
+        return all(a <= slack * b for a, b in zip(fx, fy))
+    if kind is RelationKind.ONE_EXACT:
+        return fx[0] <= fy[0] and all(a <= slack * b for a, b in zip(fx[1:], fy[1:]))
+    if kind is RelationKind.TWO_EXACT:
+        if p < 2:
+            raise ValueError("two-exact dominance needs at least two objectives")
+        return (
+            fx[0] <= fy[0]
+            and fx[1] <= fy[1]
+            and all(a <= slack * b for a, b in zip(fx[2:], fy[2:]))
+        )
+    k = spec.k
+    assert k is not None
+    if k > p:
+        raise ValueError(f"k={k} exceeds the number of objectives p={p}")
+    if not all(a <= slack * b for a, b in zip(fx, fy)):
+        return False
+    exact = sum(1 for a, b in zip(fx, fy) if a <= b)
+    if kind is RelationKind.QUASI_K:
+        return exact >= k
+    return exact >= k and fx[0] <= fy[0]
+
+
+def _outcome(relation, fx, fy, spec):
+    try:
+        return relation(fx, fy, spec)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def boundary_cases(draw):
+    """A relation spec and a vector pair whose components sit on, just inside or
+    just outside the exact boundary fy[i] and the 1+eps boundary (1+eps)*fy[i]."""
+    p = draw(st.integers(min_value=1, max_value=5))
+    eps = draw(st.sampled_from([Fraction(1, 7), Fraction(1, 2), Fraction(1), Fraction(5, 3)]))
+    kind = draw(st.sampled_from(list(RelationKind)))
+    k = draw(st.integers(min_value=1, max_value=p + 1)) if kind in (
+        RelationKind.QUASI_K, RelationKind.ONE_EXACT_QUASI_K
+    ) else None
+    fy = [draw(st.fractions(min_value=Fraction(1, 8), max_value=Fraction(8), max_denominator=12))
+          for _ in range(p)]
+    nudge = Fraction(1, draw(st.sampled_from([10**3, 10**9])))
+    fx = []
+    for b in fy:
+        edge = draw(st.sampled_from([b, (1 + eps) * b]))
+        fx.append(edge + draw(st.sampled_from([-nudge, 0, nudge])) * b)
+    return RelationSpec(kind, eps, k), tuple(fx), tuple(fy)
+
+
+class TestRuleTableMatchesTheFiveBranchDefinition:
+    @settings(max_examples=400, deadline=None)
+    @given(boundary_cases())
+    def test_same_answers_and_errors(self, case):
+        spec, fx, fy = case
+        assert _outcome(values_r_dominate, fx, fy, spec) == _outcome(
+            reference_values_r_dominate, fx, fy, spec
+        )
+
+    @pytest.mark.parametrize("p", range(1, 6))
+    def test_every_kind_and_k_on_the_boundaries(self, p):
+        eps = Fraction(1, 2)
+        specs = [RelationSpec(kind, eps) for kind in list(RelationKind)[:3]] + [
+            RelationSpec(kind, eps, k)
+            for kind in (RelationKind.QUASI_K, RelationKind.ONE_EXACT_QUASI_K)
+            for k in range(1, p + 2)
+        ]
+        # every component at one of: better, exact tie, within slack, slack tie, beyond
+        grades = [Fraction(1, 2), Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2)]
+        fy = tuple(Fraction(i + 2, 3) for i in range(p))
+        for spec in specs:
+            for choice in product(grades, repeat=p):
+                fx = tuple(g * b for g, b in zip(choice, fy))
+                assert _outcome(values_r_dominate, fx, fy, spec) == _outcome(
+                    reference_values_r_dominate, fx, fy, spec
+                ), (spec, choice)
+
+    def test_errors_keep_their_messages(self):
+        two = RelationSpec(RelationKind.TWO_EXACT, Fraction(1))
+        with pytest.raises(ValueError, match="^two-exact dominance needs at least two objectives$"):
+            values_r_dominate((Fraction(1),), (Fraction(1),), two)
+        quasi = RelationSpec(RelationKind.ONE_EXACT_QUASI_K, Fraction(1), k=3)
+        with pytest.raises(ValueError, match=r"^k=3 exceeds the number of objectives p=2$"):
+            values_r_dominate((Fraction(1),) * 2, (Fraction(1),) * 2, quasi)

@@ -99,6 +99,9 @@ class TestValueBound:
     def test_all_ones_gives_zero(self):
         assert derive_value_bound(_inst((1, 1), (1, 1))) == 0
 
+    def test_empty_instance_gives_zero(self):
+        assert derive_value_bound(Instance(p=2, solutions=())) == 0
+
     def test_quarter_to_eight_gives_three(self):
         assert derive_value_bound(_inst((Fraction(1, 4), 8))) == 3
 
@@ -129,9 +132,10 @@ class TestInstanceFiles:
         assert load_instance(save_instance(inst)) == inst
 
     def test_zero_value_rejected(self):
-        data = b'{"p": 1, "solutions": [{"id": "a", "f": ["0"]}]}'
-        with pytest.raises(FormatError, match="nonpositive"):
-            load_instance(data)
+        for value in ("0", "-1/2"):
+            data = b'{"p": 1, "solutions": [{"id": "a", "f": ["%s"]}]}' % value.encode()
+            with pytest.raises(FormatError, match="nonpositive"):
+                load_instance(data)
 
     def test_duplicate_ids_rejected(self):
         data = b'{"p": 1, "solutions": [{"id": "a", "f": ["1"]}, {"id": "a", "f": ["2"]}]}'

@@ -9,11 +9,13 @@ from mopareto.constructors import verify_approximation
 from mopareto.dominance import (
     domination_digraph,
     efficient_set,
+    r_dominates,
     weakly_efficient_set,
 )
 from mopareto.domsets import exact_min_dominating_set
-from mopareto.generators import gen_prop_dominated, gen_random
+from mopareto.generators import gen_antichain, gen_prop_dominated, gen_random
 from mopareto.model import GapQuery, Instance, RelationKind, RelationSpec, Solution
+from mopareto.numerics import half_step_delta
 from mopareto.oracles import (
     AdversaryPrecisionError,
     adversarial_pair,
@@ -349,3 +351,75 @@ class TestDualRestrictSweep:
         assert len(result.members) <= 2 * len(exact_min_dominating_set(graph))
         eff = efficient_set(instance)
         assert all(m in eff for m in result.members)
+
+
+# The two sweep loops as they were written before they shared one, kept as
+# references for the merged sweep.
+def reference_greedy_biobjective_min(instance, eps):
+    eps_spec = RelationSpec(RelationKind.EPSILON, eps)
+    uncovered = list(instance.solutions)
+    members: list[str] = []
+    while uncovered:
+        t = min(s.f[0] for s in uncovered)
+        pick = constrained_oracle(instance, objective=2, bounds=[(1 + eps) * t])
+        assert pick is not None  # the attainer of t is feasible
+        members.append(pick.id)
+        uncovered = [s for s in uncovered if not r_dominates(pick, s, eps_spec)]
+    result = verify_approximation(
+        instance, members, RelationSpec(RelationKind.QUASI_K, eps, k=1)
+    )
+    assert result.ok and result.approximation is not None
+    return result.approximation
+
+
+def reference_dual_restrict_2approx(instance, eps):
+    delta = half_step_delta(eps)
+    eps_spec = RelationSpec(RelationKind.EPSILON, eps)
+    uncovered = list(instance.solutions)
+    members: list[str] = []
+    while uncovered:
+        t = min(s.f[0] for s in uncovered)
+        pick = dual_restrict_oracle(
+            instance, objective=2, bounds=[(1 + delta) * t], delta=delta
+        )
+        assert pick is not None
+        members.append(pick.id)
+        uncovered = [s for s in uncovered if not r_dominates(pick, s, eps_spec)]
+    result = verify_approximation(
+        instance, members, RelationSpec(RelationKind.QUASI_K, eps, k=1)
+    )
+    assert result.ok and result.approximation is not None
+    return result.approximation
+
+
+class TestMergedSweepMatchesTheOldLoops:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=1, max_value=40),
+        st.sampled_from([F(1, 10), F(1, 2), F(1), F(3)]),
+    )
+    def test_random_biobjective_instances(self, seed, n, eps):
+        instance = gen_random(n, 2, seed=seed, value_range=3)
+        assert greedy_biobjective_min(instance, eps) == reference_greedy_biobjective_min(
+            instance, eps
+        )
+        assert dual_restrict_2approx(instance, eps) == reference_dual_restrict_2approx(
+            instance, eps
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    @pytest.mark.parametrize("eps", [F(1, 5), F(1), F(7, 2)])
+    def test_antichains(self, n, eps):
+        instance = gen_antichain(n)
+        greedy = greedy_biobjective_min(instance, eps)
+        assert greedy.members == reference_greedy_biobjective_min(instance, eps).members
+        dual = dual_restrict_2approx(instance, eps)
+        assert dual.members == reference_dual_restrict_2approx(instance, eps).members
+
+    def test_each_keeps_its_own_biobjective_message(self):
+        three = gen_random(4, 3, seed=0)
+        with pytest.raises(ValueError, match="^the greedy cover works on biobjective"):
+            greedy_biobjective_min(three, F(1))
+        with pytest.raises(ValueError, match="^the relaxed greedy cover works on biobjective"):
+            dual_restrict_2approx(three, F(1))
