@@ -13,12 +13,10 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .constructors import (
     QueryLimitExceeded,
-    UnsupportedRelationError,
     VerificationFailed,
     _grid_supported,
     construct_grid_approx,
@@ -225,12 +223,11 @@ def _cmd_lift(args: argparse.Namespace) -> int:
 
 
 def _stats_row(
-    args: argparse.Namespace, instance: Instance, eps: Fraction
+    args: argparse.Namespace, instance: Instance, spec: RelationSpec
 ) -> dict[str, object]:
-    spec = RelationSpec(RelationKind(args.relation), eps, args.k)
     bucketing, retained, picks = grid_select(instance, spec)
     row: dict[str, object] = {
-        "eps": render_rational(eps),
+        "eps": render_rational(spec.eps),
         "nonempty_cells": len(bucketing.cells),
         "retained_cells": len(retained),
         "nonempty_diagonals": len({diagonal_of(c) for c in bucketing.cells}),
@@ -242,15 +239,18 @@ def _stats_row(
         limit = _node_limit(args)
         graph = domination_digraph(instance, spec)
         row["exact_min"] = len(exact_min_dominating_set(graph, node_limit=limit))
-        eps_graph = domination_digraph(instance, RelationSpec(RelationKind.EPSILON, eps))
+        eps_graph = domination_digraph(instance, RelationSpec(RelationKind.EPSILON, spec.eps))
         row["exact_min_epsilon"] = len(exact_min_dominating_set(eps_graph, node_limit=limit))
     return row
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    kind = RelationKind(args.relation)
-    if kind in (RelationKind.QUASI_K, RelationKind.ONE_EXACT_QUASI_K) and args.k is None:
-        raise UsageError(f"--k is required for --relation {kind.value}")
+    # each eps is checked as compute would check it alone, before any input is read
+    specs = [
+        _relation_from_args(argparse.Namespace(relation=args.relation, eps=eps, k=args.k))
+        for eps in args.eps
+    ]
+    kind = specs[0].kind
     instance = _read_instance(args.instance)
     if kind is RelationKind.QUASI_K and not _grid_supported(kind, args.k, instance.p):
         raise UsageError(
@@ -263,7 +263,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         "efficient": len(efficient_set(instance)),
         "weakly_efficient": len(weakly_efficient_set(instance)),
     }
-    rows = [_stats_row(args, instance, eps) for eps in args.eps]
+    rows = [_stats_row(args, instance, spec) for spec in specs]
     if args.csv:
         columns = list(summary) + list(rows[0])
         buf = io.StringIO()
@@ -378,9 +378,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except UsageError as exc:
-        _say(f"usage error: {exc}")
-        return EXIT_USAGE
-    except UnsupportedRelationError as exc:
         _say(f"usage error: {exc}")
         return EXIT_USAGE
     except NodeLimitExceeded as exc:

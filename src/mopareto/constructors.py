@@ -11,20 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Iterable
 
 from .dominance import (
-    DominationDigraph,
+    _skyline,
     exact_components,
     r_dominates,
     strictly_dominates,
     weakly_efficient_set,
 )
-from .domsets import (
-    greedy_cover_dominating_set,
-    greedy_tournament_dominating_set,
-    tournament_view,
-)
+from .domsets import greedy_tournament_dominating_set, tournament_view
 from .grid import (
     CellIndex,
     GridBucketing,
@@ -196,7 +193,7 @@ def grid_select(
             view = tournament_view([instance.solution(i) for i in ids], spec.k)
             picks.append(sorted(greedy_tournament_dominating_set(view)))
         else:  # the lex-min image attains the cell's minimum f1, so it serves one-exact
-            picks.append([min(ids, key=lambda i: (instance.solution(i).f, instance.position(i)))])
+            picks.append([min(ids, key=lambda i: instance.solution(i).f)])
     return bucketing, retained, picks
 
 
@@ -262,7 +259,7 @@ def weakly_efficient_lift(
                 for c in instance.solutions
                 if c.id in weakly and strictly_dominates(c, sol)
             ),
-            key=lambda c: (c.f, instance.position(c.id)),
+            key=lambda c: c.f,
         )
         unused = [c.id for c in candidates if c.id not in taken]
         if not unused:
@@ -287,11 +284,13 @@ def construct_via_gap(
     """Discover a covering set using only budget-threshold queries.
 
     Splits the budget into a delta with (1+delta)**2 <= 1+eps, queries every
-    point of the geometric budget grid {2**-M * (1+delta)**t} per dimension,
-    and prunes the discovered solutions with a greedy cover under exact
-    componentwise dominance (factor-1 pruning keeps the end-to-end guarantee
-    at (1+delta)**2).  Returns the chosen solutions; callers verify against
-    the underlying instance where one is available.
+    point of the geometric budget grid {2**-M * (1+delta)**t} per dimension
+    in lexicographic order of budget vectors, and prunes the discovered
+    solutions to a skyline under componentwise "at most" (factor-1 pruning
+    keeps the end-to-end guarantee at (1+delta)**2): the first-discovered
+    solution of each minimal image.  Returns the kept solutions in discovery
+    order; callers verify against the underlying instance where one is
+    available.
 
     The sweep issues exactly (steps+1)**p queries; when that exceeds
     GAP_QUERY_LIMIT it raises QueryLimitExceeded before the first query.
@@ -313,26 +312,10 @@ def construct_via_gap(
     floor = Fraction(1, 1 << value_bound)
     levels = [floor * pow_ratio(1 + delta, t) for t in range(steps + 1)]
     discovered: dict[str, Solution] = {}
-
-    def sweep(prefix: tuple[Fraction, ...]) -> None:
-        if len(prefix) == p:
-            answer = gap(GapQuery(b=prefix, delta=delta))
-            if answer is not None:
-                discovered.setdefault(answer.id, answer)
-            return
-        for level in levels:
-            sweep(prefix + (level,))
-
-    sweep(())
+    for budgets in product(levels, repeat=p):
+        answer = gap(GapQuery(b=budgets, delta=delta))
+        if answer is not None:
+            discovered.setdefault(answer.id, answer)
     found = list(discovered.values())
-    if not found:
-        return []
-    out = {
-        x.id: frozenset(
-            y.id for y in found if all(a <= b for a, b in zip(x.f, y.f))
-        )
-        for x in found
-    }
-    digraph = DominationDigraph(nodes=tuple(x.id for x in found), out=out)
-    keep = greedy_cover_dominating_set(digraph)
+    keep = _skyline(found, lambda y, x: all(a <= b for a, b in zip(y.f, x.f)))
     return [x for x in found if x.id in keep]

@@ -2,8 +2,9 @@
 
 All relations here are monotonic: componentwise "at least as good" always
 implies relation membership, so in particular every relation is reflexive.
-The efficient filters are presorted skylines (only a lexicographically
-smaller image can dominate); the digraph is built pairwise in O(n^2 p).
+The efficient filters, and the prune of the gap construction, are presorted
+skylines (only a lexicographically smaller image can dominate); the digraph
+is built pairwise in O(n^2 p).
 """
 
 from __future__ import annotations
@@ -78,10 +79,16 @@ def exact_components(x: Solution, y: Solution) -> tuple[int, ...]:
     return tuple(i + 1 for i, (a, b) in enumerate(zip(x.f, y.f)) if a <= b)
 
 
-def _skyline(instance: Instance, beats: Callable[[Solution, Solution], bool]) -> set[str]:
-    """Ids no other solution beats; `beats` is transitive and needs a lex-smaller image."""
+def _skyline(
+    solutions: Sequence[Solution], beats: Callable[[Solution, Solution], bool]
+) -> set[str]:
+    """Ids of the solutions no earlier kept solution beats, in a stable image sort.
+
+    `beats(y, x)` is transitive and holds only if y's image is lexicographically
+    at most x's; of two solutions with equal images, the earlier one is kept first.
+    """
     front: list[Solution] = []
-    for x in sorted(instance.solutions, key=lambda s: s.f):
+    for x in sorted(solutions, key=lambda s: s.f):
         if not any(beats(y, x) for y in front):
             front.append(x)
     return {x.id for x in front}
@@ -93,12 +100,12 @@ def efficient_set(instance: Instance) -> set[str]:
     Dominance is computed on images, so a solution tied with another on all
     components is not dominated by it (one strict inequality is required).
     """
-    return _skyline(instance, dominates)
+    return _skyline(instance.solutions, dominates)
 
 
 def weakly_efficient_set(instance: Instance) -> set[str]:
     """Ids of solutions not strictly dominated by any other solution."""
-    return _skyline(instance, strictly_dominates)
+    return _skyline(instance.solutions, strictly_dominates)
 
 
 @dataclass(frozen=True)

@@ -143,22 +143,6 @@ def consistent_gap_answer(pair: AdversarialPair, query: GapQuery) -> Solution | 
     return None
 
 
-def _bounded(sol: Solution, objective: int, bounds: Sequence[Fraction]) -> bool:
-    others = [v for i, v in enumerate(sol.f, start=1) if i != objective]
-    return all(v <= b for v, b in zip(others, bounds))
-
-
-def _check_constrained_args(
-    instance: Instance, objective: int, bounds: Sequence[Fraction]
-) -> None:
-    if not 1 <= objective <= instance.p:
-        raise ValueError(f"objective index {objective} out of range 1..{instance.p}")
-    if len(bounds) != instance.p - 1:
-        raise ValueError(f"expected {instance.p - 1} bounds, got {len(bounds)}")
-    if any(b <= 0 for b in bounds):
-        raise ValueError("bounds must be positive")
-
-
 def constrained_oracle(
     instance: Instance, objective: int, bounds: Sequence[Fraction]
 ) -> Solution | None:
@@ -167,16 +151,19 @@ def constrained_oracle(
     `objective` is 1-based; `bounds` applies to the remaining objectives in
     ascending index order.  Among feasible solutions the minimizer with the
     lexicographically smallest image (ties by instance order) is returned,
-    which is automatically weakly efficient.  None means infeasible.
+    which is automatically efficient.  None means infeasible.
     """
-    _check_constrained_args(instance, objective, bounds)
-    feasible = [s for s in instance.solutions if _bounded(s, objective, bounds)]
-    if not feasible:
-        return None
-    return min(
-        feasible,
-        key=lambda s: (s.f[objective - 1], s.f, instance.position(s.id)),
+    if not 1 <= objective <= instance.p:
+        raise ValueError(f"objective index {objective} out of range 1..{instance.p}")
+    if len(bounds) != instance.p - 1:
+        raise ValueError(f"expected {instance.p - 1} bounds, got {len(bounds)}")
+    if any(b <= 0 for b in bounds):
+        raise ValueError("bounds must be positive")
+    i = objective - 1
+    feasible = (
+        s for s in instance.solutions if all(v <= b for v, b in zip(s.f[:i] + s.f[i + 1:], bounds))
     )
+    return min(feasible, key=lambda s: (s.f[i], s.f), default=None)
 
 
 def dual_restrict_oracle(
@@ -189,21 +176,15 @@ def dual_restrict_oracle(
 
     None only if no solution meets the *un-relaxed* bounds.  Otherwise the
     answer must reach the constrained optimum in objective i while exceeding
-    each bound by at most a factor 1 + delta.  This implementation returns an
-    efficient solution componentwise at most the constrained optimizer, which
-    satisfies both requirements without ever using the slack.
+    each bound by at most a factor 1 + delta.  This implementation returns
+    the constrained oracle's answer.  It meets both requirements without
+    using the slack, and it is efficient: a solution componentwise at most
+    it meets the bounds too, so the lexicographic tie-break gives it the
+    same image.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    anchor = constrained_oracle(instance, objective, bounds)
-    if anchor is None:
-        return None
-    candidates = [
-        s
-        for s in instance.solutions
-        if all(a <= b for a, b in zip(s.f, anchor.f))
-    ]
-    return min(candidates, key=lambda s: (s.f, instance.position(s.id)))
+    return constrained_oracle(instance, objective, bounds)
 
 
 def _biobjective_sweep(

@@ -295,6 +295,33 @@ def _largest_cell_pick(instance, members, eps):
     return max(Counter(cell_of[m] for m in members).values())
 
 
+class TestStatsRelationFlags:
+    """`stats` checks --relation, --k and every --eps as `compute` does, before reading input."""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--relation", "epsilon", "--k", "2", "--eps", "1"],
+             "--k is not accepted for --relation epsilon"),
+            (["--relation", "quasi-k", "--eps", "1"], "--k is required for --relation quasi-k"),
+            (["--relation", "epsilon", "--eps", "0"], "eps must be positive"),
+            (["--relation", "quasi-k", "--k", "0", "--eps", "1"], "k must be at least 1"),
+        ],
+    )
+    def test_bad_flags_exit_2_with_the_compute_message(self, flags, message, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert run("stats", *flags, "-i", missing) == 2
+        stats_err = capsys.readouterr().err
+        assert stats_err == f"usage error: {message}\n"
+        assert run("compute", "--algo", "grid", *flags, "-i", missing) == 2
+        assert capsys.readouterr().err == stats_err
+
+    def test_every_eps_is_checked(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert run("stats", "--eps", "1", "1/2", "0", "-i", missing) == 2
+        assert capsys.readouterr().err == "usage error: eps must be positive\n"
+
+
 class TestGridCallersAgree:
     """`stats` and `compute --algo grid` select per cell through one definition."""
 

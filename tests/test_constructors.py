@@ -16,7 +16,8 @@ from mopareto.constructors import (
     verify_approximation,
     weakly_efficient_lift,
 )
-from mopareto.dominance import weakly_efficient_set
+from mopareto.dominance import DominationDigraph, weakly_efficient_set
+from mopareto.domsets import greedy_cover_dominating_set
 from mopareto.generators import (
     gen_prop_dominated,
     gen_prop_one_exact,
@@ -33,7 +34,7 @@ from mopareto.model import (
     Solution,
     derive_value_bound,
 )
-from mopareto.numerics import half_step_delta
+from mopareto.numerics import half_step_delta, pow_ratio
 from mopareto.oracles import gap_oracle, valid_gap_answer
 
 F = Fraction
@@ -284,3 +285,111 @@ class TestGapConstruction:
         monkeypatch.setattr(constructors, "GAP_QUERY_LIMIT", 48)
         with pytest.raises(QueryLimitExceeded, match="49 budget queries"):
             construct_via_gap(refusing_oracle, F(1), 1, 2)
+
+
+# Reference gap construction: a recursive sweep over budget prefixes, then a
+# greedy cover of the discovered solutions under componentwise "at most".
+def reference_construct_via_gap(gap, eps, value_bound, p):
+    if p < 1:
+        raise ValueError("p must be at least 1")
+    if value_bound < 0:
+        raise ValueError("value_bound must be nonnegative")
+    delta = half_step_delta(eps)
+    steps = ratio_steps_to_reach(F(1 << (2 * value_bound)), delta) + 1
+    queries = (steps + 1) ** p
+    if queries > constructors.GAP_QUERY_LIMIT:
+        raise QueryLimitExceeded(
+            f"{queries} budget queries ({steps + 1} levels, p={p}) exceed "
+            f"the gap-query limit {constructors.GAP_QUERY_LIMIT}"
+        )
+    floor = F(1, 1 << value_bound)
+    levels = [floor * pow_ratio(1 + delta, t) for t in range(steps + 1)]
+    discovered = {}
+
+    def sweep(prefix):
+        if len(prefix) == p:
+            answer = gap(GapQuery(b=prefix, delta=delta))
+            if answer is not None:
+                discovered.setdefault(answer.id, answer)
+            return
+        for level in levels:
+            sweep(prefix + (level,))
+
+    sweep(())
+    found = list(discovered.values())
+    if not found:
+        return []
+    out = {
+        x.id: frozenset(
+            y.id for y in found if all(a <= b for a, b in zip(x.f, y.f))
+        )
+        for x in found
+    }
+    digraph = DominationDigraph(nodes=tuple(x.id for x in found), out=out)
+    keep = greedy_cover_dominating_set(digraph)
+    return [x for x in found if x.id in keep]
+
+
+def scripted_gap(pool, script):
+    """A gap callable whose k-th answer is pool[script[k % len(script)]] (None past the pool).
+
+    It ignores the budgets, so it can answer with image twins in any order; it
+    records the budget vectors it was asked.
+    """
+    asked = []
+
+    def gap(query):
+        pick = script[len(asked) % len(script)]
+        asked.append(query.b)
+        return pool[pick] if pick < len(pool) else None
+
+    return gap, asked
+
+
+@st.composite
+def twin_pools(draw):
+    p = draw(st.integers(min_value=1, max_value=3))
+    values = st.sampled_from([F(1, 2), F(1), F(3, 2), F(2)])
+    images = draw(st.lists(st.tuples(*[values] * p), min_size=0, max_size=8))
+    pool = [Solution(f"x{i}", image) for i, image in enumerate(images)]
+    twins = draw(st.lists(st.sampled_from(pool), max_size=4)) if pool else []
+    pool += [Solution(f"{s.id}-twin{i}", s.f) for i, s in enumerate(twins)]
+    return p, draw(st.permutations(pool))
+
+
+class TestGapSweepMatchesTheOldOne:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        twin_pools(),
+        st.lists(st.integers(min_value=0, max_value=14), min_size=1, max_size=40),
+        st.sampled_from([F(1), F(3)]),
+        st.integers(min_value=0, max_value=1),
+    )
+    def test_queries_and_kept_solutions_match_for_any_answers(
+        self, pool_p, script, eps, value_bound
+    ):
+        p, pool = pool_p
+        new_gap, new_asked = scripted_gap(pool, script)
+        old_gap, old_asked = scripted_gap(pool, script)
+        found = construct_via_gap(new_gap, eps, value_bound, p)
+        assert found == reference_construct_via_gap(old_gap, eps, value_bound, p)
+        assert new_asked == old_asked
+
+    @pytest.mark.parametrize(
+        "script, kept",
+        [
+            ([2, 1, 0, 3], ["early", "other"]),
+            ([0, 1, 2, 3], ["late", "other"]),
+            ([3, 2, 1, 0], ["other", "early"]),
+        ],
+    )
+    def test_the_first_twin_discovered_is_kept_in_discovery_order(self, script, kept):
+        pool = [
+            Solution("late", (F(1), F(2))),
+            Solution("early", (F(1), F(2))),
+            Solution("worse", (F(2), F(2))),
+            Solution("other", (F(2), F(1))),
+        ]
+        found = construct_via_gap(scripted_gap(pool, script)[0], F(1), 0, 2)
+        assert [s.id for s in found] == kept
+        assert found == reference_construct_via_gap(scripted_gap(pool, script)[0], F(1), 0, 2)

@@ -423,3 +423,116 @@ class TestMergedSweepMatchesTheOldLoops:
             greedy_biobjective_min(three, F(1))
         with pytest.raises(ValueError, match="^the relaxed greedy cover works on biobjective"):
             dual_restrict_2approx(three, F(1))
+
+
+# Reference oracles: the constrained minimizer with an explicit instance-order
+# tie-break, and a budget-relaxed answer found by a second scan that takes,
+# among the solutions componentwise at most that minimizer, the lex-min image.
+def _reference_bounded(sol, objective, bounds):
+    others = [v for i, v in enumerate(sol.f, start=1) if i != objective]
+    return all(v <= b for v, b in zip(others, bounds))
+
+
+def _reference_check_constrained_args(instance, objective, bounds):
+    if not 1 <= objective <= instance.p:
+        raise ValueError(f"objective index {objective} out of range 1..{instance.p}")
+    if len(bounds) != instance.p - 1:
+        raise ValueError(f"expected {instance.p - 1} bounds, got {len(bounds)}")
+    if any(b <= 0 for b in bounds):
+        raise ValueError("bounds must be positive")
+
+
+def reference_constrained_oracle(instance, objective, bounds):
+    _reference_check_constrained_args(instance, objective, bounds)
+    feasible = [s for s in instance.solutions if _reference_bounded(s, objective, bounds)]
+    if not feasible:
+        return None
+    return min(
+        feasible,
+        key=lambda s: (s.f[objective - 1], s.f, instance.position(s.id)),
+    )
+
+
+def reference_dual_restrict_oracle(instance, objective, bounds, delta):
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    anchor = reference_constrained_oracle(instance, objective, bounds)
+    if anchor is None:
+        return None
+    candidates = [
+        s
+        for s in instance.solutions
+        if all(a <= b for a, b in zip(s.f, anchor.f))
+    ]
+    return min(candidates, key=lambda s: (s.f, instance.position(s.id)))
+
+
+# few distinct values, so images repeat and bounds often fall on a value
+TWIN_VALUES = [F(1), F(3, 2), F(2), F(5, 2), F(3)]
+
+
+@st.composite
+def twin_instances(draw):
+    p = draw(st.integers(min_value=1, max_value=4))
+    images = draw(
+        st.lists(st.tuples(*[st.sampled_from(TWIN_VALUES)] * p), min_size=0, max_size=12)
+    )
+    return Instance(
+        p=p, solutions=tuple(Solution(f"s{i}", image) for i, image in enumerate(images))
+    )
+
+
+@st.composite
+def oracle_calls(draw):
+    instance = draw(twin_instances())
+    objective = draw(st.integers(min_value=1, max_value=instance.p))
+    bound = st.one_of(
+        st.sampled_from(TWIN_VALUES), st.fractions(min_value=F(1, 2), max_value=F(4))
+    )
+    bounds = draw(st.lists(bound, min_size=instance.p - 1, max_size=instance.p - 1))
+    return instance, objective, bounds
+
+
+class TestOraclesMatchTheOldScans:
+    @settings(max_examples=400, deadline=None)
+    @given(oracle_calls(), st.fractions(min_value=F(1, 100), max_value=F(2)))
+    def test_answers_match_on_instances_with_image_twins(self, call, delta):
+        instance, objective, bounds = call
+        assert constrained_oracle(instance, objective, bounds) == reference_constrained_oracle(
+            instance, objective, bounds
+        )
+        assert dual_restrict_oracle(
+            instance, objective, bounds, delta
+        ) == reference_dual_restrict_oracle(instance, objective, bounds, delta)
+
+    def test_twins_answer_with_the_first_in_instance_order(self):
+        twins = inst((2, 1), (1, 3), (2, 1), (1, 3))
+        for objective, bound in [(1, F(3)), (2, F(2))]:
+            expected = reference_dual_restrict_oracle(twins, objective, [bound], F(1, 4))
+            assert dual_restrict_oracle(twins, objective, [bound], F(1, 4)) is expected
+        assert dual_restrict_oracle(twins, 1, [F(3)], F(1, 4)).id == "s2"
+        assert dual_restrict_oracle(twins, 2, [F(2)], F(1, 4)).id == "s1"
+
+    @pytest.mark.parametrize(
+        "objective, bounds",
+        [(0, [F(1)]), (3, [F(1)]), (1, [F(1), F(1)]), (1, []), (1, [F(0)]), (2, [F(-1)])],
+    )
+    def test_argument_errors_keep_their_messages(self, objective, bounds):
+        for new, old, extra in [
+            (constrained_oracle, reference_constrained_oracle, ()),
+            (dual_restrict_oracle, reference_dual_restrict_oracle, (F(1),)),
+        ]:
+            with pytest.raises(ValueError) as expected:
+                old(STAIRCASE, objective, bounds, *extra)
+            with pytest.raises(ValueError) as got:
+                new(STAIRCASE, objective, bounds, *extra)
+            assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("objective, bounds", [(1, [F(1)]), (0, [])])
+    @pytest.mark.parametrize("delta", [F(0), F(-1, 2)])
+    def test_delta_is_checked_first(self, objective, bounds, delta):
+        with pytest.raises(ValueError) as expected:
+            reference_dual_restrict_oracle(STAIRCASE, objective, bounds, delta)
+        with pytest.raises(ValueError, match="^delta must be positive$"):
+            dual_restrict_oracle(STAIRCASE, objective, bounds, delta)
+        assert str(expected.value) == "delta must be positive"
