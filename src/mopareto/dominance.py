@@ -4,13 +4,15 @@ All relations here are monotonic: componentwise "at least as good" always
 implies relation membership, so in particular every relation is reflexive.
 The efficient filters, and the prune of the gap construction, are presorted
 skylines (only a lexicographically smaller image can dominate); the digraph
-is built pairwise in O(n^2 p).
+ANDs n-bit masks of the sorted-column index (`model._SortedColumn`), and the
+pairwise `values_r_dominate` remains its reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Callable, Mapping, Sequence
 
 from .model import Instance, RelationSpec, Solution
@@ -127,9 +129,26 @@ class DominationDigraph:
 
 
 def domination_digraph(instance: Instance, spec: RelationSpec) -> DominationDigraph:
+    """The digraph of `spec`, one n-bit mask per x from the sorted-column index.
+
+    y is in out[x] exactly when values_r_dominate(x.f, y.f, spec): y_j >= x_j/(1+eps)
+    for every j, and y_j >= x_j on the rule's components, counted bit-sliced for k > 0.
+    """
     nodes = instance.ids
-    out = {
-        x.id: frozenset(y.id for y in instance.solutions if r_dominates(x, y, spec))
-        for x in instance.solutions
-    }
+    required, min_exact = spec.exact_rule(instance.p) if nodes else ((), 0)
+    columns = instance._sorted_columns
+    slack = 1 + spec.eps
+    out = {}
+    for x in instance.solutions:
+        exact = [c.at_least(v) for c, v in zip(columns, x.f)] if required or min_exact else []
+        mask = -1
+        for j, (column, v) in enumerate(zip(columns, x.f)):  # exact implies within
+            mask &= exact[j] if j in required else column.at_least(v / slack)
+        if min_exact:
+            count = [-1] + [0] * min_exact  # count[c]: bits exact in >= c columns so far
+            for e in exact:
+                for c in range(min_exact, 0, -1):
+                    count[c] |= count[c - 1] & e
+            mask &= count[min_exact]
+        out[x.id] = frozenset(compress(nodes, map(int, format(mask, "b")[::-1])))  # bit k: nodes[k]
     return DominationDigraph(nodes=nodes, out=out)

@@ -27,12 +27,13 @@ DuplicationMode = Literal["one_exact_quasi2", "quasi_k_over_half"]
 
 
 def gen_prop_dominated(eps: Fraction) -> Instance:
-    """Six biobjective points whose unique two-member quasi-1-exact cover
-    consists of strictly dominated solutions only.
+    """Six biobjective points where a two-member quasi-1-exact cover of
+    strictly dominated solutions exists.
 
     x5 and x6 are strictly dominated (by x2 and x3 respectively), yet
     {x5, x6} covers everything with at least one exact component, and no
-    single solution covers all six even within factor 1 + eps.
+    single solution covers all six even within factor 1 + eps.  Six other
+    two-member quasi-1-exact covers exist, four of them all efficient.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")

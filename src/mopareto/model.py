@@ -9,6 +9,7 @@ operation takes a read-only view.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -97,32 +98,35 @@ class Instance:
             raise KeyError(f"unknown solution id: {sol_id!r}") from None
 
     @cached_property
-    def _budget_columns(self) -> tuple[_BudgetColumn, ...]:
-        """Per-objective budget bitsets for the gap oracle, built on first use.
+    def _sorted_columns(self) -> tuple[_SortedColumn, ...]:
+        """Per-objective sorted-column index (gap oracle, digraph), built on first use.
 
         Cached in the instance's __dict__, outside the dataclass fields, so it
         takes no part in ==, hash or repr.
         """
         return tuple(
-            _BudgetColumn([s.f[i] for s in self.solutions]) for i in range(self.p)
+            _SortedColumn([s.f[i] for s in self.solutions]) for i in range(self.p)
         )
 
 
-class _BudgetColumn:
-    """Which solutions fit a budget on one objective, as bitsets in instance order.
+class _SortedColumn:
+    """One objective's values in sorted order, answering box questions as bitsets.
 
-    `within(b)` has bit k set when solutions[k].f[i] <= b.  Each bitset is
-    built once per distinct budget value, by one pass over the solutions
-    presorted on this objective that stops at the first value above b, and
-    then cached: one n-bit integer per distinct budget queried.
+    Bit k stands for solutions[k].  `within(b)` (values <= b, the gap oracle's
+    budgets) is built per distinct b by a walk that stops past b, and cached.
+    `at_least(t)` (values >= t, the digraph's conditions) is one bisect plus a
+    suffix mask; the n + 1 suffix masks are built in one pass on the first
+    call, so the gap path never holds them.  The index knows no relation:
+    `dominance.values_r_dominate` remains the pairwise reference.
     """
 
-    __slots__ = ("_ascending", "_masks")
+    __slots__ = ("_ascending", "_masks", "_suffixes")
 
     def __init__(self, values: list[Fraction]):
         order = sorted(range(len(values)), key=values.__getitem__)
         self._ascending = [(values[k], k) for k in order]
         self._masks: dict[object, int] = {}
+        self._suffixes: list[int] = []
 
     def within(self, bound: Fraction) -> int:
         try:
@@ -138,6 +142,14 @@ class _BudgetColumn:
                 mask |= 1 << k
             self._masks[key] = mask
         return mask
+
+    def at_least(self, threshold: Fraction) -> int:
+        if not self._suffixes:  # suffixes[r]: every solution at rank r or later
+            suffixes = [0]
+            for _, k in reversed(self._ascending):
+                suffixes.append(suffixes[-1] | 1 << k)
+            self._suffixes = suffixes[::-1]
+        return self._suffixes[bisect_left(self._ascending, threshold, key=lambda e: e[0])]
 
 
 class RelationKind(str, Enum):

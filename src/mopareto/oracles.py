@@ -55,14 +55,14 @@ def gap_oracle(instance: Instance, query: GapQuery) -> Solution | None:
     under b implies nonexistence under the stricter b/(1+delta).
 
     The answer is the lowest set bit of the AND of the instance's cached
-    per-objective bitsets for b (see Instance._budget_columns).  The index
+    per-objective bitsets for b (see Instance._sorted_columns).  The index
     keeps one n-bit bitset per distinct budget value queried on each
     objective; on the construct_via_gap path that is one per budget level.
     """
     if len(query.b) != instance.p:
         raise ValueError("query dimension does not match the instance")
     fits = -1  # every bit set
-    for column, bound in zip(instance._budget_columns, query.b):
+    for column, bound in zip(instance._sorted_columns, query.b):
         fits &= column.within(bound)
         if not fits:
             return None

@@ -1,0 +1,59 @@
+"""Committed benchmark records (`BENCH_<label>.json` at the repository root).
+
+Each file must parse as JSON and may name only the workloads and metrics that
+`BENCHMARK.json` declares, with the units declared there: a record of a
+metric or workload the benchmark does not have cannot be reproduced.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def declared():
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in bench["workloads"]}
+    units = {m["name"]: m["unit"] for m in bench["end_to_end"] + bench["per_layer"]}
+    return workloads, units
+
+
+def named(node, workloads, metrics):
+    """Collect every workload and metric a record names, wherever it sits.
+
+    A "workload" or "metric" key names one; a "metrics" object (a perfbench
+    result line) names one per key, mapped to {"value", "unit"}.
+    """
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key == "workload":
+                workloads.append(value)
+            elif key == "metric":
+                metrics.append((value, None))
+            elif key == "metrics" and isinstance(value, dict):
+                metrics.extend((name, entry.get("unit")) for name, entry in value.items())
+                continue
+            named(value, workloads, metrics)
+    elif isinstance(node, list):
+        for item in node:
+            named(item, workloads, metrics)
+
+
+def test_at_least_one_bench_file_is_committed():
+    assert BENCH_FILES
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_bench_file_names_only_declared_workloads_and_metrics(path):
+    record = json.loads(path.read_text())
+    workloads, metrics = [], []
+    named(record, workloads, metrics)
+    assert workloads and metrics, "a BENCH file records at least one workload and metric"
+    known_workloads, units = declared()
+    assert set(workloads) <= known_workloads, set(workloads) - known_workloads
+    for name, unit in metrics:
+        assert name in units, name
+        assert unit in (None, units[name]), (name, unit)

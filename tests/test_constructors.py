@@ -16,7 +16,12 @@ from mopareto.constructors import (
     verify_approximation,
     weakly_efficient_lift,
 )
-from mopareto.dominance import DominationDigraph, weakly_efficient_set
+from mopareto.dominance import (
+    DominationDigraph,
+    exact_components,
+    r_dominates,
+    weakly_efficient_set,
+)
 from mopareto.domsets import greedy_cover_dominating_set
 from mopareto.generators import (
     gen_prop_dominated,
@@ -130,6 +135,58 @@ class TestVerify:
         two_exact = RelationSpec(RelationKind.TWO_EXACT, F(1))
         entry = CertificateEntry("a", "a", (1,))
         assert not certificate_is_valid(one, ApproximationSet(two_exact, ("a",), (entry,)))
+
+
+class TestTamperedCertificatesAreRejected:
+    """Each tampering fails one of the entry checks that certificate_is_valid keeps."""
+
+    EPS = F(1)
+    SPEC = RelationSpec(RelationKind.QUASI_K, EPS, k=1)
+
+    def good(self):
+        instance = gen_prop_dominated(self.EPS)
+        aset = verify_approximation(instance, ["x5", "x6"], self.SPEC).approximation
+        assert certificate_is_valid(instance, aset)
+        return instance, aset
+
+    @staticmethod
+    def replaced(aset, index, entry):
+        certificate = aset.certificate[:index] + (entry,) + aset.certificate[index + 1:]
+        return ApproximationSet(aset.relation, aset.members, certificate)
+
+    def test_every_wrong_exact_indices(self):
+        instance, aset = self.good()
+        for index, entry in enumerate(aset.certificate):
+            for claim in ((), (1,), (2,), (1, 2), (2, 1), (1, 1)):
+                if claim != entry.exact_indices:
+                    forged = CertificateEntry(entry.covered, entry.by, claim)
+                    assert not certificate_is_valid(instance, self.replaced(aset, index, forged))
+
+    def test_non_member_by_that_dominates(self):
+        instance, aset = self.good()
+        index = [e.covered for e in aset.certificate].index("x5")
+        x2, x5 = instance.solution("x2"), instance.solution("x5")
+        forged = CertificateEntry("x5", "x2", exact_components(x2, x5))
+        assert r_dominates(x2, x5, self.SPEC) and "x2" not in aset.members
+        assert not certificate_is_valid(instance, self.replaced(aset, index, forged))
+
+    def test_member_by_that_does_not_dominate(self):
+        instance, aset = self.good()
+        for index, entry in enumerate(aset.certificate):
+            target = instance.solution(entry.covered)
+            for member in aset.members:
+                by = instance.solution(member)
+                if not r_dominates(by, target, self.SPEC):
+                    forged = CertificateEntry(entry.covered, member, exact_components(by, target))
+                    assert not certificate_is_valid(instance, self.replaced(aset, index, forged))
+
+    @pytest.mark.parametrize("kind", [RelationKind.QUASI_K, RelationKind.ONE_EXACT_QUASI_K])
+    def test_k_beyond_p_with_entries(self, kind):
+        instance, aset = self.good()
+        relation = RelationSpec(kind, self.EPS, k=3)
+        assert not certificate_is_valid(
+            instance, ApproximationSet(relation, aset.members, aset.certificate)
+        )
 
 
 class TestGridConstruction:

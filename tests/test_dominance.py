@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mopareto.dominance import (
+    DominationDigraph,
     _check_dims,
     dominates,
     domination_digraph,
@@ -16,7 +17,7 @@ from mopareto.dominance import (
     values_r_dominate,
     weakly_efficient_set,
 )
-from mopareto.generators import gen_prop_dominated, gen_prop_one_exact, gen_quasi2_gap
+from mopareto.generators import gen_prop_dominated, gen_prop_one_exact, gen_quasi2_gap, gen_random
 from mopareto.model import Instance, RelationKind, RelationSpec, Solution
 
 
@@ -331,3 +332,103 @@ class TestRuleTableMatchesTheFiveBranchDefinition:
         quasi = RelationSpec(RelationKind.ONE_EXACT_QUASI_K, Fraction(1), k=3)
         with pytest.raises(ValueError, match=r"^k=3 exceeds the number of objectives p=2$"):
             values_r_dominate((Fraction(1),) * 2, (Fraction(1),) * 2, quasi)
+
+
+# The pairwise builder, kept as the reference for the sorted-column index.
+def reference_domination_digraph(instance, spec):
+    nodes = instance.ids
+    out = {
+        x.id: frozenset(y.id for y in instance.solutions if r_dominates(x, y, spec))
+        for x in instance.solutions
+    }
+    return DominationDigraph(nodes=nodes, out=out)
+
+
+QUASI_KINDS = (RelationKind.QUASI_K, RelationKind.ONE_EXACT_QUASI_K)
+# pairwise coprime denominators, so sums and products of values do not reduce
+COPRIME_DENOMINATORS = (1, 7, 11, 13, 10007, 65537, 999983)
+
+
+@st.composite
+def digraph_cases(draw):
+    """A relation spec (k up to p + 1) and an instance of up to 10 solutions: fresh
+    vectors with coprime denominators, duplicate images, and vectors whose
+    components sit on, or 10^-9 either side of, an earlier vector's exact or
+    1 + eps boundary."""
+    p = draw(st.integers(min_value=1, max_value=5))
+    eps = draw(st.sampled_from([Fraction(1, 7), Fraction(1, 2), Fraction(1), Fraction(5, 3)]))
+    kind = draw(st.sampled_from(list(RelationKind)))
+    k = draw(st.integers(min_value=1, max_value=p + 1)) if kind in QUASI_KINDS else None
+    vectors = []
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        how = draw(st.sampled_from(["fresh", "duplicate", "boundary"])) if vectors else "fresh"
+        if how == "fresh":
+            q = draw(st.sampled_from(COPRIME_DENOMINATORS))
+            vec = tuple(Fraction(draw(st.integers(min_value=1, max_value=8 * q)), q) for _ in range(p))
+        else:
+            base = draw(st.sampled_from(vectors))
+            vec = base
+            if how == "boundary":
+                nudge = draw(st.sampled_from([-Fraction(1, 10**9), Fraction(0), Fraction(1, 10**9)]))
+                edges = [draw(st.sampled_from([b, (1 + eps) * b, b / (1 + eps)])) for b in base]
+                vec = tuple(edge + nudge * b for edge, b in zip(edges, base))
+        vectors.append(vec)
+    instance = Instance(p=p, solutions=tuple(
+        Solution(f"s{i}", vec) for i, vec in enumerate(vectors)
+    ))
+    return RelationSpec(kind, eps, k), instance
+
+
+def _digraph_outcome(builder, instance, spec):
+    try:
+        return builder(instance, spec)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestIndexedDigraphMatchesThePairwiseBuilder:
+    @settings(max_examples=400, deadline=None)
+    @given(digraph_cases())
+    def test_same_digraph_or_error(self, case):
+        spec, instance = case
+        # the index is cached on the instance: query it for two relations in turn
+        for relation in (spec, RelationSpec(RelationKind.EPSILON, spec.eps)):
+            assert _digraph_outcome(domination_digraph, instance, relation) == _digraph_outcome(
+                reference_domination_digraph, instance, relation
+            )
+
+    @pytest.mark.parametrize("p", range(1, 6))
+    def test_every_kind_and_k_on_a_random_instance(self, p):
+        instance = gen_random(40, p, seed=p)
+        specs = [RelationSpec(kind, Fraction(1, 2)) for kind in list(RelationKind)[:3]] + [
+            RelationSpec(kind, Fraction(1, 2), k) for kind in QUASI_KINDS for k in range(1, p + 1)
+        ]
+        for spec in specs:
+            if spec.kind is RelationKind.TWO_EXACT and p == 1:
+                continue
+            assert domination_digraph(instance, spec) == reference_domination_digraph(instance, spec)
+
+    def test_empty_instance(self):
+        empty = Instance(p=1, solutions=())
+        for spec in (
+            RelationSpec(RelationKind.TWO_EXACT, Fraction(1)),
+            RelationSpec(RelationKind.QUASI_K, Fraction(1), k=2),
+        ):  # no pair is compared, so the rule's errors do not arise
+            assert domination_digraph(empty, spec) == reference_domination_digraph(empty, spec)
+            assert domination_digraph(empty, spec) == DominationDigraph(nodes=(), out={})
+
+    def test_errors_keep_their_messages(self):
+        one = inst((1,), (2,))
+        two = RelationSpec(RelationKind.TWO_EXACT, Fraction(1))
+        with pytest.raises(ValueError, match="^two-exact dominance needs at least two objectives$"):
+            domination_digraph(one, two)
+        pair = inst((1, 2), (2, 1))
+        for kind in QUASI_KINDS:
+            with pytest.raises(ValueError, match=r"^k=3 exceeds the number of objectives p=2$"):
+                domination_digraph(pair, RelationSpec(kind, Fraction(1), k=3))
+
+    def test_instance_equality_ignores_the_index(self):
+        i = gen_random(12, 3, seed=4)
+        before = (i == gen_random(12, 3, seed=4), hash(i), repr(i))
+        domination_digraph(i, RelationSpec(RelationKind.QUASI_K, Fraction(1, 2), k=2))
+        assert (i == gen_random(12, 3, seed=4), hash(i), repr(i)) == before

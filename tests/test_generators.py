@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -46,6 +47,32 @@ class TestDominatedCoverFamily:
         inst = gen_prop_dominated(eps)
         spec = RelationSpec(RelationKind.QUASI_K, eps, k=1)
         assert verify_approximation(inst, ["x5", "x6"], spec).ok
+
+
+class TestDominatedCoverFamilyIsNotUnique:
+    SEVEN = [
+        ("x1", "x3"), ("x1", "x4"), ("x2", "x3"), ("x2", "x4"),
+        ("x2", "x6"), ("x3", "x5"), ("x5", "x6"),
+    ]
+
+    @pytest.mark.parametrize("eps", [F(1), F(1, 2), F(1, 4)])
+    def test_seven_two_member_quasi_one_covers(self, eps):
+        inst = gen_prop_dominated(eps)
+        spec = RelationSpec(RelationKind.QUASI_K, eps, k=1)
+        covers = [c for c in combinations(inst.ids, 2) if verify_approximation(inst, c, spec).ok]
+        assert covers == self.SEVEN
+        efficient = efficient_set(inst)
+        assert [c for c in covers if set(c) <= efficient] == self.SEVEN[:4]
+        assert not (set(self.SEVEN[-1]) & efficient)  # {x5, x6}: dominated members only
+
+    @pytest.mark.parametrize("eps", [F(1), F(1, 2), F(1, 4)])
+    def test_no_single_member_covers(self, eps):
+        inst = gen_prop_dominated(eps)
+        for spec in (
+            RelationSpec(RelationKind.QUASI_K, eps, k=1),
+            RelationSpec(RelationKind.EPSILON, eps),
+        ):
+            assert not any(verify_approximation(inst, [m], spec).ok for m in inst.ids)
 
 
 class TestOneExactChainFamily:

@@ -180,6 +180,27 @@ class TestGapOracle:
         assert not valid_gap_answer(STAIRCASE, roomy, None)
 
 
+class TestGapOracleSharesTheDigraphIndex:
+    def test_gap_queries_build_no_suffix_masks(self):
+        instance = gen_random(50, 3, seed=3)
+        for b in [(F(1), F(2), F(4)), (F(8), F(8), F(8)), (F(1, 2), 3, F(5, 2))]:
+            query = GapQuery(b=b, delta=F(1, 2))
+            assert gap_oracle(instance, query) is scan_gap_oracle(instance, query)
+        assert all(not column._suffixes for column in instance._sorted_columns)
+
+    @settings(max_examples=50, deadline=None)
+    @given(instances_with_duplicates(), st.data())
+    def test_digraph_and_gap_answers_in_either_order(self, instance, data):
+        spec = RelationSpec(RelationKind.QUASI_K, F(1, 2), k=1)
+        expected = {x.id: {y.id for y in instance if r_dominates(x, y, spec)} for x in instance}
+        queries = draw_queries(data, instance, 10)
+        if data.draw(st.booleans()):
+            assert domination_digraph(instance, spec).out == expected
+        for query in queries:
+            assert gap_oracle(instance, query) is scan_gap_oracle(instance, query)
+        assert domination_digraph(instance, spec).out == expected
+
+
 class TestAdversary:
     def test_pair_layout(self):
         pair = adversarial_pair(10)
