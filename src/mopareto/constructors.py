@@ -290,6 +290,8 @@ def construct_via_gap(
 
     The sweep issues exactly (steps+1)**p queries; when that exceeds
     GAP_QUERY_LIMIT it raises QueryLimitExceeded before the first query.
+    Only the smallest budget vector is validated, once: the levels ascend
+    from it, so each query is built unchecked and equals a validated one.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
@@ -307,9 +309,10 @@ def construct_via_gap(
         )
     floor = Fraction(1, 1 << value_bound)
     levels = [floor * pow_ratio(1 + delta, t) for t in range(steps + 1)]
+    GapQuery(b=(floor,) * p, delta=delta)  # the least budgets: if valid, every query is
     discovered: dict[str, Solution] = {}
     for budgets in product(levels, repeat=p):
-        answer = gap(GapQuery(b=budgets, delta=delta))
+        answer = gap(GapQuery._unchecked(budgets, delta))
         if answer is not None:
             discovered.setdefault(answer.id, answer)
     found = list(discovered.values())

@@ -243,6 +243,13 @@ class GapQuery:
         if self.delta <= 0:
             raise ValueError("delta must be positive")
 
+    @classmethod
+    def _unchecked(cls, b: tuple[Fraction, ...], delta: Fraction) -> GapQuery:
+        """The same query without __post_init__; the caller has checked b and delta."""
+        query = object.__new__(cls)
+        query.__dict__.update(b=b, delta=delta)
+        return query
+
 
 def derive_value_bound(instance: Instance) -> int:
     """Smallest integer M >= 0 with every objective value in [2**-M, 2**M].

@@ -4,20 +4,22 @@ answerer that makes two instances indistinguishable to budget queries.
 
 The gap oracle answers from a per-instance index: for each objective, a
 cached bitset per budget value of the solutions within it, so a query costs p
-lookups and p big-integer ANDs instead of a scan of the instance.  The other
-oracles are exhaustive scans.  Every answer can be validated independently
-against the instance: `valid_gap_answer` is the exhaustive check that shares
-no code with the index.
+lookups and p big-integer ANDs instead of a scan of the instance.  The
+constrained and budget-relaxed oracles are per-query scans; the biobjective
+sweeps reach the same answers from two sorted orders, O(n log n) per sweep.
+Every answer can be validated independently against the instance:
+`valid_gap_answer` is the exhaustive check that shares no code with the index.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import accumulate
+from typing import Sequence
 
 from .constructors import verify_approximation
-from .dominance import r_dominates
 from .model import (
     ApproximationSet,
     GapQuery,
@@ -187,23 +189,31 @@ def dual_restrict_oracle(
     return constrained_oracle(instance, objective, bounds)
 
 
-def _biobjective_sweep(
-    instance: Instance, eps: Fraction, answer: Callable[[Fraction], Solution | None]
-) -> ApproximationSet:
-    """The sweep both biobjective covers share; they differ only in `answer`.
+def _biobjective_sweep(instance: Instance, eps: Fraction, ratio: Fraction) -> ApproximationSet:
+    """The sweep both biobjective covers share; they differ only in `ratio`.
 
-    Repeatedly takes the smallest first objective value t among the uncovered
-    solutions, adds answer(t) and drops everything it covers within 1 + eps.
-    The members are certified as a quasi-1 set (weakly efficient members).
+    Repeatedly takes the smallest f1 value t among the uncovered solutions,
+    adds the constrained oracle's answer for f1 <= ratio * t and drops what
+    it covers within 1 + eps.  As ratio <= 1 + eps, the pick covers an
+    uncovered s iff f2(pick) <= (1+eps) * f2(s), so the uncovered solutions
+    are always the first ones in f2 order: t is a prefix minimum there and
+    the pick a prefix minimum in f1 order, two exact bisects per pick.  The
+    members are certified as a quasi-1 set (weakly efficient members).
     """
-    eps_spec = RelationSpec(RelationKind.EPSILON, eps)
-    uncovered = list(instance.solutions)
+    by_f1 = sorted(instance.solutions, key=lambda s: s.f[0])
+    by_f2 = sorted(instance.solutions, key=lambda s: s.f[1])
+    # prefix minima: t over the f2 order; the pick, least f2 and then earliest, over the f1 order,
+    # which is least (f2, f1, position) since f1 ties keep instance order
+    least_f1 = list(accumulate((s.f[0] for s in by_f2), min))
+    best = list(accumulate(by_f1, lambda a, s: s if s.f[1] < a.f[1] else a))
     members: list[str] = []
+    uncovered = len(by_f2)
     while uncovered:
-        pick = answer(min(s.f[0] for s in uncovered))
-        assert pick is not None  # the attainer of t meets the bound
+        bound = ratio * least_f1[uncovered - 1]
+        pick = best[bisect_right(by_f1, bound, key=lambda s: s.f[0]) - 1]
         members.append(pick.id)
-        uncovered = [s for s in uncovered if not r_dominates(pick, s, eps_spec)]
+        uncovered = bisect_left(by_f2, pick.f[1] / (1 + eps), key=lambda s: s.f[1])
+    del by_f1, by_f2, least_f1, best  # not held while the verifier builds its certificate
     result = verify_approximation(
         instance, members, RelationSpec(RelationKind.QUASI_K, eps, k=1)
     )
@@ -215,29 +225,24 @@ def greedy_biobjective_min(instance: Instance, eps: Fraction) -> ApproximationSe
     """Minimum-cardinality cover of a biobjective instance within 1 + eps.
 
     Runs the shared sweep: for the smallest uncovered first objective value t,
-    asks the constrained oracle for the second-objective minimizer subject to
-    f1 <= (1+eps) * t, and removes everything the answer covers.  Members are
-    weakly efficient, so the result also covers every solution with at least
-    one exact component.
+    takes the constrained oracle's answer, the second-objective minimizer
+    subject to f1 <= (1+eps) * t, and removes everything it covers.  Members
+    are weakly efficient, so the result also covers every solution with at
+    least one exact component.
     """
     if instance.p != 2:
         raise ValueError("the greedy cover works on biobjective instances only")
-    return _biobjective_sweep(
-        instance, eps, lambda t: constrained_oracle(instance, objective=2, bounds=[(1 + eps) * t])
-    )
+    return _biobjective_sweep(instance, eps, 1 + eps)
 
 
 def dual_restrict_2approx(instance: Instance, eps: Fraction) -> ApproximationSet:
     """Cover within 1 + eps using the budget-relaxed oracle only.
 
-    Runs the same sweep as greedy_biobjective_min, asking the budget-relaxed
-    oracle with bound (1+delta) * t where (1+delta)**2 <= 1+eps, so the
-    relaxed answer still covers the sweep's anchor solution.  Cardinality is
-    at most twice the minimum; all members are efficient.
+    Runs the same sweep as greedy_biobjective_min with the budget-relaxed
+    oracle's answer for the bound (1+delta) * t, where (1+delta)**2 <= 1+eps,
+    so the relaxed answer still covers the sweep's anchor solution.
+    Cardinality is at most twice the minimum; all members are efficient.
     """
     if instance.p != 2:
         raise ValueError("the relaxed greedy cover works on biobjective instances only")
-    delta = half_step_delta(eps)
-    return _biobjective_sweep(
-        instance, eps, lambda t: dual_restrict_oracle(instance, 2, [(1 + delta) * t], delta)
-    )
+    return _biobjective_sweep(instance, eps, 1 + half_step_delta(eps))

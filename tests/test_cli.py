@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from mopareto import cli
 from mopareto.cli import main
 from mopareto.constructors import construct_grid_approx
 from mopareto.generators import gen_random
@@ -367,6 +368,34 @@ class TestGridCallersAgree:
             f"usage error: quasi-k grid construction needs k <= ceil(p/2) = {(p + 1) // 2}, "
             f"got k={too_big}\n"
         )
+
+
+class TestRepeatedMainCalls:
+    def test_one_parser_serves_every_call_and_keeps_no_state(
+        self, dominated_family, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv("MOPARETO_EXACT_LIMIT", raising=False)
+        six = ["--relation", "epsilon", "--eps", "1", "-i", str(dominated_family)]
+        wide = tmp_path / "wide.json"
+        assert run("gen", "antichain", "--n", "26", "-o", str(wide)) == 0
+        with pytest.raises(SystemExit) as info:
+            run("min", "--relation", "epsilon", "--eps", "nonsense", "-i", str(dominated_family))
+        assert info.value.code == 2
+        assert run("min", "--relation", "quasi-k", "--eps", "1", "-i", str(dominated_family)) == 2
+        assert run("min", "--relation", "quasi-k", "--k", "1", "--eps", "1",
+                   "-i", str(dominated_family)) == 0
+        assert run("min", *six, "--limit", "1") == 5
+        # neither --k nor --limit carries over: the default limit 25 holds again
+        assert run("min", *six) == 0
+        assert run("min", "--relation", "epsilon", "--eps", "1", "-i", str(wide)) == 5
+        monkeypatch.setenv("MOPARETO_EXACT_LIMIT", "3")
+        assert run("min", *six) == 5
+        monkeypatch.setenv("MOPARETO_EXACT_LIMIT", "26")
+        assert run("min", "--relation", "epsilon", "--eps", "1", "-i", str(wide)) == 0
+        monkeypatch.delenv("MOPARETO_EXACT_LIMIT")
+        assert run("min", *six) == 0
+        assert run("min", "--relation", "epsilon", "--eps", "1", "-i", str(wide)) == 5
+        assert cli._parser() is cli._parser()
 
 
 class TestFailureModes:

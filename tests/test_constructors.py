@@ -344,6 +344,33 @@ class TestGapConstruction:
             construct_via_gap(refusing_oracle, F(1), 1, 2)
 
 
+class TestGapSweepValidatesOnce:
+    @pytest.mark.parametrize("eps, value_bound, p", [(F(1), 1, 2), (F(1, 2), 1, 3), (F(3), 0, 1)])
+    def test_post_init_runs_once_per_sweep_and_queries_equal_validated_ones(
+        self, eps, value_bound, p, monkeypatch
+    ):
+        checks = []
+        original = GapQuery.__post_init__
+
+        def counting_post_init(query):
+            checks.append(query)
+            original(query)
+
+        monkeypatch.setattr(GapQuery, "__post_init__", counting_post_init)
+        asked = []
+        assert construct_via_gap(asked.append, eps, value_bound, p) == []
+        assert len(checks) == 1 and len(asked) > 1
+        smallest = F(1, 1 << value_bound)
+        assert checks[0] == GapQuery(b=(smallest,) * p, delta=half_step_delta(eps))
+        monkeypatch.undo()
+        for query in asked:
+            validated = GapQuery(b=query.b, delta=query.delta)
+            assert type(query) is GapQuery
+            assert query == validated
+            assert hash(query) == hash(validated)
+            assert repr(query) == repr(validated)
+
+
 # Reference gap construction: a recursive sweep over budget prefixes, then a
 # greedy cover of the discovered solutions under componentwise "at most".
 def reference_construct_via_gap(gap, eps, value_bound, p):

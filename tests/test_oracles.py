@@ -1,10 +1,13 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mopareto import constructors, dominance, oracles
 from mopareto.constructors import verify_approximation
 from mopareto.dominance import (
     domination_digraph,
@@ -374,6 +377,18 @@ class TestDualRestrictSweep:
         assert all(m in eff for m in result.members)
 
 
+SWEEP_EPS = [F(1, 100), F(1, 8), F(1), F(3)]
+
+
+def biobjective(images):
+    return Instance(
+        p=2,
+        solutions=tuple(
+            Solution(f"s{i}", (F(a), F(b))) for i, (a, b) in enumerate(images)
+        ),
+    )
+
+
 # The two sweep loops as they were written before they shared one, kept as
 # references for the merged sweep.
 def reference_greedy_biobjective_min(instance, eps):
@@ -444,6 +459,109 @@ class TestMergedSweepMatchesTheOldLoops:
             greedy_biobjective_min(three, F(1))
         with pytest.raises(ValueError, match="^the relaxed greedy cover works on biobjective"):
             dual_restrict_2approx(three, F(1))
+
+    @staticmethod
+    def assert_both_match(instance, eps):
+        assert greedy_biobjective_min(instance, eps) == reference_greedy_biobjective_min(
+            instance, eps
+        )
+        assert dual_restrict_2approx(instance, eps) == reference_dual_restrict_2approx(
+            instance, eps
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(*[st.sampled_from(VALUES)] * 2), max_size=14),
+        st.sampled_from(SWEEP_EPS),
+    )
+    def test_image_twins_and_ties_in_either_objective(self, images, eps):
+        # seven values: images repeat whole and both columns tie often
+        self.assert_both_match(biobjective(images), eps)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.sampled_from(SWEEP_EPS))
+    def test_values_on_and_one_step_off_the_sweep_boundaries(self, data, eps):
+        # products of powers of 1+eps and 1+delta put values exactly on each
+        # other's bounds ratio * t and f2 / (1+eps); a 10**-9 nudge steps off them
+        steps = [1 + eps, 1 + half_step_delta(eps)]
+        value = st.builds(
+            lambda a, b, nudge: steps[0] ** a * steps[1] ** b * (1 + nudge * F(1, 10**9)),
+            st.integers(min_value=0, max_value=3),
+            st.integers(min_value=0, max_value=3),
+            st.sampled_from([-1, 0, 0, 1]),
+        )
+        images = data.draw(st.lists(st.tuples(value, value), max_size=14))
+        self.assert_both_match(biobjective(images), eps)
+
+    @pytest.mark.parametrize(
+        "images",
+        [
+            [(1, 2), (1, 2), (1, 3), (2, 2)],  # twins first, then ties in f1 and in f2
+            [(2, 2), (1, 3), (1, 2), (1, 2)],
+            [(1, 4), (2, 4), (2, 1), (4, 1), (2, 2)],
+        ],
+    )
+    @pytest.mark.parametrize("eps", SWEEP_EPS)
+    def test_scripted_twins_and_ties(self, images, eps):
+        self.assert_both_match(biobjective(images), eps)
+
+    @pytest.mark.parametrize("eps", SWEEP_EPS)
+    def test_boundary_chain(self, eps):
+        # each f1 exactly (1+eps) times the last, each f2 exactly 1/(1+eps) of it,
+        # with twins one step either side of every point
+        images = []
+        for i in range(6):
+            f1, f2 = (1 + eps) ** i, (1 + eps) ** (6 - i)
+            images += [(f1, f2), (f1 * (1 + F(1, 10**9)), f2), (f1, f2 * (1 - F(1, 10**9)))]
+        self.assert_both_match(biobjective(images), eps)
+        self.assert_both_match(biobjective(images[::-1]), eps)
+
+    @pytest.mark.parametrize("eps", SWEEP_EPS)
+    def test_empty_instance(self, eps):
+        empty = Instance(p=2, solutions=())
+        self.assert_both_match(empty, eps)
+        assert greedy_biobjective_min(empty, eps).members == ()
+        assert dual_restrict_2approx(empty, eps).certificate == ()
+
+    @pytest.mark.parametrize("n", [50, 200])
+    @pytest.mark.parametrize("eps", SWEEP_EPS)
+    def test_random_and_shuffled_antichains_up_to_200(self, n, eps):
+        self.assert_both_match(gen_random(n, 2, seed=n, value_range=5), eps)
+        points = list(gen_antichain(n).solutions)
+        Random(n).shuffle(points)
+        self.assert_both_match(Instance(p=2, solutions=tuple(points)), eps)
+
+
+class TestSweepsCallNoPerPickOracle:
+    @pytest.mark.parametrize("sweep", [greedy_biobjective_min, dual_restrict_2approx])
+    def test_no_oracle_scan_and_no_dominance_check_outside_the_verifier(
+        self, sweep, monkeypatch
+    ):
+        instance = gen_random(60, 2, seed=3)
+        eps = F(1, 8)
+        expected = sweep(instance, eps)
+        verifier_calls = Counter()
+        original = dominance.r_dominates
+
+        def counting_r_dominates(x, y, spec):
+            verifier_calls[spec] += 1
+            return original(x, y, spec)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the sweep must not call a per-query oracle")
+
+        for name in ("constrained_oracle", "dual_restrict_oracle"):
+            monkeypatch.setattr(oracles, name, refused)
+        monkeypatch.setattr(oracles, "r_dominates", refused, raising=False)
+        monkeypatch.setattr(dominance, "r_dominates", counting_r_dominates)
+        monkeypatch.setattr(constructors, "r_dominates", counting_r_dominates)
+        assert sweep(instance, eps) == expected
+        swept = dict(verifier_calls)
+        verifier_calls.clear()
+        quasi1 = RelationSpec(RelationKind.QUASI_K, eps, k=1)
+        assert verify_approximation(instance, expected.members, quasi1).ok
+        # every r_dominates call of the sweep is one its final verification makes
+        assert swept == dict(verifier_calls) and set(swept) == {quasi1}
 
 
 # Reference oracles: the constrained minimizer with an explicit instance-order
