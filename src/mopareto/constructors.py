@@ -309,7 +309,7 @@ def construct_via_gap(
         )
     floor = Fraction(1, 1 << value_bound)
     levels = [floor * pow_ratio(1 + delta, t) for t in range(steps + 1)]
-    GapQuery(b=(floor,) * p, delta=delta)  # the least budgets: if valid, every query is
+    GapQuery(b=(floor,) * p, delta=delta)  # the least budgets; later queries only have larger ones
     discovered: dict[str, Solution] = {}
     for budgets in product(levels, repeat=p):
         answer = gap(GapQuery._unchecked(budgets, delta))

@@ -200,6 +200,7 @@ def _biobjective_sweep(instance: Instance, eps: Fraction, ratio: Fraction) -> Ap
     the pick a prefix minimum in f1 order, two exact bisects per pick.  The
     members are certified as a quasi-1 set (weakly efficient members).
     """
+    spec = RelationSpec(RelationKind.QUASI_K, eps, k=1)  # rejects eps <= 0 before the loop
     by_f1 = sorted(instance.solutions, key=lambda s: s.f[0])
     by_f2 = sorted(instance.solutions, key=lambda s: s.f[1])
     # prefix minima: t over the f2 order; the pick, least f2 and then earliest, over the f1 order,
@@ -213,10 +214,7 @@ def _biobjective_sweep(instance: Instance, eps: Fraction, ratio: Fraction) -> Ap
         pick = best[bisect_right(by_f1, bound, key=lambda s: s.f[0]) - 1]
         members.append(pick.id)
         uncovered = bisect_left(by_f2, pick.f[1] / (1 + eps), key=lambda s: s.f[1])
-    del by_f1, by_f2, least_f1, best  # not held while the verifier builds its certificate
-    result = verify_approximation(
-        instance, members, RelationSpec(RelationKind.QUASI_K, eps, k=1)
-    )
+    result = verify_approximation(instance, members, spec)
     assert result.ok and result.approximation is not None
     return result.approximation
 

@@ -340,6 +340,11 @@ class TestBiobjectiveGreedy:
         with pytest.raises(ValueError, match="biobjective"):
             greedy_biobjective_min(gen_random(4, 3, seed=0), F(1))
 
+    @pytest.mark.parametrize("eps", [F(-1, 2), F(0)])
+    def test_rejects_nonpositive_eps_before_sweeping(self, eps):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            greedy_biobjective_min(inst((1, 1)), eps)
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.integers(min_value=0, max_value=10_000),
@@ -358,6 +363,11 @@ class TestDualRestrictSweep:
     def test_single_solution(self):
         one = inst((2, 5))
         assert dual_restrict_2approx(one, F(1)).members == ("s1",)
+
+    @pytest.mark.parametrize("eps", [F(-1, 2), F(0)])
+    def test_rejects_nonpositive_eps(self, eps):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            dual_restrict_2approx(inst((1, 1)), eps)
 
     def test_staircase_within_factor_two(self):
         result = dual_restrict_2approx(STAIRCASE, F(1))
