@@ -1,8 +1,9 @@
 """Command-line surface: generate, compute, verify, minimize, lift, stats.
 
 Machine-readable results go to stdout or --out; human-readable summaries go
-to stderr.  Exit codes: 0 success, 2 usage error, 3 malformed input file,
-4 verification failure, 5 exact-solver node limit or gap-query limit exceeded.
+to stderr.  Exit codes: 0 success, 2 usage error, 3 malformed or unreadable
+input file, 4 verification failure, 5 exact-solver node limit or gap-query
+limit exceeded.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from pathlib import Path
 from .constructors import (
     QueryLimitExceeded,
     VerificationFailed,
+    _certified,
+    _grid_members,
     _grid_supported,
-    construct_grid_approx,
     construct_via_gap,
     grid_select,
-    verify_approximation,
     weakly_efficient_lift,
 )
 from .dominance import domination_digraph, efficient_set, weakly_efficient_set
@@ -54,7 +55,7 @@ from .model import (
     save_set,
 )
 from .numerics import parse_rational, render_rational
-from .oracles import dual_restrict_2approx, gap_oracle, greedy_biobjective_min
+from .oracles import _biobjective_sweep, gap_oracle
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -73,8 +74,16 @@ def _say(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _read(path: str) -> bytes:
+    """An input file's bytes; a path that cannot be read is a bad input file."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise FormatError(str(exc)) from None
+
+
 def _read_instance(path: str) -> Instance:
-    return load_instance(Path(path).read_bytes())
+    return load_instance(_read(path))
 
 
 def _write_payload(out: str | None, payload: bytes) -> None:
@@ -102,15 +111,16 @@ def _relation_from_args(args: argparse.Namespace) -> RelationSpec:
 
 
 def _node_limit(args: argparse.Namespace) -> int:
-    if getattr(args, "limit", None) is not None:
-        return args.limit
-    env = os.environ.get(LIMIT_ENV)
-    if env is not None:
+    limit, source = getattr(args, "limit", None), "--limit"
+    if limit is None:
+        env, source = os.environ.get(LIMIT_ENV, str(DEFAULT_NODE_LIMIT)), LIMIT_ENV
         try:
-            return int(env)
+            limit = int(env)
         except ValueError:
             raise UsageError(f"{LIMIT_ENV} must be an integer, got {env!r}") from None
-    return DEFAULT_NODE_LIMIT
+    if limit < 0:
+        raise UsageError(f"{source} must be a nonnegative integer, got {limit}")
+    return limit
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -134,12 +144,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _compute_members(args: argparse.Namespace, instance: Instance, spec: RelationSpec):
+    """The ids --algo selects, unverified: _cmd_compute certifies them once."""
     algo = args.algo
     if algo == "grid":
-        return construct_grid_approx(instance, spec)
+        return _grid_members(instance, spec)
     if algo == "greedy-cover":
-        graph = domination_digraph(instance, spec)
-        return sorted(greedy_cover_dominating_set(graph), key=instance.position)
+        return greedy_cover_dominating_set(domination_digraph(instance, spec))
     if algo == "gap":
         if spec.kind is not RelationKind.EPSILON:
             raise UsageError("--algo gap computes plain epsilon approximation sets")
@@ -151,28 +161,14 @@ def _compute_members(args: argparse.Namespace, instance: Instance, spec: Relatio
     # biobjective sweeps
     if instance.p != 2:
         raise UsageError(f"--algo {algo} requires a biobjective instance")
-    if algo == "bi-greedy":
-        return list(greedy_biobjective_min(instance, spec.eps).members)
-    return list(dual_restrict_2approx(instance, spec.eps).members)
+    return _biobjective_sweep(instance, spec.eps, relaxed=algo == "bi-dual2")
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
     spec = _relation_from_args(args)
     instance = _read_instance(args.instance)
-    computed = _compute_members(args, instance, spec)
-    if isinstance(computed, list):
-        result = verify_approximation(instance, computed, spec)
-        if not result.ok:
-            print(result.counterexample)
-            _say(
-                f"computed set fails {spec.kind.value} verification at solution "
-                f"{result.counterexample!r}"
-            )
-            return EXIT_UNVERIFIED
-        aset = result.approximation
-    else:
-        aset = computed  # grid pipeline verifies internally
-    assert aset is not None
+    failure = f"computed set fails {spec.kind.value} verification at solution {{!r}}"
+    aset = _certified(instance, _compute_members(args, instance, spec), spec, failure)
     _write_payload(args.out, save_set(aset))
     _say(f"{args.algo}: {len(aset.members)} members cover {len(instance)} solutions")
     return EXIT_OK
@@ -181,26 +177,23 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     spec = _relation_from_args(args)
     instance = _read_instance(args.instance)
-    aset = load_set(Path(args.set).read_bytes())
+    aset = load_set(_read(args.set))
     try:
-        result = verify_approximation(instance, aset.members, spec)
+        failure = "NOT a valid set: solution {!r} is uncovered"
+        certified = _certified(instance, aset.members, spec, failure)
     except KeyError as exc:
         raise FormatError(f"set file: {exc.args[0]}") from None
-    if not result.ok:
-        print(result.counterexample)
-        _say(f"NOT a valid set: solution {result.counterexample!r} is uncovered")
-        return EXIT_UNVERIFIED
-    assert result.approximation is not None
-    _write_payload(args.out, save_set(result.approximation))
+    _write_payload(args.out, save_set(certified))
     _say(f"verified: {len(aset.members)} members cover {len(instance)} solutions")
     return EXIT_OK
 
 
 def _cmd_min(args: argparse.Namespace) -> int:
     spec = _relation_from_args(args)
+    limit = _node_limit(args)
     instance = _read_instance(args.instance)
     graph = domination_digraph(instance, spec)
-    members = exact_min_dominating_set(graph, node_limit=_node_limit(args))
+    members = exact_min_dominating_set(graph, node_limit=limit)
     print(len(members))
     ordered = sorted(members, key=instance.position)
     _say(f"minimum {spec.kind.value} set ({len(members)}): {' '.join(ordered)}")
@@ -209,23 +202,18 @@ def _cmd_min(args: argparse.Namespace) -> int:
 
 def _cmd_lift(args: argparse.Namespace) -> int:
     instance = _read_instance(args.instance)
-    aset = load_set(Path(args.set).read_bytes())
+    aset = load_set(_read(args.set))
     try:
         lifted = weakly_efficient_lift(instance, aset.members, args.eps)
     except KeyError as exc:
         raise FormatError(f"set file: {exc.args[0]}") from None
-    except VerificationFailed as exc:
-        print(exc.counterexample)
-        _say(f"input set fails epsilon coverage at solution {exc.counterexample!r}")
-        return EXIT_UNVERIFIED
     _write_payload(args.out, save_set(lifted))
     _say(f"lifted to {len(lifted.members)} weakly efficient members")
     return EXIT_OK
 
 
-def _stats_row(
-    args: argparse.Namespace, instance: Instance, spec: RelationSpec
-) -> dict[str, object]:
+def _stats_row(instance: Instance, spec: RelationSpec, limit: int | None) -> dict[str, object]:
+    """One eps value's grid counts, plus exact minimum cardinalities unless limit is None."""
     bucketing, retained, picks = grid_select(instance, spec)
     row: dict[str, object] = {
         "eps": render_rational(spec.eps),
@@ -236,8 +224,7 @@ def _stats_row(
         "grid_members": None if picks is None else sum(map(len, picks)),
         "max_cell_set": None if picks is None else max(map(len, picks), default=0),
     }
-    if args.exact:
-        limit = _node_limit(args)
+    if limit is not None:
         graph = domination_digraph(instance, spec)
         row["exact_min"] = len(exact_min_dominating_set(graph, node_limit=limit))
         eps_graph = domination_digraph(instance, RelationSpec(RelationKind.EPSILON, spec.eps))
@@ -252,6 +239,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         for eps in args.eps
     ]
     kind = specs[0].kind
+    limit = _node_limit(args) if args.exact else None
     instance = _read_instance(args.instance)
     if kind is RelationKind.QUASI_K and not _grid_supported(kind, args.k, instance.p):
         raise UsageError(
@@ -264,7 +252,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         "efficient": len(efficient_set(instance)),
         "weakly_efficient": len(weakly_efficient_set(instance)),
     }
-    rows = [_stats_row(args, instance, spec) for spec in specs]
+    rows = [_stats_row(instance, spec, limit) for spec in specs]
     if args.csv:
         columns = list(summary) + list(rows[0])
         buf = io.StringIO()
@@ -381,22 +369,20 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        _say(f"usage error: {exc}")
-        return EXIT_USAGE
+    except VerificationFailed as exc:  # before ValueError, its base class
+        print(exc.counterexample)
+        _say(str(exc))
+        return EXIT_UNVERIFIED
     except NodeLimitExceeded as exc:
         _say(f"exact-solver limit: {exc}")
         return EXIT_LIMIT
     except QueryLimitExceeded as exc:
         _say(f"gap-query limit: {exc}")
         return EXIT_LIMIT
-    except FormatError as exc:
+    except (FormatError, FileNotFoundError) as exc:  # the latter: -o in a missing directory
         _say(f"bad input file: {exc}")
         return EXIT_BAD_INPUT
-    except FileNotFoundError as exc:
-        _say(f"bad input file: {exc}")
-        return EXIT_BAD_INPUT
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         _say(f"usage error: {exc}")
         return EXIT_USAGE
 

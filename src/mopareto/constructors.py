@@ -130,6 +130,16 @@ def verify_approximation(
     return VerifyResult(approximation=approx, counterexample=None)
 
 
+def _certified(instance: Instance, members: Iterable[str], spec: RelationSpec,
+               failure: str | None = None) -> ApproximationSet:
+    """The certified set, or VerificationFailed with `failure` formatted by the counterexample."""
+    result = verify_approximation(instance, members, spec)
+    if result.approximation is None:
+        cx = result.counterexample
+        raise VerificationFailed(cx or "?", failure.format(cx) if failure else None)
+    return result.approximation
+
+
 def certificate_is_valid(instance: Instance, aset: ApproximationSet) -> bool:
     """Re-check an approximation set's certificate from scratch.
 
@@ -193,14 +203,8 @@ def grid_select(
     return bucketing, retained, picks
 
 
-def construct_grid_approx(instance: Instance, spec: RelationSpec) -> ApproximationSet:
-    """Grid construction: bucket, filter, select per retained cell, verify.
-
-    Supported relations: epsilon and one-exact (one representative per cell)
-    and quasi-k with k <= ceil(p/2) (a greedy majority-tournament dominating
-    set per cell).  Two-exact and one-exact-quasi-k are rejected: no general
-    polynomial-cardinality construction exists for them.
-    """
+def _grid_members(instance: Instance, spec: RelationSpec) -> list[str]:
+    """construct_grid_approx's members, unverified: each retained cell's picks in cell order."""
     kind = spec.kind
     if not _grid_supported(kind, spec.k, instance.p):
         if kind is RelationKind.QUASI_K:
@@ -211,11 +215,18 @@ def construct_grid_approx(instance: Instance, spec: RelationSpec) -> Approximati
         raise UnsupportedRelationError(f"no general grid construction for {kind.value} sets")
     _, _, picks = grid_select(instance, spec)
     assert picks is not None
-    result = verify_approximation(instance, [m for cell in picks for m in cell], spec)
-    if not result.ok:  # pragma: no cover - construction is sound by design
-        raise VerificationFailed(result.counterexample or "?")
-    assert result.approximation is not None
-    return result.approximation
+    return [m for cell in picks for m in cell]
+
+
+def construct_grid_approx(instance: Instance, spec: RelationSpec) -> ApproximationSet:
+    """Grid construction: bucket, filter, select per retained cell, verify.
+
+    Supported relations: epsilon and one-exact (one representative per cell)
+    and quasi-k with k <= ceil(p/2) (a greedy majority-tournament dominating
+    set per cell).  Two-exact and one-exact-quasi-k are rejected: no general
+    polynomial-cardinality construction exists for them.
+    """
+    return _certified(instance, _grid_members(instance, spec), spec)
 
 
 def weakly_efficient_lift(
@@ -231,16 +242,10 @@ def weakly_efficient_lift(
     weakly efficient solutions only and therefore covers every solution with
     at least one exact component.
     """
-    eps_spec = RelationSpec(RelationKind.EPSILON, eps)
-    inbound = verify_approximation(instance, members, eps_spec)
-    if not inbound.ok:
-        raise VerificationFailed(
-            inbound.counterexample or "?",
-            f"input set fails coverage at solution {inbound.counterexample!r}",
-        )
-    assert inbound.approximation is not None
+    failure = "input set fails epsilon coverage at solution {!r}"
+    inbound = _certified(instance, members, RelationSpec(RelationKind.EPSILON, eps), failure)
     weakly = weakly_efficient_set(instance)
-    members_in_order = inbound.approximation.members
+    members_in_order = inbound.members
     # kept members reserve their ids first so replacements never collide with them
     taken = {m for m in members_in_order if m in weakly}
     chosen: list[str] = []
@@ -263,12 +268,7 @@ def weakly_efficient_lift(
             continue
         taken.add(unused[0])
         chosen.append(unused[0])
-    quasi1 = RelationSpec(RelationKind.QUASI_K, eps, k=1)
-    result = verify_approximation(instance, chosen, quasi1)
-    if not result.ok:  # pragma: no cover - guaranteed by weak efficiency
-        raise VerificationFailed(result.counterexample or "?")
-    assert result.approximation is not None
-    return result.approximation
+    return _certified(instance, chosen, RelationSpec(RelationKind.QUASI_K, eps, k=1))
 
 
 def construct_via_gap(

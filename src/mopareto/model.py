@@ -279,12 +279,12 @@ def load_instance(data: bytes | str) -> Instance:
     """Parse the JSON instance format; lossless inverse of save_instance."""
     try:
         raw = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on undecodable bytes
         raise FormatError(f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict) or "p" not in raw or "solutions" not in raw:
         raise FormatError('instance file must be an object with "p" and "solutions"')
     p = raw["p"]
-    if not isinstance(p, int) or p < 1:
+    if type(p) is not int or p < 1:  # not isinstance: JSON true/false load as bool
         raise FormatError(f'"p" must be a positive integer, got {p!r}')
     entries = raw["solutions"]
     if not isinstance(entries, list):
@@ -333,7 +333,7 @@ def _relation_from_json(raw: object) -> RelationSpec:
         raise FormatError(f"unknown relation kind: {raw['kind']!r}") from None
     eps = _parse_value(raw["eps"], "relation eps")
     k = raw.get("k")
-    if k is not None and not isinstance(k, int):
+    if k is not None and type(k) is not int:
         raise FormatError(f'"k" must be an integer, got {k!r}')
     try:
         return RelationSpec(kind=kind, eps=eps, k=k)
@@ -345,7 +345,7 @@ def load_set(data: bytes | str) -> ApproximationSet:
     """Parse the JSON approximation-set format."""
     try:
         raw = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on undecodable bytes
         raise FormatError(f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict) or "relation" not in raw or "members" not in raw:
         raise FormatError('set file must be an object with "relation" and "members"')
@@ -360,7 +360,7 @@ def load_set(data: bytes | str) -> ApproximationSet:
             or not isinstance(item.get("covered"), str)
             or not isinstance(item.get("by"), str)
             or not isinstance(item.get("exact_indices"), list)
-            or not all(isinstance(i, int) and i >= 1 for i in item["exact_indices"])
+            or not all(type(i) is int and i >= 1 for i in item["exact_indices"])
         ):
             raise FormatError(f"malformed certificate entry: {item!r}")
         entries.append(

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
-from .constructors import verify_approximation
+from .constructors import _certified
 from .model import (
     ApproximationSet,
     GapQuery,
@@ -189,18 +189,21 @@ def dual_restrict_oracle(
     return constrained_oracle(instance, objective, bounds)
 
 
-def _biobjective_sweep(instance: Instance, eps: Fraction, ratio: Fraction) -> ApproximationSet:
-    """The sweep both biobjective covers share; they differ only in `ratio`.
+def _biobjective_sweep(instance: Instance, eps: Fraction, relaxed: bool) -> list[str]:
+    """The sweep both biobjective covers share; returns its picks, unverified.
 
     Repeatedly takes the smallest f1 value t among the uncovered solutions,
     adds the constrained oracle's answer for f1 <= ratio * t and drops what
-    it covers within 1 + eps.  As ratio <= 1 + eps, the pick covers an
+    it covers within 1 + eps.  The ratio is 1 + eps (greedy_biobjective_min)
+    or, when `relaxed`, 1 + delta with (1+delta)**2 <= 1 + eps
+    (dual_restrict_2approx).  As ratio <= 1 + eps, the pick covers an
     uncovered s iff f2(pick) <= (1+eps) * f2(s), so the uncovered solutions
     are always the first ones in f2 order: t is a prefix minimum there and
-    the pick a prefix minimum in f1 order, two exact bisects per pick.  The
-    members are certified as a quasi-1 set (weakly efficient members).
+    the pick a prefix minimum in f1 order, two exact bisects per pick.
     """
-    spec = RelationSpec(RelationKind.QUASI_K, eps, k=1)  # rejects eps <= 0 before the loop
+    if eps <= 0:  # before the loop: a bound below t would never shrink the uncovered prefix
+        raise ValueError("eps must be positive")
+    ratio = 1 + (half_step_delta(eps) if relaxed else eps)
     by_f1 = sorted(instance.solutions, key=lambda s: s.f[0])
     by_f2 = sorted(instance.solutions, key=lambda s: s.f[1])
     # prefix minima: t over the f2 order; the pick, least f2 and then earliest, over the f1 order,
@@ -214,9 +217,7 @@ def _biobjective_sweep(instance: Instance, eps: Fraction, ratio: Fraction) -> Ap
         pick = best[bisect_right(by_f1, bound, key=lambda s: s.f[0]) - 1]
         members.append(pick.id)
         uncovered = bisect_left(by_f2, pick.f[1] / (1 + eps), key=lambda s: s.f[1])
-    result = verify_approximation(instance, members, spec)
-    assert result.ok and result.approximation is not None
-    return result.approximation
+    return members
 
 
 def greedy_biobjective_min(instance: Instance, eps: Fraction) -> ApproximationSet:
@@ -225,12 +226,13 @@ def greedy_biobjective_min(instance: Instance, eps: Fraction) -> ApproximationSe
     Runs the shared sweep: for the smallest uncovered first objective value t,
     takes the constrained oracle's answer, the second-objective minimizer
     subject to f1 <= (1+eps) * t, and removes everything it covers.  Members
-    are weakly efficient, so the result also covers every solution with at
-    least one exact component.
+    are weakly efficient, so the result is certified as a quasi-1 set: it
+    covers every solution with at least one exact component.
     """
     if instance.p != 2:
         raise ValueError("the greedy cover works on biobjective instances only")
-    return _biobjective_sweep(instance, eps, 1 + eps)
+    members = _biobjective_sweep(instance, eps, relaxed=False)
+    return _certified(instance, members, RelationSpec(RelationKind.QUASI_K, eps, k=1))
 
 
 def dual_restrict_2approx(instance: Instance, eps: Fraction) -> ApproximationSet:
@@ -239,8 +241,10 @@ def dual_restrict_2approx(instance: Instance, eps: Fraction) -> ApproximationSet
     Runs the same sweep as greedy_biobjective_min with the budget-relaxed
     oracle's answer for the bound (1+delta) * t, where (1+delta)**2 <= 1+eps,
     so the relaxed answer still covers the sweep's anchor solution.
-    Cardinality is at most twice the minimum; all members are efficient.
+    Cardinality is at most twice the minimum; all members are efficient, and
+    the result is certified as a quasi-1 set.
     """
     if instance.p != 2:
         raise ValueError("the relaxed greedy cover works on biobjective instances only")
-    return _biobjective_sweep(instance, eps, 1 + half_step_delta(eps))
+    members = _biobjective_sweep(instance, eps, relaxed=True)
+    return _certified(instance, members, RelationSpec(RelationKind.QUASI_K, eps, k=1))

@@ -6,6 +6,7 @@ metric or workload the benchmark does not have cannot be reproduced.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -57,3 +58,12 @@ def test_bench_file_names_only_declared_workloads_and_metrics(path):
     for name, unit in metrics:
         assert name in units, name
         assert unit in (None, units[name]), (name, unit)
+
+
+
+def test_digest_file_has_one_seed_1_line_per_workload():
+    """CI diffs perfbench's `outputs` lines, in BENCHMARK.json order, against this file."""
+    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    lines = (ROOT / ".github" / "bench-digests.txt").read_text().splitlines()
+    pattern = re.compile(r"outputs (\S+) seed 1 sha256 [0-9a-f]{64}")
+    assert [m and m[1] for m in map(pattern.fullmatch, lines)] == names

@@ -4,18 +4,28 @@ from fractions import Fraction
 
 import pytest
 
-from mopareto import cli
+from mopareto import cli, constructors, oracles
 from mopareto.cli import main
-from mopareto.constructors import construct_grid_approx
-from mopareto.generators import gen_random
+from mopareto.constructors import (
+    UnsupportedRelationError,
+    construct_grid_approx,
+    construct_via_gap,
+    verify_approximation,
+)
+from mopareto.dominance import domination_digraph
+from mopareto.domsets import greedy_cover_dominating_set
+from mopareto.generators import gen_antichain, gen_random
 from mopareto.grid import bucket
 from mopareto.model import (
     RelationKind,
     RelationSpec,
+    derive_value_bound,
     load_instance,
     load_set,
     save_instance,
+    save_set,
 )
+from mopareto.oracles import dual_restrict_2approx, gap_oracle, greedy_biobjective_min
 
 
 def run(*argv):
@@ -229,13 +239,16 @@ class TestLift:
         assert lifted.members == ("x2", "x3")
         assert lifted.relation.kind.value == "quasi-k" and lifted.relation.k == 1
 
-    def test_lift_rejects_non_covering_input(self, dominated_family, tmp_path):
+    def test_lift_rejects_non_covering_input(self, dominated_family, tmp_path, capsys):
         raw = tmp_path / "raw.json"
         raw.write_text('{"relation": {"kind": "epsilon", "eps": "1"}, "members": ["x1"]}')
         assert (
             run("lift", "--eps", "1", "-i", str(dominated_family), "--set", str(raw))
             == 4
         )
+        captured = capsys.readouterr()
+        assert captured.out == "x3\n"
+        assert captured.err == "input set fails epsilon coverage at solution 'x3'\n"
 
 
 class TestStats:
@@ -398,6 +411,110 @@ class TestRepeatedMainCalls:
         assert cli._parser() is cli._parser()
 
 
+ALGOS = ("grid", "greedy-cover", "gap", "bi-greedy", "bi-dual2")
+
+RELATIONS = [
+    ("epsilon", None),
+    ("one-exact", None),
+    ("two-exact", None),
+    ("quasi-k", 1),
+    ("quasi-k", 2),
+    ("one-exact-quasi-k", 1),
+]
+
+
+def _public_members(algo, instance, spec):
+    """The members each --algo's public constructor returns, for the differential."""
+    if algo == "grid":
+        return construct_grid_approx(instance, spec).members
+    if algo == "greedy-cover":
+        return greedy_cover_dominating_set(domination_digraph(instance, spec))
+    if algo == "gap":
+        m = derive_value_bound(instance)
+        found = construct_via_gap(lambda q: gap_oracle(instance, q), spec.eps, m, instance.p)
+        return [s.id for s in found]
+    sweep = greedy_biobjective_min if algo == "bi-greedy" else dual_restrict_2approx
+    return sweep(instance, spec.eps).members
+
+
+class TestComputeCertifiesOnce:
+    """`compute` verifies each set once, under the requested relation, for every --algo."""
+
+    @pytest.fixture()
+    def verify_calls(self, monkeypatch):
+        calls = []
+
+        def counting(instance, members, spec):
+            calls.append(spec)
+            return verify_approximation(instance, members, spec)
+
+        for module in (cli, constructors, oracles):
+            monkeypatch.setattr(module, "verify_approximation", counting, raising=False)
+        return calls
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_one_verification_per_compute(self, algo, verify_calls, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_bytes(save_instance(gen_random(40, 2, seed=3)))
+        spec = RelationSpec(RelationKind.EPSILON, Fraction(1, 2))
+        argv = ["compute", "--relation", "epsilon", "--eps", "1/2", "--algo", algo]
+        assert run(*argv, "-i", str(path), "-o", str(tmp_path / "s.json")) == 0
+        assert verify_calls == [spec]
+
+    @pytest.mark.parametrize(
+        "algo, p", [(a, 2) for a in ALGOS] + [(a, 3) for a in ALGOS if not a.startswith("bi-")]
+    )
+    def test_set_file_is_the_public_constructors_members_verified(
+        self, algo, p, tmp_path, capsys
+    ):
+        instance = gen_random(30, p, seed=20 + p)
+        path = tmp_path / "r.json"
+        path.write_bytes(save_instance(instance))
+        out = tmp_path / "s.json"
+        relations = RELATIONS[:1] if algo == "gap" else RELATIONS
+        for kind, k in relations:
+            k_args = ["--k", str(k)] if k else []
+            spec = RelationSpec(RelationKind(kind), Fraction(1, 2), k)
+            argv = ["compute", "--relation", kind, *k_args, "--eps", "1/2", "--algo", algo]
+            code = run(*argv, "-i", str(path), "-o", str(out))
+            captured = capsys.readouterr()
+            try:
+                members = _public_members(algo, instance, spec)
+            except UnsupportedRelationError as exc:
+                assert code == 2 and captured.err == f"usage error: {exc}\n", (kind, k)
+                continue
+            result = verify_approximation(instance, members, spec)
+            if result.ok:
+                assert code == 0, (kind, k)
+                assert out.read_bytes() == save_set(result.approximation), (kind, k)
+            else:
+                assert code == 4, (kind, k)
+                assert captured.out == f"{result.counterexample}\n", (kind, k)
+                assert captured.err == (
+                    f"computed set fails {kind} verification at solution "
+                    f"{result.counterexample!r}\n"
+                ), (kind, k)
+
+    def test_unsound_grid_selection_exits_4_with_the_counterexample(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # antichain points with eps 1/8 sit in distinct cells and cover only themselves
+        path = tmp_path / "a.json"
+        path.write_bytes(save_instance(gen_antichain(12)))
+        select = constructors.grid_select
+
+        def dropping_one_pick(instance, spec):
+            bucketing, retained, picks = select(instance, spec)
+            return bucketing, retained, [picks[0][1:], *picks[1:]]
+
+        monkeypatch.setattr(constructors, "grid_select", dropping_one_pick)
+        argv = ["compute", "--relation", "epsilon", "--eps", "1/8", "--algo", "grid"]
+        assert run(*argv, "-i", str(path)) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "a1\n"
+        assert captured.err == "computed set fails epsilon verification at solution 'a1'\n"
+
+
 class TestFailureModes:
     def test_missing_instance_file_exits_3(self, tmp_path):
         assert (
@@ -429,3 +546,60 @@ class TestFailureModes:
             )
             == 2
         )
+
+    def test_directory_input_paths_exit_3(self, dominated_family, tmp_path, capsys):
+        rel = ["--relation", "epsilon", "--eps", "1"]
+        for argv in (
+            ["compute", *rel, "--algo", "grid", "-i", str(tmp_path)],
+            ["verify", *rel, "-i", str(dominated_family), "--set", str(tmp_path)],
+            ["lift", "--eps", "1", "-i", str(dominated_family), "--set", str(tmp_path)],
+            ["gen", "duplicated", "--base", str(tmp_path), "--p", "3",
+             "--mode", "one-exact-quasi2"],
+        ):
+            assert run(*argv) == 3, argv
+            assert capsys.readouterr().err.startswith("bad input file: "), argv
+
+    def test_files_in_no_json_encoding_exit_3(self, dominated_family, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{")
+        rel = ["--relation", "epsilon", "--eps", "1"]
+        for argv in (
+            ["compute", *rel, "--algo", "grid", "-i", str(bad)],
+            ["verify", *rel, "-i", str(dominated_family), "--set", str(bad)],
+        ):
+            assert run(*argv) == 3, argv
+            assert capsys.readouterr().err.startswith("bad input file: invalid JSON: "), argv
+
+    def test_boolean_p_exits_3(self, tmp_path):
+        path = tmp_path / "b.json"
+        path.write_text('{"p": true, "solutions": [{"id": "a", "f": ["1"]}]}')
+        argv = ["compute", "--relation", "epsilon", "--eps", "1", "--algo", "grid"]
+        assert run(*argv, "-i", str(path)) == 3
+
+    def test_negative_node_limits_are_usage_errors(
+        self, dominated_family, monkeypatch, capsys
+    ):
+        monkeypatch.delenv("MOPARETO_EXACT_LIMIT", raising=False)
+        six = ["--relation", "epsilon", "--eps", "1", "-i", str(dominated_family)]
+        assert run("min", *six, "--limit", "-1") == 2
+        assert capsys.readouterr().err == (
+            "usage error: --limit must be a nonnegative integer, got -1\n"
+        )
+        assert run("stats", *six, "--exact", "--limit", "-1") == 2
+        capsys.readouterr()
+        monkeypatch.setenv("MOPARETO_EXACT_LIMIT", "-1")
+        assert run("min", *six) == 2
+        assert capsys.readouterr().err == (
+            "usage error: MOPARETO_EXACT_LIMIT must be a nonnegative integer, got -1\n"
+        )
+        assert run("stats", *six, "--exact") == 2
+
+    def test_node_limit_zero_is_allowed(self, dominated_family, tmp_path, monkeypatch):
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"p": 2, "solutions": []}')
+        rel = ["--relation", "epsilon", "--eps", "1"]
+        assert run("min", *rel, "-i", str(empty), "--limit", "0") == 0
+        assert run("min", *rel, "-i", str(dominated_family), "--limit", "0") == 5
+        monkeypatch.setenv("MOPARETO_EXACT_LIMIT", "0")
+        assert run("min", *rel, "-i", str(empty)) == 0
+        assert run("min", *rel, "-i", str(dominated_family)) == 5

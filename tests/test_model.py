@@ -156,6 +156,17 @@ class TestInstanceFiles:
         with pytest.raises(FormatError, match="JSON"):
             load_instance(b"{")
 
+    def test_bytes_in_no_json_encoding_rejected(self):
+        # a UTF-16 byte-order mark followed by an odd byte: json.loads raises UnicodeDecodeError
+        with pytest.raises(FormatError, match="JSON"):
+            load_instance(b"\xff\xfe{")
+
+    @pytest.mark.parametrize("p", ["true", "false", "1.0"])
+    def test_p_must_be_a_json_integer(self, p):
+        data = b'{"p": %s, "solutions": [{"id": "a", "f": ["1"]}]}' % p.encode()
+        with pytest.raises(FormatError, match='"p" must be a positive integer'):
+            load_instance(data)
+
 
 class TestSetFiles:
     def test_round_trip_with_certificate(self):
@@ -183,6 +194,24 @@ class TestSetFiles:
         payload = (
             b'{"relation": {"kind": "epsilon", "eps": "1"}, "members": ["a"],'
             b' "certificate": [{"covered": "a", "by": 3, "exact_indices": []}]}'
+        )
+        with pytest.raises(FormatError, match="certificate"):
+            load_set(payload)
+
+    def test_bytes_in_no_json_encoding_rejected(self):
+        with pytest.raises(FormatError, match="JSON"):
+            load_set(b"\xff\xfe{")
+
+    def test_boolean_k_rejected(self):
+        payload = b'{"relation": {"kind": "quasi-k", "eps": "1", "k": true}, "members": []}'
+        with pytest.raises(FormatError, match='"k" must be an integer'):
+            load_set(payload)
+
+    @pytest.mark.parametrize("flag", [b"true", b"false"])
+    def test_boolean_exact_index_rejected(self, flag):
+        payload = (
+            b'{"relation": {"kind": "epsilon", "eps": "1"}, "members": ["a"],'
+            b' "certificate": [{"covered": "a", "by": "a", "exact_indices": [%s]}]}' % flag
         )
         with pytest.raises(FormatError, match="certificate"):
             load_set(payload)
