@@ -130,8 +130,9 @@ def verify_approximation(
     return VerifyResult(approximation=approx, counterexample=None)
 
 
-def _certified(instance: Instance, members: Iterable[str], spec: RelationSpec,
-               failure: str | None = None) -> ApproximationSet:
+def _certified(
+    instance: Instance, members: Iterable[str], spec: RelationSpec, failure: str | None = None
+) -> ApproximationSet:
     """The certified set, or VerificationFailed with `failure` formatted by the counterexample."""
     result = verify_approximation(instance, members, spec)
     if result.approximation is None:
