@@ -1,9 +1,9 @@
 """Command-line surface: generate, compute, verify, minimize, lift, stats.
 
 Machine-readable results go to stdout or --out; human-readable summaries go
-to stderr.  Exit codes: 0 success, 2 usage error, 3 malformed or unreadable
-input file, 4 verification failure, 5 exact-solver node limit or gap-query
-limit exceeded.
+to stderr.  Exit codes: 0 success, 2 usage error (an output path that cannot
+be written included), 3 malformed or unreadable input file, 4 verification
+failure, 5 exact-solver node limit or gap-query limit exceeded.
 """
 
 from __future__ import annotations
@@ -86,14 +86,30 @@ def _read_instance(path: str) -> Instance:
     return load_instance(_read(path))
 
 
+def _read_set(path: str, instance: Instance) -> tuple[str, ...]:
+    """A set file's member ids, each checked to name a solution of the instance."""
+    members = load_set(_read(path)).members
+    try:
+        for m in members:
+            instance.position(m)
+    except KeyError as exc:
+        raise FormatError(f"set file: {exc.args[0]}") from None
+    return members
+
+
 def _write_payload(out: str | None, payload: bytes) -> None:
     if out is None:
         sys.stdout.write(payload.decode())
         return
     target = Path(out)
     tmp = target.with_name(target.name + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, target)
+    try:
+        tmp.write_bytes(payload)
+        os.replace(tmp, target)
+    except OSError as exc:
+        if tmp.is_file():
+            tmp.unlink()
+        raise UsageError(f"cannot write {out}: {exc}") from None
 
 
 def _relation_from_args(args: argparse.Namespace) -> RelationSpec:
@@ -177,14 +193,10 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     spec = _relation_from_args(args)
     instance = _read_instance(args.instance)
-    aset = load_set(_read(args.set))
-    try:
-        failure = "NOT a valid set: solution {!r} is uncovered"
-        certified = _certified(instance, aset.members, spec, failure)
-    except KeyError as exc:
-        raise FormatError(f"set file: {exc.args[0]}") from None
+    members = _read_set(args.set, instance)
+    certified = _certified(instance, members, spec, "NOT a valid set: solution {!r} is uncovered")
     _write_payload(args.out, save_set(certified))
-    _say(f"verified: {len(aset.members)} members cover {len(instance)} solutions")
+    _say(f"verified: {len(members)} members cover {len(instance)} solutions")
     return EXIT_OK
 
 
@@ -192,8 +204,7 @@ def _cmd_min(args: argparse.Namespace) -> int:
     spec = _relation_from_args(args)
     limit = _node_limit(args)
     instance = _read_instance(args.instance)
-    graph = domination_digraph(instance, spec)
-    members = exact_min_dominating_set(graph, node_limit=limit)
+    members = exact_min_dominating_set(domination_digraph(instance, spec), node_limit=limit)
     print(len(members))
     ordered = sorted(members, key=instance.position)
     _say(f"minimum {spec.kind.value} set ({len(members)}): {' '.join(ordered)}")
@@ -201,12 +212,9 @@ def _cmd_min(args: argparse.Namespace) -> int:
 
 
 def _cmd_lift(args: argparse.Namespace) -> int:
+    eps = _relation_from_args(args).eps  # --relation is fixed to epsilon below
     instance = _read_instance(args.instance)
-    aset = load_set(_read(args.set))
-    try:
-        lifted = weakly_efficient_lift(instance, aset.members, args.eps)
-    except KeyError as exc:
-        raise FormatError(f"set file: {exc.args[0]}") from None
+    lifted = weakly_efficient_lift(instance, _read_set(args.set, instance), eps)
     _write_payload(args.out, save_set(lifted))
     _say(f"lifted to {len(lifted.members)} weakly efficient members")
     return EXIT_OK
@@ -341,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     lift.add_argument("-i", "--instance", required=True)
     lift.add_argument("--set", required=True, dest="set")
     lift.add_argument("-o", "--out", help="output set file (default: stdout)")
-    lift.set_defaults(func=_cmd_lift)
+    lift.set_defaults(func=_cmd_lift, relation=RelationKind.EPSILON.value)
 
     stats = sub.add_parser("stats", help="grid, efficiency, and cardinality statistics")
     stats.add_argument("--eps", type=parse_rational, required=True, nargs="+")
@@ -379,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
     except QueryLimitExceeded as exc:
         _say(f"gap-query limit: {exc}")
         return EXIT_LIMIT
-    except (FormatError, FileNotFoundError) as exc:  # the latter: -o in a missing directory
+    except FormatError as exc:
         _say(f"bad input file: {exc}")
         return EXIT_BAD_INPUT
     except (UsageError, ValueError) as exc:

@@ -3,9 +3,10 @@
 All relations here are monotonic: componentwise "at least as good" always
 implies relation membership, so in particular every relation is reflexive.
 The efficient filters, and the prune of the gap construction, are presorted
-skylines (only a lexicographically smaller image can dominate); the digraph
-ANDs n-bit masks of the sorted-column index (`model._SortedColumn`), and the
-pairwise `values_r_dominate` remains its reference.
+skylines (only a lexicographically smaller image can dominate).  The digraph
+is stored as one n-bit row per node, the AND of masks from the sorted-column
+index (`model._SortedColumn`); the dominating-set solvers read those rows
+directly, and the pairwise `values_r_dominate` remains their reference.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .model import Instance, RelationSpec, Solution
 
@@ -110,35 +111,49 @@ def weakly_efficient_set(instance: Instance) -> set[str]:
     return _skyline(instance.solutions, strictly_dominates)
 
 
+def _ids(nodes: Sequence[str], mask: int) -> frozenset[str]:
+    """The nodes whose bits are set in mask, bit k standing for nodes[k]."""
+    return frozenset(compress(nodes, map(int, format(mask, "b")[::-1])))
+
+
 @dataclass(frozen=True)
 class DominationDigraph:
     """Directed graph on solution ids: an arc (u, v) means u R-dominates v.
 
-    Every node carries a self-loop (the relations are reflexive), so closed
-    out-neighborhoods are exactly the `out` sets.
+    Row i is the closed out-neighborhood of nodes[i] as a bitmask, bit k
+    standing for nodes[k]; every built row has its own bit (the relations are
+    reflexive), so `out` lists each node among its own targets.
     """
 
     nodes: tuple[str, ...]
-    out: Mapping[str, frozenset[str]]
+    rows: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.rows) != len(self.nodes) or any(r >> len(self.rows) for r in self.rows):
+            raise ValueError("a digraph needs one row per node, with bits for its nodes only")
+
+    @property
+    def out(self) -> dict[str, frozenset[str]]:
+        return {u: _ids(self.nodes, row) for u, row in zip(self.nodes, self.rows)}
 
     def has_arc(self, u: str, v: str) -> bool:
-        return v in self.out[u]
+        return v in _ids(self.nodes, self.rows[self.nodes.index(u)])
 
     def arc_count(self) -> int:
-        return sum(len(targets) for targets in self.out.values())
+        return sum(row.bit_count() for row in self.rows)
 
 
 def domination_digraph(instance: Instance, spec: RelationSpec) -> DominationDigraph:
-    """The digraph of `spec`, one n-bit mask per x from the sorted-column index.
+    """The digraph of `spec`, one n-bit row per x from the sorted-column index.
 
-    y is in out[x] exactly when values_r_dominate(x.f, y.f, spec): y_j >= x_j/(1+eps)
-    for every j, and y_j >= x_j on the rule's components, counted bit-sliced for k > 0.
+    Bit k of x's row is set iff values_r_dominate(x.f, y.f, spec) for y = nodes[k]:
+    y_j >= x_j/(1+eps) for every j, and y_j >= x_j on the rule's components (bit-sliced count).
     """
     nodes = instance.ids
     required, min_exact = spec.exact_rule(instance.p) if nodes else ((), 0)
     columns = instance._sorted_columns
     slack = 1 + spec.eps
-    out = {}
+    rows = []
     for x in instance.solutions:
         exact = [c.at_least(v) for c, v in zip(columns, x.f)] if required or min_exact else []
         mask = -1
@@ -150,5 +165,5 @@ def domination_digraph(instance: Instance, spec: RelationSpec) -> DominationDigr
                 for c in range(min_exact, 0, -1):
                     count[c] |= count[c - 1] & e
             mask &= count[min_exact]
-        out[x.id] = frozenset(compress(nodes, map(int, format(mask, "b")[::-1])))  # bit k: nodes[k]
-    return DominationDigraph(nodes=nodes, out=out)
+        rows.append(mask)
+    return DominationDigraph(nodes=nodes, rows=tuple(rows))

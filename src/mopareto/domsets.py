@@ -8,17 +8,17 @@ Three solvers with different contracts:
 * exact branch-and-bound minimum (test oracle and the `min` command),
   guarded by a node limit.
 
-Both greedy solvers build closed out-neighborhood bitmasks with one helper
-and run one greedy core.  All tie-breaking follows the node order handed in,
-so identical inputs produce identical outputs.
+All three run one greedy core on the digraph's rows, closed out-neighborhood
+bitmasks (a member covers itself even where a hand-built row lacks its bit).
+All tie-breaking follows the node order, so equal inputs give equal outputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
-from .dominance import DominationDigraph
+from .dominance import DominationDigraph, _ids
 from .model import Solution
 
 __all__ = [
@@ -50,7 +50,12 @@ class TournamentView:
 
     points: tuple[Solution, ...]
     k: int
-    out: Mapping[str, frozenset[str]]  # arc targets, self excluded
+    rows: tuple[int, ...]  # as in DominationDigraph; `out` omits the self-loop
+
+    @property
+    def out(self) -> dict[str, frozenset[str]]:
+        ids = [sol.id for sol in self.points]
+        return {u: _ids(ids, row & ~(1 << i)) for i, (u, row) in enumerate(zip(ids, self.rows))}
 
 
 def tournament_view(points: Sequence[Solution], k: int) -> TournamentView:
@@ -59,26 +64,19 @@ def tournament_view(points: Sequence[Solution], k: int) -> TournamentView:
     p = len(points[0].f)
     if 2 * k - 1 > p:
         raise ValueError(f"majority threshold k={k} needs 2k-1 <= p, got p={p}")
-    pos = {sol.id: i for i, sol in enumerate(points)}
-    out: dict[str, set[str]] = {sol.id: set() for sol in points}
-    for a in points:
-        for b in points:
-            if a.id == b.id:
-                continue
-            wins = sum(
-                1
-                for j in range(p)
-                if (a.f[j], pos[a.id]) < (b.f[j], pos[b.id])
-            )
-            if wins >= k:
-                out[a.id].add(b.id)
-    return TournamentView(
-        points=tuple(points), k=k, out={u: frozenset(vs) for u, vs in out.items()}
-    )
+    rows = []
+    for i, a in enumerate(points):
+        row = 1 << i  # a never outranks itself, so only k = 0 would set this bit again
+        for j, b in enumerate(points):
+            if sum(1 for t in range(p) if (a.f[t], i) < (b.f[t], j)) >= k:
+                row |= 1 << j
+        rows.append(row)
+    return TournamentView(points=tuple(points), k=k, rows=tuple(rows))
 
 
-def _greedy_cover_indices(cover: Sequence[int], full: int) -> list[int]:
-    """Greedy max-coverage over bitmask sets; ties go to the lowest index."""
+def _greedy_cover_indices(cover: Sequence[int]) -> list[int]:
+    """Greedy max-coverage over closed rows (each round gains); ties to the lowest index."""
+    full = (1 << len(cover)) - 1
     chosen: list[int] = []
     covered = 0
     while covered != full:
@@ -87,8 +85,6 @@ def _greedy_cover_indices(cover: Sequence[int], full: int) -> list[int]:
             gain = (mask & ~covered).bit_count()
             if gain > best_gain:
                 best_i, best_gain = i, gain
-        if best_i < 0:
-            raise ValueError("uncoverable nodes: digraph is missing self-loops")
         chosen.append(best_i)
         covered |= cover[best_i]
     return chosen
@@ -100,29 +96,17 @@ def greedy_tournament_dominating_set(view: TournamentView) -> set[str]:
     Each pick's closed out-neighborhood covers at least half of what remains,
     so the result has at most ceil(log2 n) + 1 members.
     """
-    ids = [sol.id for sol in view.points]
-    full = (1 << len(ids)) - 1
-    return {ids[i] for i in _greedy_cover_indices(_closed_masks(ids, view.out), full)}
+    return {view.points[i].id for i in _greedy_cover_indices(_closed(view.rows))}
 
 
-def _closed_masks(nodes: Sequence[str], out: Mapping[str, Iterable[str]]) -> list[int]:
-    """Bitmask of each node's closed out-neighborhood, one bit per node in order."""
-    index = {u: i for i, u in enumerate(nodes)}
-    cover = []
-    for u in nodes:
-        mask = 1 << index[u]
-        for v in out[u]:
-            mask |= 1 << index[v]
-        cover.append(mask)
-    return cover
+def _closed(rows: Sequence[int]) -> list[int]:
+    """The rows with each node's own bit set: a member covers itself."""
+    return [row | 1 << i for i, row in enumerate(rows)]
 
 
 def greedy_cover_dominating_set(graph: DominationDigraph) -> set[str]:
-    """Greedy set cover: repeatedly take the node covering the most uncovered
-    nodes (ties to the earliest node).  At most (1 + ln n) times the minimum."""
-    ids = graph.nodes
-    full = (1 << len(ids)) - 1
-    return {ids[i] for i in _greedy_cover_indices(_closed_masks(ids, graph.out), full)}
+    """Greedy set cover, ties to the earliest node: at most (1 + ln n) times the minimum."""
+    return {graph.nodes[i] for i in _greedy_cover_indices(_closed(graph.rows))}
 
 
 def exact_min_dominating_set(
@@ -140,11 +124,8 @@ def exact_min_dominating_set(
         return set()
     if n > node_limit:
         raise NodeLimitExceeded(f"{n} nodes exceeds the exact-solver limit {node_limit}")
-    ids = graph.nodes
-    cover = _closed_masks(ids, graph.out)
-    full = (1 << n) - 1
-
-    best = _greedy_cover_indices(cover, full)
+    cover = _closed(graph.rows)
+    best = _greedy_cover_indices(cover)
 
     def descend(uncovered: int, chosen: list[int]) -> None:
         nonlocal best
@@ -156,26 +137,21 @@ def exact_min_dominating_set(
         biggest = max((mask & uncovered).bit_count() for mask in cover)
         if len(chosen) + -(-need // biggest) >= len(best):
             return
-        branch_j, branch_cands = -1, None
-        for j in range(n):
-            if uncovered >> j & 1:
-                cands = [i for i in range(n) if cover[i] >> j & 1]
-                if branch_cands is None or len(cands) < len(branch_cands):
-                    branch_j, branch_cands = j, cands
-        assert branch_cands is not None
-        for i in branch_cands:
+        uncovered_nodes = [j for j in range(n) if uncovered >> j & 1]
+        coverers = ([i for i in range(n) if cover[i] >> j & 1] for j in uncovered_nodes)
+        for i in min(coverers, key=len):  # the first uncovered node with the fewest
             chosen.append(i)
             descend(uncovered & ~cover[i], chosen)
             chosen.pop()
 
-    descend(full, [])
-    return {ids[i] for i in best}
+    descend((1 << n) - 1, [])
+    return {graph.nodes[i] for i in best}
 
 
 def is_dominating(graph: DominationDigraph, members: set[str]) -> bool:
     """Every node is a member or the target of an arc from a member."""
-    covered: set[str] = set()
-    for m in members:
-        covered.add(m)
-        covered.update(graph.out[m])
-    return covered >= set(graph.nodes)
+    covered = 0
+    for u, row in zip(graph.nodes, _closed(graph.rows)):
+        if u in members:
+            covered |= row
+    return covered == (1 << len(graph.nodes)) - 1

@@ -603,3 +603,45 @@ class TestFailureModes:
         monkeypatch.setenv("MOPARETO_EXACT_LIMIT", "0")
         assert run("min", *rel, "-i", str(empty)) == 0
         assert run("min", *rel, "-i", str(dominated_family)) == 5
+
+    def test_output_in_a_missing_directory_is_a_usage_error(
+        self, dominated_family, tmp_path, capsys
+    ):
+        target = tmp_path / "missing_dir" / "x.json"
+        argv = ["compute", "--relation", "epsilon", "--eps", "1", "--algo", "grid"]
+        assert run(*argv, "-i", str(dominated_family), "-o", str(target)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: cannot write {target}: "), err
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_output_naming_a_directory_is_a_usage_error(
+        self, dominated_family, tmp_path, capsys
+    ):
+        target = tmp_path / "existing"
+        target.mkdir()
+        argv = ["compute", "--relation", "epsilon", "--eps", "1", "--algo", "grid"]
+        assert run(*argv, "-i", str(dominated_family), "-o", str(target)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: cannot write {target}: "), err
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert target.is_dir() and not any(target.iterdir())
+
+    def test_lift_checks_eps_before_reading_input(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert run("lift", "--eps", "0", "-i", missing, "--set", missing) == 2
+        assert capsys.readouterr().err == "usage error: eps must be positive\n"
+
+    @pytest.mark.parametrize("command", ["verify", "lift"])
+    def test_unknown_set_member_is_a_bad_set_file(
+        self, command, dominated_family, tmp_path, capsys
+    ):
+        raw = tmp_path / "raw.json"
+        raw.write_text(
+            '{"relation": {"kind": "epsilon", "eps": "1"}, "members": ["x1", "zz", "yy"]}'
+        )
+        flags = ["--relation", "epsilon"] if command == "verify" else []
+        argv = [command, *flags, "--eps", "1", "-i", str(dominated_family), "--set", str(raw)]
+        assert run(*argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "bad input file: set file: unknown solution id: 'zz'\n"

@@ -403,13 +403,11 @@ def reference_construct_via_gap(gap, eps, value_bound, p):
     found = list(discovered.values())
     if not found:
         return []
-    out = {
-        x.id: frozenset(
-            y.id for y in found if all(a <= b for a, b in zip(x.f, y.f))
-        )
+    rows = tuple(
+        sum(1 << k for k, y in enumerate(found) if all(a <= b for a, b in zip(x.f, y.f)))
         for x in found
-    }
-    digraph = DominationDigraph(nodes=tuple(x.id for x in found), out=out)
+    )
+    digraph = DominationDigraph(nodes=tuple(x.id for x in found), rows=rows)
     keep = greedy_cover_dominating_set(digraph)
     return [x for x in found if x.id in keep]
 

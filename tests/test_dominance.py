@@ -337,11 +337,11 @@ class TestRuleTableMatchesTheFiveBranchDefinition:
 # The pairwise builder, kept as the reference for the sorted-column index.
 def reference_domination_digraph(instance, spec):
     nodes = instance.ids
-    out = {
-        x.id: frozenset(y.id for y in instance.solutions if r_dominates(x, y, spec))
+    rows = tuple(
+        sum(1 << k for k, y in enumerate(instance.solutions) if r_dominates(x, y, spec))
         for x in instance.solutions
-    }
-    return DominationDigraph(nodes=nodes, out=out)
+    )
+    return DominationDigraph(nodes=nodes, rows=rows)
 
 
 QUASI_KINDS = (RelationKind.QUASI_K, RelationKind.ONE_EXACT_QUASI_K)
@@ -415,7 +415,7 @@ class TestIndexedDigraphMatchesThePairwiseBuilder:
             RelationSpec(RelationKind.QUASI_K, Fraction(1), k=2),
         ):  # no pair is compared, so the rule's errors do not arise
             assert domination_digraph(empty, spec) == reference_domination_digraph(empty, spec)
-            assert domination_digraph(empty, spec) == DominationDigraph(nodes=(), out={})
+            assert domination_digraph(empty, spec) == DominationDigraph(nodes=(), rows=())
 
     def test_errors_keep_their_messages(self):
         one = inst((1,), (2,))

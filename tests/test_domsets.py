@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mopareto.dominance import DominationDigraph, domination_digraph
+from mopareto.dominance import DominationDigraph, domination_digraph, r_dominates
 from mopareto.domsets import (
     NodeLimitExceeded,
     exact_min_dominating_set,
@@ -27,9 +27,9 @@ def sols(*vectors):
 
 
 def digraph_of(out):
-    return DominationDigraph(
-        nodes=tuple(out), out={u: frozenset(vs) | {u} for u, vs in out.items()}
-    )
+    nodes = tuple(out)
+    rows = tuple(sum(1 << nodes.index(v) for v in set(vs) | {u}) for u, vs in out.items())
+    return DominationDigraph(nodes=nodes, rows=rows)
 
 
 def brute_force_min(graph):
@@ -109,7 +109,7 @@ class TestGreedyCover:
 
     def test_membership_counts_as_coverage(self):
         # even without explicit self-loops a node covers itself by membership
-        graph = DominationDigraph(nodes=("a", "b"), out={"a": frozenset(), "b": frozenset()})
+        graph = DominationDigraph(nodes=("a", "b"), rows=(0, 0))
         assert greedy_cover_dominating_set(graph) == {"a", "b"}
 
     @settings(max_examples=50, deadline=None)
@@ -162,3 +162,243 @@ class TestExactMinimum:
         exact = exact_min_dominating_set(graph)
         assert is_dominating(graph, exact)
         assert len(exact) == len(brute_force_min(graph))
+
+
+# The set-based tournament and its greedy cover, kept verbatim from before the
+# digraphs stored bitmask rows, as the reference for the row-based ones.
+def reference_tournament_out(points, k):
+    p = len(points[0].f)
+    pos = {sol.id: i for i, sol in enumerate(points)}
+    out = {sol.id: set() for sol in points}
+    for a in points:
+        for b in points:
+            if a.id == b.id:
+                continue
+            wins = sum(
+                1
+                for j in range(p)
+                if (a.f[j], pos[a.id]) < (b.f[j], pos[b.id])
+            )
+            if wins >= k:
+                out[a.id].add(b.id)
+    return {u: frozenset(vs) for u, vs in out.items()}
+
+
+def reference_closed_masks(nodes, out):
+    index = {u: i for i, u in enumerate(nodes)}
+    cover = []
+    for u in nodes:
+        mask = 1 << index[u]
+        for v in out[u]:
+            mask |= 1 << index[v]
+        cover.append(mask)
+    return cover
+
+
+def reference_greedy_cover_indices(cover, full):
+    chosen = []
+    covered = 0
+    while covered != full:
+        best_i, best_gain = -1, 0
+        for i, mask in enumerate(cover):
+            gain = (mask & ~covered).bit_count()
+            if gain > best_gain:
+                best_i, best_gain = i, gain
+        if best_i < 0:
+            raise ValueError("uncoverable nodes: digraph is missing self-loops")
+        chosen.append(best_i)
+        covered |= cover[best_i]
+    return chosen
+
+
+def reference_greedy_tournament(points, k):
+    ids = [sol.id for sol in points]
+    full = (1 << len(ids)) - 1
+    cover = reference_closed_masks(ids, reference_tournament_out(points, k))
+    return {ids[i] for i in reference_greedy_cover_indices(cover, full)}
+
+
+def reference_exact_min(nodes, out):
+    n = len(nodes)
+    if n == 0:
+        return set()
+    ids = nodes
+    cover = reference_closed_masks(ids, out)
+    full = (1 << n) - 1
+
+    best = reference_greedy_cover_indices(cover, full)
+
+    def descend(uncovered, chosen):
+        nonlocal best
+        if uncovered == 0:
+            if len(chosen) < len(best):
+                best = list(chosen)
+            return
+        need = uncovered.bit_count()
+        biggest = max((mask & uncovered).bit_count() for mask in cover)
+        if len(chosen) + -(-need // biggest) >= len(best):
+            return
+        branch_j, branch_cands = -1, None
+        for j in range(n):
+            if uncovered >> j & 1:
+                cands = [i for i in range(n) if cover[i] >> j & 1]
+                if branch_cands is None or len(cands) < len(branch_cands):
+                    branch_j, branch_cands = j, cands
+        assert branch_cands is not None
+        for i in branch_cands:
+            chosen.append(i)
+            descend(uncovered & ~cover[i], chosen)
+            chosen.pop()
+
+    descend(full, [])
+    return {ids[i] for i in best}
+
+
+@st.composite
+def tournament_cases(draw):
+    """Up to 12 points with p = 1..5 and 2k - 1 <= p: values from a four-value
+    alphabet (ties within one objective) and image twins of earlier points."""
+    p = draw(st.integers(min_value=1, max_value=5))
+    k = draw(st.integers(min_value=0, max_value=(p + 1) // 2))
+    vectors = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        if vectors and draw(st.booleans()):
+            vectors.append(draw(st.sampled_from(vectors)))
+        else:
+            vectors.append(tuple(draw(st.integers(min_value=1, max_value=4)) for _ in range(p)))
+    return sols(*vectors), k
+
+
+class TestTournamentRowsMatchTheSetBasedView:
+    @settings(max_examples=300, deadline=None)
+    @given(tournament_cases())
+    def test_out_and_greedy_match(self, case):
+        points, k = case
+        view = tournament_view(points, k)
+        assert view.out == reference_tournament_out(points, k)
+        assert greedy_tournament_dominating_set(view) == reference_greedy_tournament(points, k)
+
+    def test_rows_are_closed_and_out_omits_the_self_loop(self):
+        view = tournament_view(sols((1, 1, 1), (1, 1, 1)), k=2)
+        assert view.rows == (0b11, 0b10)
+        assert view.out == {"s1": frozenset({"s2"}), "s2": frozenset()}
+
+
+def id_set_arcs(graph):
+    """The arcs named by each row's bits, as (u, v) id pairs."""
+    return {
+        (u, v)
+        for u, row in zip(graph.nodes, graph.rows)
+        for k, v in enumerate(graph.nodes)
+        if row >> k & 1
+    }
+
+
+def assert_read_api_matches_id_sets(graph, arcs, subsets):
+    nodes = graph.nodes
+    assert graph.out == {u: frozenset(v for v in nodes if (u, v) in arcs) for u in nodes}
+    for u in nodes:
+        for v in nodes:
+            assert graph.has_arc(u, v) == ((u, v) in arcs), (u, v)
+    assert graph.arc_count() == len(arcs)
+    for members in subsets:
+        covered = set(members) | {v for u, v in arcs if u in members}
+        assert is_dominating(graph, members) == (covered >= set(nodes)), members
+
+
+ALL_SPECS = [
+    RelationSpec(RelationKind.EPSILON, Fraction(1, 2)),
+    RelationSpec(RelationKind.ONE_EXACT, Fraction(1, 2)),
+    RelationSpec(RelationKind.TWO_EXACT, Fraction(1, 2)),
+] + [
+    RelationSpec(kind, Fraction(1, 2), k)
+    for kind in (RelationKind.QUASI_K, RelationKind.ONE_EXACT_QUASI_K)
+    for k in (1, 2, 3)
+]
+
+
+class TestReadApiMatchesIdSetDefinitions:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=1, max_value=9),
+        st.integers(min_value=3, max_value=4),
+        st.data(),
+    )
+    def test_built_digraphs_of_every_relation_kind(self, seed, n, p, data):
+        instance = gen_random(n, p, seed=seed, value_range=1)  # values in {1/2, 1, 2}: many ties
+        ids = list(instance.ids)
+        subsets = [set(), set(ids)] + [
+            set(data.draw(st.lists(st.sampled_from(ids), max_size=n))) for _ in range(4)
+        ]
+        for spec in ALL_SPECS:
+            graph = domination_digraph(instance, spec)
+            arcs = {
+                (x.id, y.id)
+                for x in instance.solutions
+                for y in instance.solutions
+                if r_dominates(x, y, spec)
+            }
+            assert id_set_arcs(graph) == arcs
+            assert_read_api_matches_id_sets(graph, arcs, subsets)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=7).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), min_size=n, max_size=n),
+            st.lists(st.sets(st.integers(min_value=0, max_value=max(n - 1, 0))), max_size=4),
+        )
+    ))
+    def test_hand_built_rows_with_and_without_self_bits(self, case):
+        rows, subsets = case
+        nodes = tuple(f"v{i}" for i in range(len(rows)))
+        graph = DominationDigraph(nodes=nodes, rows=tuple(rows))
+        members = [{nodes[i] for i in s if i < len(nodes)} for s in subsets]
+        assert_read_api_matches_id_sets(graph, id_set_arcs(graph), [set(), set(nodes), *members])
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(min_value=5, max_value=12).flatmap(
+        lambda n: st.lists(
+            st.sets(st.integers(min_value=0, max_value=max(n - 1, 0)), max_size=3),
+            min_size=n,
+            max_size=n,
+        )
+    ))
+    def test_solvers_match_the_set_based_ones_on_sparse_hand_built_rows(self, targets):
+        # sparse rows, with or without self bits, often leave greedy above the minimum
+        rows = [sum(1 << j for j in ts) for ts in targets]
+        nodes = tuple(f"v{i}" for i in range(len(rows)))
+        graph = DominationDigraph(nodes=nodes, rows=tuple(rows))
+        out = graph.out
+        full = (1 << len(nodes)) - 1
+        greedy = {nodes[i] for i in reference_greedy_cover_indices(
+            reference_closed_masks(nodes, out), full
+        )}
+        assert greedy_cover_dominating_set(graph) == greedy
+        assert exact_min_dominating_set(graph) == reference_exact_min(nodes, out)
+
+    def test_a_row_without_its_self_bit(self):
+        graph = DominationDigraph(nodes=("a", "b", "c"), rows=(0b110, 0b000, 0b100))
+        assert graph.out == {"a": {"b", "c"}, "b": frozenset(), "c": {"c"}}
+        assert not graph.has_arc("a", "a") and graph.has_arc("a", "c")
+        assert graph.arc_count() == 3
+        assert is_dominating(graph, {"a"})  # membership covers a itself
+        assert not is_dominating(graph, {"b", "c"})
+        assert greedy_cover_dominating_set(graph) == {"a"}
+        assert exact_min_dominating_set(graph) == {"a"}
+
+    @pytest.mark.parametrize(
+        "nodes, rows",
+        [(("a", "b"), (0b11,)), (("a",), (0b1, 0b1)), (("a", "b"), (0b100, 0b1)), (("a",), (-1,))],
+    )
+    def test_rows_must_fit_the_nodes(self, nodes, rows):
+        # a stray bit would name no node, and the greedy cover could never finish
+        with pytest.raises(ValueError, match="^a digraph needs one row per node"):
+            DominationDigraph(nodes=nodes, rows=rows)
+
+    def test_empty_digraph(self):
+        graph = DominationDigraph(nodes=(), rows=())
+        assert graph.out == {} and graph.arc_count() == 0
+        assert is_dominating(graph, set())
+        assert greedy_cover_dominating_set(graph) == set()
+        assert exact_min_dominating_set(graph) == set()
