@@ -4,15 +4,18 @@ The grid pipeline buckets solutions into cells of intra-cell ratio below
 1 + eps, keeps only weakly nondominated nonempty cells, and selects a
 per-cell representative set suited to the requested relation.  Verification
 is independent of construction: it re-checks coverage of every instance
-solution from the definitions and emits a re-checkable certificate.
+solution from the definitions, on column-scaled integers (see `_scaled`),
+and emits a certificate that `certificate_is_valid` re-checks on Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Callable, Iterable
+from itertools import compress, product
+from math import lcm
+from operator import le
+from typing import Callable, Iterable, Sequence
 
 from .dominance import (
     _skyline,
@@ -58,6 +61,8 @@ __all__ = [
 # levels**p, checked before the first query
 GAP_QUERY_LIMIT = 10**6
 
+_SCALE_BITS = 8192  # LCM bits past which _scaled keeps a column's Fractions
+
 
 class UnsupportedRelationError(ValueError):
     """The requested relation has no general polynomial grid construction."""
@@ -98,6 +103,17 @@ def _ordered_members(instance: Instance, members: Iterable[str]) -> list[str]:
     return sorted(unique, key=instance.position)
 
 
+def _scaled(column: tuple[Fraction, ...]) -> Sequence[int | Fraction]:
+    """The column times the LCM of its denominators, as integers in the same order,
+    or the column itself once that LCM passes _SCALE_BITS bits."""
+    scale = 1
+    for den in {v.denominator for v in column}:
+        scale = lcm(scale, den)
+        if scale.bit_length() > _SCALE_BITS:
+            return column
+    return [v.numerator * (scale // v.denominator) for v in column]
+
+
 def verify_approximation(
     instance: Instance, members: Iterable[str], spec: RelationSpec
 ) -> VerifyResult:
@@ -106,27 +122,29 @@ def verify_approximation(
     On success the certificate names, for each solution, the first covering
     member in instance order together with all components in which coverage
     is exact.  On failure the counterexample is the first uncovered solution
-    in instance order.
+    in instance order.  Values are compared in `_scaled` columns: with
+    eps = num/den, "within 1 + eps" is den*a <= (den+num)*b, "exact" a <= b.
+    The relation's rule is read only once some pair is compared.
     """
     ordered = _ordered_members(instance, members)
-    member_solutions = [instance.solution(m) for m in ordered]
+    rows = list(zip(*map(_scaled, zip(*(s.f for s in instance.solutions)))))
+    num, den = spec.eps.numerator, spec.eps.denominator
+    required, min_exact = spec.exact_rule(instance.p) if rows and ordered else ((), 0)
+    must, positions = {i + 1 for i in required}, range(1, instance.p + 1)
+    member_rows = [rows[instance.position(m)] for m in ordered]
+    coverers = [(m, a, [den * x for x in a]) for m, a in zip(ordered, member_rows)]
     entries = []
-    for target in instance.solutions:
-        for m in member_solutions:
-            if r_dominates(m, target, spec):
-                entries.append(
-                    CertificateEntry(
-                        covered=target.id,
-                        by=m.id,
-                        exact_indices=exact_components(m, target),
-                    )
-                )
-                break
+    for target, b in zip(instance.solutions, rows):
+        slack_b = [(den + num) * y for y in b]
+        for m, a, den_a in coverers:
+            if all(map(le, den_a, slack_b)):
+                exact = tuple(compress(positions, map(le, a, b)))
+                if len(exact) >= min_exact and must.issubset(exact):
+                    entries.append(CertificateEntry(covered=target.id, by=m, exact_indices=exact))
+                    break
         else:
             return VerifyResult(approximation=None, counterexample=target.id)
-    approx = ApproximationSet(
-        relation=spec, members=tuple(ordered), certificate=tuple(entries)
-    )
+    approx = ApproximationSet(relation=spec, members=tuple(ordered), certificate=tuple(entries))
     return VerifyResult(approximation=approx, counterexample=None)
 
 

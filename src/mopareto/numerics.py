@@ -9,6 +9,7 @@ decision anywhere depends on floating point.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import isqrt
 
@@ -30,6 +31,9 @@ _RATIONAL_FORM = re.compile(r"^[+-]?(?:\d+/\d+|\d+(?:\.\d+)?)$")
 # dyadic denominator used when a slack factor has no exact rational square root
 _LADDER_BITS = 40
 
+# CPython refuses int/str conversions past sys.get_int_max_str_digits() digits
+_DIGIT_LIMIT = "a number has more than {} digits, the interpreter's int/str conversion limit"
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse "5", "3/2", or "1.25" into an exact Fraction.
@@ -44,13 +48,16 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(s)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in rational literal: {text!r}") from None
+    except ValueError:  # the form is valid, so only the digit limit gets here
+        raise ValueError(_DIGIT_LIMIT.format(sys.get_int_max_str_digits())) from None
 
 
 def render_rational(r: Fraction) -> str:
     """Canonical text form: "num" when the denominator is 1, else "num/den"."""
-    if r.denominator == 1:
-        return str(r.numerator)
-    return f"{r.numerator}/{r.denominator}"
+    try:
+        return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
+    except ValueError:
+        raise ValueError(_DIGIT_LIMIT.format(sys.get_int_max_str_digits())) from None
 
 
 def pow_ratio(base: Fraction, exponent: int) -> Fraction:

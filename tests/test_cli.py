@@ -1,4 +1,5 @@
 import json
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -645,3 +646,65 @@ class TestFailureModes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "bad input file: set file: unknown solution id: 'zz'\n"
+
+
+class TestRuleCheckedOnlyAtAComparedPair:
+    """two-exact and quasi-k --k 2 cannot apply at p = 1; verify exits by what it compares."""
+
+    RELATIONS = [["--relation", "two-exact"], ["--relation", "quasi-k", "--k", "2"]]
+
+    @staticmethod
+    def files(tmp_path, solutions, members):
+        instance, set_file = tmp_path / "i.json", tmp_path / "s.json"
+        instance.write_text(json.dumps({"p": 1, "solutions": solutions}))
+        set_file.write_text(
+            json.dumps({"relation": {"kind": "epsilon", "eps": "1"}, "members": members})
+        )
+        return ["-i", str(instance), "--set", str(set_file)]
+
+    @pytest.mark.parametrize("relation", RELATIONS)
+    def test_empty_instance_verifies(self, relation, tmp_path):
+        assert run("verify", *relation, "--eps", "1", *self.files(tmp_path, [], [])) == 0
+
+    @pytest.mark.parametrize("relation", RELATIONS)
+    def test_empty_set_fails_at_the_first_solution(self, relation, tmp_path, capsys):
+        solutions = [{"id": "a", "f": ["2"]}, {"id": "b", "f": ["1"]}]
+        assert run("verify", *relation, "--eps", "1", *self.files(tmp_path, solutions, [])) == 4
+        assert capsys.readouterr().out == "a\n"
+
+    @pytest.mark.parametrize(
+        "relation, message",
+        [
+            (RELATIONS[0], "two-exact dominance needs at least two objectives"),
+            (RELATIONS[1], "k=2 exceeds the number of objectives p=1"),
+        ],
+    )
+    def test_nonempty_set_is_a_usage_error(self, relation, message, tmp_path, capsys):
+        solutions = [{"id": "a", "f": ["2"]}, {"id": "b", "f": ["1"]}]
+        argv = ["verify", *relation, "--eps", "1", *self.files(tmp_path, solutions, ["b"])]
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+class TestDigitLimit:
+    """Numbers past CPython's int/str digit limit keep their exit codes, with a plain message."""
+
+    MESSAGE = (
+        f"a number has more than {sys.get_int_max_str_digits()} digits, "
+        "the interpreter's int/str conversion limit\n"
+    )
+
+    def test_reading_such_a_value_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        value = "1/" + "7" * (sys.get_int_max_str_digits() + 700)
+        path.write_text(json.dumps({"p": 1, "solutions": [{"id": "a", "f": [value]}]}))
+        argv = ["verify", "--relation", "epsilon", "--eps", "1", "-i", str(path)]
+        assert run(*argv, "--set", str(path)) == 3
+        assert capsys.readouterr().err == "bad input file: solution 'a': " + self.MESSAGE
+
+    def test_generating_such_a_value_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "chain.json"
+        argv = ["gen", "prop-one-exact", "--delta", "1/3", "--n", "80", "-o", str(out)]
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == "usage error: " + self.MESSAGE
+        assert not list(tmp_path.iterdir())

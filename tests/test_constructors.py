@@ -10,6 +10,7 @@ from mopareto.constructors import (
     QueryLimitExceeded,
     UnsupportedRelationError,
     VerificationFailed,
+    VerifyResult,
     certificate_is_valid,
     construct_grid_approx,
     construct_via_gap,
@@ -135,6 +136,179 @@ class TestVerify:
         two_exact = RelationSpec(RelationKind.TWO_EXACT, F(1))
         entry = CertificateEntry("a", "a", (1,))
         assert not certificate_is_valid(one, ApproximationSet(two_exact, ("a",), (entry,)))
+
+
+# Reference verification: the pairwise loop the column-scaled kernel replaced,
+# one r_dominates and one exact_components call per (member, target) pair.
+def reference_verify(instance, members, spec):
+    ordered = constructors._ordered_members(instance, members)
+    member_solutions = [instance.solution(m) for m in ordered]
+    entries = []
+    for target in instance.solutions:
+        for m in member_solutions:
+            if r_dominates(m, target, spec):
+                entries.append(
+                    CertificateEntry(
+                        covered=target.id,
+                        by=m.id,
+                        exact_indices=exact_components(m, target),
+                    )
+                )
+                break
+        else:
+            return VerifyResult(approximation=None, counterexample=target.id)
+    approx = ApproximationSet(
+        relation=spec, members=tuple(ordered), certificate=tuple(entries)
+    )
+    return VerifyResult(approximation=approx, counterexample=None)
+
+
+def outcome(verify, instance, members, spec):
+    """A verifier's result, or its ValueError (the relation's rule, read at a pair) as text."""
+    try:
+        return verify(instance, members, spec)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+QUASI_KINDS = (RelationKind.QUASI_K, RelationKind.ONE_EXACT_QUASI_K)
+EPS_CHOICES = [F(1, 2), F(1), F(1, 3), F(2, 5), F(3, 7)]
+# a column's anchors differ in denominator, so its scale is a true LCM
+ANCHORS = [F(1), F(1, 2), F(2, 3), F(3, 5), F(5, 7), F(7, 4)]
+STEP = 1 + F(1, 1009)  # one step either side of a boundary
+
+
+@st.composite
+def verify_cases(draw):
+    """An instance on the boundaries of its relation, a member list and the relation.
+
+    Every value is anchor * (1+eps)**j * STEP**s with j in 0..2 and s in -1..1,
+    so pairs in one column sit exactly on the exact (a = b) and the 1+eps
+    (a = (1+eps)*b) boundaries or one STEP either side of them.
+    """
+    p = draw(st.integers(min_value=1, max_value=5))
+    kind = draw(st.sampled_from(list(RelationKind)))
+    k = draw(st.integers(min_value=1, max_value=p)) if kind in QUASI_KINDS else None
+    eps = draw(st.sampled_from(EPS_CHOICES))
+    anchors = [draw(st.lists(st.sampled_from(ANCHORS), min_size=1, max_size=2)) for _ in range(p)]
+    ladder = st.tuples(st.integers(min_value=0, max_value=2), st.integers(min_value=-1, max_value=1))
+
+    def value(column):
+        j, s = draw(ladder)
+        return draw(st.sampled_from(anchors[column])) * (1 + eps) ** j * STEP**s
+
+    images = [tuple(value(c) for c in range(p)) for _ in range(draw(st.integers(0, 7)))]
+    images += draw(st.lists(st.sampled_from(images), max_size=2)) if images else []  # twins
+    solutions = [Solution(f"s{i}", image) for i, image in enumerate(images)]
+    instance = Instance(p=p, solutions=tuple(draw(st.permutations(solutions))))
+    ids = list(instance.ids)
+    members = draw(
+        st.one_of(
+            st.lists(st.sampled_from(ids), max_size=2 * len(ids)) if ids else st.just([]),
+            st.permutations(ids).map(list),
+        )
+    )
+    return instance, members, RelationSpec(kind, eps, k)
+
+
+class TestVerifyKernelMatchesTheOldLoop:
+    """verify_approximation on column-scaled values returns what the pairwise loop returned."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(verify_cases(), st.sampled_from([0, 12, 24, None]))
+    def test_same_result_on_scaled_fallback_and_mixed_columns(self, case, scale_bits):
+        # scale_bits: every column falls back (0), some do (12, 24), none do (None)
+        instance, members, spec = case
+        with pytest.MonkeyPatch.context() as mp:
+            if scale_bits is not None:
+                mp.setattr(constructors, "_SCALE_BITS", scale_bits)
+            got = outcome(verify_approximation, instance, members, spec)
+        assert got == outcome(reference_verify, instance, members, spec)
+        if isinstance(got, VerifyResult) and got.ok:
+            assert certificate_is_valid(instance, got.approximation)
+
+    @pytest.mark.parametrize("scale_bits", [0, 12, None])
+    @pytest.mark.parametrize("kind", list(RelationKind))
+    def test_each_boundary_and_one_step_either_side(self, kind, scale_bits, monkeypatch):
+        # the target t and, per member, one component moved onto or past a boundary
+        if scale_bits is not None:
+            monkeypatch.setattr(constructors, "_SCALE_BITS", scale_bits)
+        eps = F(2, 5)
+        t = (F(5, 7), F(2, 3), F(3, 5))
+        spec = RelationSpec(kind, eps, 1 if kind in QUASI_KINDS else None)
+        for column in range(3):
+            for factor in (1 / STEP, F(1), STEP, (1 + eps) / STEP, 1 + eps, (1 + eps) * STEP):
+                m = tuple(v * factor if c == column else v for c, v in enumerate(t))
+                instance = Instance(3, (Solution("m", m), Solution("t", t)))
+                got = verify_approximation(instance, ["m"], spec)
+                assert got == reference_verify(instance, ["m"], spec), (column, factor)
+
+    def test_a_column_is_scaled_to_integers_or_kept_past_the_bit_limit(self, monkeypatch):
+        small, large = (F(1, 2), F(2, 3), F(5, 4)), (F(1, 3), F(1, 5), F(2, 7))
+        assert constructors._scaled(small) == [6, 8, 15]  # LCM 12
+        assert constructors._scaled(large) == [35, 21, 30]  # LCM 105
+        monkeypatch.setattr(constructors, "_SCALE_BITS", 5)  # 12 fits in 5 bits, 105 does not
+        assert constructors._scaled(small) == [6, 8, 15]
+        assert constructors._scaled(large) is large
+
+    @pytest.mark.parametrize(
+        "kind, k",
+        [(kind, None) for kind in RelationKind if kind not in QUASI_KINDS]
+        + [(kind, k) for kind in QUASI_KINDS for k in (1, 2)],
+    )
+    def test_coprime_4000_digit_denominators_fall_back_and_agree(self, kind, k):
+        # pairwise coprime: consecutive integers, and big+1, big+3 both odd
+        big = 10**3999
+        eps = F(1, 2)
+        huge = [F(big + 1 + d, big + d) for d in (1, 2, 3)]
+        images = [
+            (huge[0], F(3, 2)),
+            (huge[1] * (1 + eps), F(1)),
+            (huge[2], F(4, 3)),
+            (huge[0] * (1 + eps), F(5, 4)),
+            (huge[1], F(3, 2) * (1 + eps)),
+        ]
+        instance = inst(*images)
+        column, other = zip(*images)
+        assert constructors._scaled(column) is column  # falls back
+        assert all(type(v) is int for v in constructors._scaled(other))  # is scaled
+        spec = RelationSpec(kind, eps, k)
+        for members in (["s1"], ["s1", "s3"], ["s3", "s2", "s3"], list(instance.ids)):
+            got = verify_approximation(instance, members, spec)
+            assert got == reference_verify(instance, members, spec), members
+            if got.ok:
+                assert certificate_is_valid(instance, got.approximation)
+
+
+class TestRuleIsReadOnlyWhenAPairIsCompared:
+    """two-exact and quasi-k with k=2 cannot apply at p = 1; verification notices at a pair."""
+
+    SPECS = [
+        RelationSpec(RelationKind.TWO_EXACT, F(1)),
+        RelationSpec(RelationKind.QUASI_K, F(1), k=2),
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_empty_instance_verifies(self, spec):
+        empty = Instance(p=1, solutions=())
+        result = verify_approximation(empty, [], spec)
+        assert result.ok and result.approximation.certificate == ()
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_empty_member_list_fails_at_the_first_solution(self, spec):
+        one = inst((2,), (1,))
+        assert verify_approximation(one, [], spec) == VerifyResult(None, "s1")
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (SPECS[0], "two-exact dominance needs at least two objectives"),
+            (SPECS[1], "k=2 exceeds the number of objectives p=1"),
+        ],
+    )
+    def test_a_compared_pair_raises(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            verify_approximation(inst((2,), (1,)), ["s2"], spec)
 
 
 class TestTamperedCertificatesAreRejected:

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,23 @@ def test_parse_integer_and_signs():
 def test_parse_zero_is_a_valid_generic_rational():
     # sign restrictions for objective values live at the instance layer
     assert parse_rational("0") == 0
+
+
+def test_digit_limit_is_named_plainly_both_ways():
+    # CPython's int/str digit limit; the message names it and gives no call to raise it
+    message = (
+        f"a number has more than {sys.get_int_max_str_digits()} digits, "
+        "the interpreter's int/str conversion limit"
+    )
+    too_long = "7" * (sys.get_int_max_str_digits() + 1)
+    for text in ("1/" + too_long, too_long + "/3", too_long):
+        with pytest.raises(ValueError) as info:
+            parse_rational(text)
+        assert str(info.value) == message
+    for value in (Fraction(10**5000), Fraction(1, 10**5000)):
+        with pytest.raises(ValueError) as info:
+            render_rational(value)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("bad", ["", "a", "1/2/3", "1.2.3", "1e3", "3/-2", "inf", "1/0"])
