@@ -29,7 +29,6 @@ from .dominance import (
 )
 from .domsets import (
     NodeLimitExceeded,
-    TournamentView,
     exact_min_dominating_set,
     greedy_cover_dominating_set,
     greedy_tournament_dominating_set,

@@ -44,6 +44,7 @@ from .generators import (
 )
 from .grid import diagonal_of
 from .model import (
+    _KINDS_WITH_K,
     FormatError,
     Instance,
     RelationKind,
@@ -62,8 +63,6 @@ EXIT_USAGE = 2
 EXIT_BAD_INPUT = 3
 EXIT_UNVERIFIED = 4
 EXIT_LIMIT = 5
-
-LIMIT_ENV = "MOPARETO_EXACT_LIMIT"
 
 
 class UsageError(Exception):
@@ -115,7 +114,7 @@ def _write_payload(out: str | None, payload: bytes) -> None:
 def _relation_from_args(args: argparse.Namespace) -> RelationSpec:
     kind = RelationKind(args.relation)
     k = getattr(args, "k", None)
-    if kind in (RelationKind.QUASI_K, RelationKind.ONE_EXACT_QUASI_K):
+    if kind in _KINDS_WITH_K:
         if k is None:
             raise UsageError(f"--k is required for --relation {kind.value}")
     elif k is not None:
@@ -127,16 +126,9 @@ def _relation_from_args(args: argparse.Namespace) -> RelationSpec:
 
 
 def _node_limit(args: argparse.Namespace) -> int:
-    limit, source = getattr(args, "limit", None), "--limit"
-    if limit is None:
-        env, source = os.environ.get(LIMIT_ENV, str(DEFAULT_NODE_LIMIT)), LIMIT_ENV
-        try:
-            limit = int(env)
-        except ValueError:
-            raise UsageError(f"{LIMIT_ENV} must be an integer, got {env!r}") from None
-    if limit < 0:
-        raise UsageError(f"{source} must be a nonnegative integer, got {limit}")
-    return limit
+    if args.limit < 0:
+        raise UsageError(f"--limit must be a nonnegative integer, got {args.limit}")
+    return args.limit
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -232,11 +224,11 @@ def _stats_row(instance: Instance, spec: RelationSpec, limit: int | None) -> dic
         "grid_members": None if picks is None else sum(map(len, picks)),
         "max_cell_set": None if picks is None else max(map(len, picks), default=0),
     }
-    if limit is not None:
-        graph = domination_digraph(instance, spec)
-        row["exact_min"] = len(exact_min_dominating_set(graph, node_limit=limit))
-        eps_graph = domination_digraph(instance, RelationSpec(RelationKind.EPSILON, spec.eps))
-        row["exact_min_epsilon"] = len(exact_min_dominating_set(eps_graph, node_limit=limit))
+    if limit is not None:  # one solve per distinct relation: under epsilon both are one problem
+        eps_spec = RelationSpec(RelationKind.EPSILON, spec.eps)
+        size = {s: len(exact_min_dominating_set(domination_digraph(instance, s), node_limit=limit))
+                for s in dict.fromkeys((spec, eps_spec))}
+        row["exact_min"], row["exact_min_epsilon"] = size[spec], size[eps_spec]
     return row
 
 
@@ -341,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     minimum = sub.add_parser("min", help="exact minimum cardinality (guarded)")
     _add_relation_flags(minimum)
     minimum.add_argument("-i", "--instance", required=True)
-    minimum.add_argument("--limit", type=int, help=f"node limit (default {DEFAULT_NODE_LIMIT}, or ${LIMIT_ENV})")
+    minimum.add_argument("--limit", type=int, default=DEFAULT_NODE_LIMIT,
+                         help="node limit (default %(default)s)")
     minimum.set_defaults(func=_cmd_min)
 
     lift = sub.add_parser("lift", help="replace dominated members by weakly efficient dominators")
@@ -361,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--k", type=int)
     stats.add_argument("--exact", action="store_true", help="include exact minimum cardinalities")
     stats.add_argument("--csv", action="store_true", help="emit a plot-ready CSV table")
-    stats.add_argument("--limit", type=int)
+    stats.add_argument("--limit", type=int, default=DEFAULT_NODE_LIMIT)
     stats.add_argument("-i", "--instance", required=True)
     stats.add_argument("-o", "--out", help="output file (default: stdout)")
     stats.set_defaults(func=_cmd_stats)

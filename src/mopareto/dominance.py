@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from typing import Callable, Sequence
 
 from .model import Instance, RelationSpec, Solution
@@ -111,18 +110,14 @@ def weakly_efficient_set(instance: Instance) -> set[str]:
     return _skyline(instance.solutions, strictly_dominates)
 
 
-def _ids(nodes: Sequence[str], mask: int) -> frozenset[str]:
-    """The nodes whose bits are set in mask, bit k standing for nodes[k]."""
-    return frozenset(compress(nodes, map(int, format(mask, "b")[::-1])))
-
-
 @dataclass(frozen=True)
 class DominationDigraph:
     """Directed graph on solution ids: an arc (u, v) means u R-dominates v.
 
     Row i is the closed out-neighborhood of nodes[i] as a bitmask, bit k
-    standing for nodes[k]; every built row has its own bit (the relations are
-    reflexive), so `out` lists each node among its own targets.
+    standing for nodes[k].  Construction sets each node's own bit (a member
+    covers itself); a row that has it, as every built row does because the
+    relations are reflexive, is kept as given.
     """
 
     nodes: tuple[str, ...]
@@ -131,13 +126,8 @@ class DominationDigraph:
     def __post_init__(self) -> None:
         if len(self.rows) != len(self.nodes) or any(r >> len(self.rows) for r in self.rows):
             raise ValueError("a digraph needs one row per node, with bits for its nodes only")
-
-    @property
-    def out(self) -> dict[str, frozenset[str]]:
-        return {u: _ids(self.nodes, row) for u, row in zip(self.nodes, self.rows)}
-
-    def has_arc(self, u: str, v: str) -> bool:
-        return v in _ids(self.nodes, self.rows[self.nodes.index(u)])
+        closed = tuple(r if r >> i & 1 else r | 1 << i for i, r in enumerate(self.rows))
+        object.__setattr__(self, "rows", closed)
 
     def arc_count(self) -> int:
         return sum(row.bit_count() for row in self.rows)

@@ -1,29 +1,24 @@
-"""Dominating-set solvers on domination digraphs.
+"""Dominating-set solvers on `DominationDigraph` rows, closed out-neighborhood bitmasks.
 
-Three solvers with different contracts:
-
-* greedy max-out-degree on a complete digraph built from componentwise
-  rankings (per-cell selection; cardinality at most ceil(log2 n) + 1),
-* greedy set cover on an arbitrary self-looped digraph (factor 1 + ln n),
+* greedy set cover: at most (1 + ln n) times the minimum, and at most
+  ceil(log2 n) + 1 members on the complete majority digraph that
+  `tournament_view` builds for per-cell selection,
 * exact branch-and-bound minimum (test oracle and the `min` command),
   guarded by a node limit.
 
-All three run one greedy core on the digraph's rows, closed out-neighborhood
-bitmasks (a member covers itself even where a hand-built row lacks its bit).
-All tie-breaking follows the node order, so equal inputs give equal outputs.
+Both run one greedy core.  All tie-breaking follows the node order, so equal
+inputs give equal outputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .dominance import DominationDigraph, _ids
+from .dominance import DominationDigraph
 from .model import Solution
 
 __all__ = [
     "NodeLimitExceeded",
-    "TournamentView",
     "tournament_view",
     "greedy_tournament_dominating_set",
     "greedy_cover_dominating_set",
@@ -38,27 +33,11 @@ class NodeLimitExceeded(RuntimeError):
     """The exact solver was asked for more nodes than its configured guard."""
 
 
-@dataclass(frozen=True)
-class TournamentView:
-    """Complete digraph on points from k-of-p majority over per-objective ranks.
+def tournament_view(points: Sequence[Solution], k: int) -> DominationDigraph:
+    """The majority digraph: u -> v iff u outranks v in at least k of the p objectives.
 
-    For each objective, points are ranked by ascending value with ties broken
-    by list position; there is an arc u -> v iff u outranks v in at least k of
-    the p orders.  With 2k - 1 <= p every pair gets an arc in at least one
-    direction, so the digraph is complete.
+    Ranks ascend by value, ties to list position; 2k - 1 <= p makes it complete.
     """
-
-    points: tuple[Solution, ...]
-    k: int
-    rows: tuple[int, ...]  # as in DominationDigraph; `out` omits the self-loop
-
-    @property
-    def out(self) -> dict[str, frozenset[str]]:
-        ids = [sol.id for sol in self.points]
-        return {u: _ids(ids, row & ~(1 << i)) for i, (u, row) in enumerate(zip(ids, self.rows))}
-
-
-def tournament_view(points: Sequence[Solution], k: int) -> TournamentView:
     if not points:
         raise ValueError("tournament needs at least one point")
     p = len(points[0].f)
@@ -71,7 +50,7 @@ def tournament_view(points: Sequence[Solution], k: int) -> TournamentView:
             if sum(1 for t in range(p) if (a.f[t], i) < (b.f[t], j)) >= k:
                 row |= 1 << j
         rows.append(row)
-    return TournamentView(points=tuple(points), k=k, rows=tuple(rows))
+    return DominationDigraph(nodes=tuple(sol.id for sol in points), rows=tuple(rows))
 
 
 def _greedy_cover_indices(cover: Sequence[int]) -> list[int]:
@@ -90,23 +69,13 @@ def _greedy_cover_indices(cover: Sequence[int]) -> list[int]:
     return chosen
 
 
-def greedy_tournament_dominating_set(view: TournamentView) -> set[str]:
-    """Greedy maximum out-degree on the complete majority digraph.
-
-    Each pick's closed out-neighborhood covers at least half of what remains,
-    so the result has at most ceil(log2 n) + 1 members.
-    """
-    return {view.points[i].id for i in _greedy_cover_indices(_closed(view.rows))}
-
-
-def _closed(rows: Sequence[int]) -> list[int]:
-    """The rows with each node's own bit set: a member covers itself."""
-    return [row | 1 << i for i, row in enumerate(rows)]
-
-
 def greedy_cover_dominating_set(graph: DominationDigraph) -> set[str]:
     """Greedy set cover, ties to the earliest node: at most (1 + ln n) times the minimum."""
-    return {graph.nodes[i] for i in _greedy_cover_indices(_closed(graph.rows))}
+    return {graph.nodes[i] for i in _greedy_cover_indices(graph.rows)}
+
+
+# on a complete majority digraph each pick covers at least half of the rest: <= ceil(log2 n) + 1
+greedy_tournament_dominating_set = greedy_cover_dominating_set
 
 
 def exact_min_dominating_set(
@@ -124,7 +93,7 @@ def exact_min_dominating_set(
         return set()
     if n > node_limit:
         raise NodeLimitExceeded(f"{n} nodes exceeds the exact-solver limit {node_limit}")
-    cover = _closed(graph.rows)
+    cover = graph.rows
     best = _greedy_cover_indices(cover)
 
     def descend(uncovered: int, chosen: list[int]) -> None:
@@ -151,7 +120,7 @@ def exact_min_dominating_set(
 def is_dominating(graph: DominationDigraph, members: set[str]) -> bool:
     """Every node is a member or the target of an arc from a member."""
     covered = 0
-    for u, row in zip(graph.nodes, _closed(graph.rows)):
+    for u, row in zip(graph.nodes, graph.rows):
         if u in members:
             covered |= row
     return covered == (1 << len(graph.nodes)) - 1

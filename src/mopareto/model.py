@@ -9,6 +9,7 @@ operation takes a read-only view.
 from __future__ import annotations
 
 import json
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
@@ -16,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Mapping
 
-from .numerics import parse_rational, render_rational
+from .numerics import _DIGIT_LIMIT, parse_rational, render_rational
 
 __all__ = [
     "FormatError",
@@ -275,12 +276,18 @@ def _parse_value(text: object, context: str) -> Fraction:
         raise FormatError(f"{context}: {exc}") from None
 
 
+def _load_json(data: bytes | str) -> object:
+    try:
+        return json.loads(data)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # malformed, or in no JSON encoding
+        raise FormatError(f"invalid JSON: {exc}") from None
+    except ValueError:  # only an integer literal past the int/str digit limit gets here
+        raise FormatError(_DIGIT_LIMIT.format(sys.get_int_max_str_digits())) from None
+
+
 def load_instance(data: bytes | str) -> Instance:
     """Parse the JSON instance format; lossless inverse of save_instance."""
-    try:
-        raw = json.loads(data)
-    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on undecodable bytes
-        raise FormatError(f"invalid JSON: {exc}") from None
+    raw = _load_json(data)
     if not isinstance(raw, dict) or "p" not in raw or "solutions" not in raw:
         raise FormatError('instance file must be an object with "p" and "solutions"')
     p = raw["p"]
@@ -343,10 +350,7 @@ def _relation_from_json(raw: object) -> RelationSpec:
 
 def load_set(data: bytes | str) -> ApproximationSet:
     """Parse the JSON approximation-set format."""
-    try:
-        raw = json.loads(data)
-    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on undecodable bytes
-        raise FormatError(f"invalid JSON: {exc}") from None
+    raw = _load_json(data)
     if not isinstance(raw, dict) or "relation" not in raw or "members" not in raw:
         raise FormatError('set file must be an object with "relation" and "members"')
     relation = _relation_from_json(raw["relation"])

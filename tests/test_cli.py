@@ -14,7 +14,11 @@ from mopareto.constructors import (
     verify_approximation,
 )
 from mopareto.dominance import domination_digraph
-from mopareto.domsets import greedy_cover_dominating_set
+from mopareto.domsets import (
+    DEFAULT_NODE_LIMIT,
+    exact_min_dominating_set,
+    greedy_cover_dominating_set,
+)
 from mopareto.generators import gen_antichain, gen_random
 from mopareto.grid import bucket
 from mopareto.model import (
@@ -205,21 +209,27 @@ class TestMin:
         )
         assert code == 5
 
-    def test_env_var_overrides_default_limit(self, dominated_family, monkeypatch):
-        monkeypatch.setenv("MOPARETO_EXACT_LIMIT", "3")
-        code = run(
-            "min", "--relation", "epsilon", "--eps", "1", "-i", str(dominated_family)
-        )
-        assert code == 5
-
-    def test_flag_beats_env_var(self, dominated_family, monkeypatch, capsys):
-        monkeypatch.setenv("MOPARETO_EXACT_LIMIT", "3")
+    def test_limit_flag_admits_the_instance(self, dominated_family, capsys):
         code = run(
             "min", "--relation", "epsilon", "--eps", "1",
             "-i", str(dominated_family), "--limit", "10",
         )
         assert code == 0
         assert capsys.readouterr().out.strip().isdigit()
+
+
+    def test_limit_defaults_to_the_solver_default(self, dominated_family, monkeypatch, capsys):
+        for argv in (
+            ["min", "--relation", "epsilon", "--eps", "1", "-i", "x.json"],
+            ["stats", "--eps", "1", "-i", "x.json"],
+        ):
+            assert cli._parser().parse_args(argv).limit == DEFAULT_NODE_LIMIT
+        with pytest.raises(SystemExit):
+            run("min", "--help")
+        assert f"node limit (default {DEFAULT_NODE_LIMIT})" in capsys.readouterr().out
+        # the former MOPARETO_EXACT_LIMIT variable is not read: --limit is the one setting
+        monkeypatch.setenv("MOPARETO_EXACT_LIMIT", "3")
+        assert run("min", "--relation", "epsilon", "--eps", "1", "-i", str(dominated_family)) == 0
 
 
 class TestLift:
@@ -310,6 +320,37 @@ def _largest_cell_pick(instance, members, eps):
     return max(Counter(cell_of[m] for m in members).values())
 
 
+class TestStatsSolvesEachRelationOnce:
+    """`stats --exact` solves the epsilon minimum again only under another relation."""
+
+    @pytest.mark.parametrize(
+        "kind, k_args",
+        [("epsilon", []), ("one-exact", []), ("two-exact", []),
+         ("quasi-k", ["--k", "1"]), ("one-exact-quasi-k", ["--k", "1"])],
+    )
+    def test_solver_calls_per_eps(self, kind, k_args, dominated_family, monkeypatch, capsys):
+        calls = []
+
+        def counting(graph, node_limit):
+            calls.append(graph)
+            return exact_min_dominating_set(graph, node_limit=node_limit)
+
+        monkeypatch.setattr(cli, "exact_min_dominating_set", counting)
+        eps = ["1/2", "1", "2"]
+        argv = ["stats", "-i", str(dominated_family), "--relation", kind, *k_args, "--exact"]
+        assert run(*argv, "--eps", *eps) == 0
+        assert len(calls) == len(eps) * (1 if kind == "epsilon" else 2)
+        instance = load_instance(dominated_family.read_bytes())
+        k = int(k_args[1]) if k_args else None
+        for row, e in zip(json.loads(capsys.readouterr().out)["grids"], eps):
+            spec = RelationSpec(RelationKind(kind), Fraction(e), k)
+            eps_spec = RelationSpec(RelationKind.EPSILON, Fraction(e))
+            assert row["exact_min"] == len(exact_min_dominating_set(domination_digraph(instance, spec)))
+            assert row["exact_min_epsilon"] == len(
+                exact_min_dominating_set(domination_digraph(instance, eps_spec))
+            )
+
+
 class TestStatsRelationFlags:
     """`stats` checks --relation, --k and every --eps as `compute` does, before reading input."""
 
@@ -330,6 +371,20 @@ class TestStatsRelationFlags:
         assert stats_err == f"usage error: {message}\n"
         assert run("compute", "--algo", "grid", *flags, "-i", missing) == 2
         assert capsys.readouterr().err == stats_err
+
+    @pytest.mark.parametrize("kind", [kind.value for kind in RelationKind])
+    def test_k_goes_with_the_quasi_kinds_only(self, kind, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        for command in (["stats"], ["compute", "--algo", "grid"]):
+            argv = [*command, "--relation", kind, "--eps", "1", "-i", missing]
+            if kind in ("quasi-k", "one-exact-quasi-k"):
+                assert run(*argv) == 2
+                assert capsys.readouterr().err == f"usage error: --k is required for --relation {kind}\n"
+            else:
+                assert run(*argv, "--k", "1") == 2
+                assert capsys.readouterr().err == (
+                    f"usage error: --k is not accepted for --relation {kind}\n"
+                )
 
     def test_every_eps_is_checked(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")
@@ -386,9 +441,8 @@ class TestGridCallersAgree:
 
 class TestRepeatedMainCalls:
     def test_one_parser_serves_every_call_and_keeps_no_state(
-        self, dominated_family, tmp_path, monkeypatch
+        self, dominated_family, tmp_path
     ):
-        monkeypatch.delenv("MOPARETO_EXACT_LIMIT", raising=False)
         six = ["--relation", "epsilon", "--eps", "1", "-i", str(dominated_family)]
         wide = tmp_path / "wide.json"
         assert run("gen", "antichain", "--n", "26", "-o", str(wide)) == 0
@@ -402,11 +456,8 @@ class TestRepeatedMainCalls:
         # neither --k nor --limit carries over: the default limit 25 holds again
         assert run("min", *six) == 0
         assert run("min", "--relation", "epsilon", "--eps", "1", "-i", str(wide)) == 5
-        monkeypatch.setenv("MOPARETO_EXACT_LIMIT", "3")
-        assert run("min", *six) == 5
-        monkeypatch.setenv("MOPARETO_EXACT_LIMIT", "26")
-        assert run("min", "--relation", "epsilon", "--eps", "1", "-i", str(wide)) == 0
-        monkeypatch.delenv("MOPARETO_EXACT_LIMIT")
+        assert run("min", "--relation", "epsilon", "--eps", "1",
+                   "-i", str(wide), "--limit", "26") == 0
         assert run("min", *six) == 0
         assert run("min", "--relation", "epsilon", "--eps", "1", "-i", str(wide)) == 5
         assert cli._parser() is cli._parser()
@@ -577,33 +628,23 @@ class TestFailureModes:
         argv = ["compute", "--relation", "epsilon", "--eps", "1", "--algo", "grid"]
         assert run(*argv, "-i", str(path)) == 3
 
-    def test_negative_node_limits_are_usage_errors(
-        self, dominated_family, monkeypatch, capsys
-    ):
-        monkeypatch.delenv("MOPARETO_EXACT_LIMIT", raising=False)
+    def test_negative_node_limits_are_usage_errors(self, dominated_family, capsys):
         six = ["--relation", "epsilon", "--eps", "1", "-i", str(dominated_family)]
         assert run("min", *six, "--limit", "-1") == 2
         assert capsys.readouterr().err == (
             "usage error: --limit must be a nonnegative integer, got -1\n"
         )
         assert run("stats", *six, "--exact", "--limit", "-1") == 2
-        capsys.readouterr()
-        monkeypatch.setenv("MOPARETO_EXACT_LIMIT", "-1")
-        assert run("min", *six) == 2
         assert capsys.readouterr().err == (
-            "usage error: MOPARETO_EXACT_LIMIT must be a nonnegative integer, got -1\n"
+            "usage error: --limit must be a nonnegative integer, got -1\n"
         )
-        assert run("stats", *six, "--exact") == 2
 
-    def test_node_limit_zero_is_allowed(self, dominated_family, tmp_path, monkeypatch):
+    def test_node_limit_zero_is_allowed(self, dominated_family, tmp_path):
         empty = tmp_path / "empty.json"
         empty.write_text('{"p": 2, "solutions": []}')
         rel = ["--relation", "epsilon", "--eps", "1"]
         assert run("min", *rel, "-i", str(empty), "--limit", "0") == 0
         assert run("min", *rel, "-i", str(dominated_family), "--limit", "0") == 5
-        monkeypatch.setenv("MOPARETO_EXACT_LIMIT", "0")
-        assert run("min", *rel, "-i", str(empty)) == 0
-        assert run("min", *rel, "-i", str(dominated_family)) == 5
 
     def test_output_in_a_missing_directory_is_a_usage_error(
         self, dominated_family, tmp_path, capsys
@@ -708,3 +749,24 @@ class TestDigitLimit:
         assert run(*argv) == 2
         assert capsys.readouterr().err == "usage error: " + self.MESSAGE
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("field", ["p", "k", "exact_indices"])
+    def test_a_json_integer_past_the_limit_exits_3(self, field, dominated_family, tmp_path, capsys):
+        big = "7" * (sys.get_int_max_str_digits() + 1)
+        path = tmp_path / f"{field}.json"
+        rel = ["--relation", "epsilon", "--eps", "1"]
+        if field == "p":
+            path.write_text('{"p": %s, "solutions": [{"id": "a", "f": ["1"]}]}' % big)
+            argv = ["stats", "--eps", "1", "-i", str(path)]
+        else:
+            relation = '{"kind": "quasi-k", "eps": "1", "k": %s}' % (big if field == "k" else "1")
+            entry = '{"covered": "x1", "by": "x1", "exact_indices": [%s]}' % big
+            certificate = entry if field == "exact_indices" else ""
+            path.write_text(
+                '{"relation": %s, "members": ["x1"], "certificate": [%s]}' % (relation, certificate)
+            )
+            argv = ["verify", *rel, "-i", str(dominated_family), "--set", str(path)]
+        assert run(*argv) == 3
+        err = capsys.readouterr().err
+        assert err == "bad input file: " + self.MESSAGE
+        assert "set_int_max_str_digits" not in err

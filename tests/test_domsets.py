@@ -49,16 +49,12 @@ class TestTournament:
     def test_rock_paper_scissors_cycle(self):
         points = sols((1, 2, 3), (2, 3, 1), (3, 1, 2))
         view = tournament_view(points, k=2)
-        assert view.out == {
-            "s1": frozenset({"s2"}),
-            "s2": frozenset({"s3"}),
-            "s3": frozenset({"s1"}),
-        }
+        cycle = {"s1": {"s2"}, "s2": {"s3"}, "s3": {"s1"}}
+        assert view.rows == tuple(reference_closed_masks(view.nodes, cycle))
         chosen = greedy_tournament_dominating_set(view)
         assert len(chosen) == 2
         # enumeration confirms no single point dominates the cycle
-        closed = {u: {u} | set(view.out[u]) for u in view.out}
-        assert not any(closed[u] >= {"s1", "s2", "s3"} for u in closed)
+        assert not any(row == 0b111 for row in view.rows)
 
     def test_strict_chain_collapses_to_top(self):
         points = sols((1, 1, 1), (2, 2, 2), (3, 3, 3))
@@ -72,8 +68,7 @@ class TestTournament:
     def test_ties_break_by_list_position(self):
         # identical images: earlier point outranks later in every order
         view = tournament_view(sols((1, 1, 1), (1, 1, 1)), k=2)
-        assert view.out["s1"] == frozenset({"s2"})
-        assert view.out["s2"] == frozenset()
+        assert view.rows == tuple(reference_closed_masks(view.nodes, {"s1": {"s2"}, "s2": set()}))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -85,14 +80,16 @@ class TestTournament:
         p, k = pk
         instance = gen_random(n, p, seed=seed)
         view = tournament_view(list(instance.solutions), k)
+        out = reference_tournament_out(list(instance.solutions), k)
+        assert view.rows == tuple(reference_closed_masks(instance.ids, out))
         for u in instance.ids:
             for v in instance.ids:
                 if u != v:
-                    assert v in view.out[u] or u in view.out[v]
+                    assert v in out[u] or u in out[v]
         chosen = greedy_tournament_dominating_set(view)
         covered = set()
         for c in chosen:
-            covered |= {c} | set(view.out[c])
+            covered |= {c} | set(out[c])
         assert covered == set(instance.ids)
         assert len(chosen) <= math.ceil(math.log2(n)) + 1 if n > 1 else len(chosen) == 1
 
@@ -110,6 +107,7 @@ class TestGreedyCover:
     def test_membership_counts_as_coverage(self):
         # even without explicit self-loops a node covers itself by membership
         graph = DominationDigraph(nodes=("a", "b"), rows=(0, 0))
+        assert graph.rows == (0b01, 0b10)
         assert greedy_cover_dominating_set(graph) == {"a", "b"}
 
     @settings(max_examples=50, deadline=None)
@@ -272,35 +270,33 @@ def tournament_cases(draw):
 class TestTournamentRowsMatchTheSetBasedView:
     @settings(max_examples=300, deadline=None)
     @given(tournament_cases())
-    def test_out_and_greedy_match(self, case):
+    def test_rows_and_greedy_match(self, case):
         points, k = case
         view = tournament_view(points, k)
-        assert view.out == reference_tournament_out(points, k)
-        assert greedy_tournament_dominating_set(view) == reference_greedy_tournament(points, k)
+        ids = tuple(sol.id for sol in points)
+        assert type(view) is DominationDigraph and view.nodes == ids
+        assert view.rows == tuple(reference_closed_masks(ids, reference_tournament_out(points, k)))
+        assert greedy_cover_dominating_set(view) == reference_greedy_tournament(points, k)
 
-    def test_rows_are_closed_and_out_omits_the_self_loop(self):
+    def test_rows_are_closed(self):
         view = tournament_view(sols((1, 1, 1), (1, 1, 1)), k=2)
         assert view.rows == (0b11, 0b10)
-        assert view.out == {"s1": frozenset({"s2"}), "s2": frozenset()}
+
+    def test_one_greedy_serves_both_names(self):
+        assert greedy_tournament_dominating_set is greedy_cover_dominating_set
 
 
-def id_set_arcs(graph):
+def id_set_arcs(nodes, rows):
     """The arcs named by each row's bits, as (u, v) id pairs."""
-    return {
-        (u, v)
-        for u, row in zip(graph.nodes, graph.rows)
-        for k, v in enumerate(graph.nodes)
-        if row >> k & 1
-    }
+    return {(u, v) for u, row in zip(nodes, rows) for k, v in enumerate(nodes) if row >> k & 1}
 
 
 def assert_read_api_matches_id_sets(graph, arcs, subsets):
+    """The rows are the closed id-set out-neighborhoods of arcs; so are the count and covers."""
     nodes = graph.nodes
-    assert graph.out == {u: frozenset(v for v in nodes if (u, v) in arcs) for u in nodes}
-    for u in nodes:
-        for v in nodes:
-            assert graph.has_arc(u, v) == ((u, v) in arcs), (u, v)
-    assert graph.arc_count() == len(arcs)
+    out = {u: {v for v in nodes if (u, v) in arcs} for u in nodes}
+    assert graph.rows == tuple(reference_closed_masks(nodes, out))
+    assert graph.arc_count() == len(arcs | {(u, u) for u in nodes})
     for members in subsets:
         covered = set(members) | {v for u, v in arcs if u in members}
         assert is_dominating(graph, members) == (covered >= set(nodes)), members
@@ -339,7 +335,7 @@ class TestReadApiMatchesIdSetDefinitions:
                 for y in instance.solutions
                 if r_dominates(x, y, spec)
             }
-            assert id_set_arcs(graph) == arcs
+            assert id_set_arcs(graph.nodes, graph.rows) == arcs
             assert_read_api_matches_id_sets(graph, arcs, subsets)
 
     @settings(max_examples=100, deadline=None)
@@ -354,7 +350,8 @@ class TestReadApiMatchesIdSetDefinitions:
         nodes = tuple(f"v{i}" for i in range(len(rows)))
         graph = DominationDigraph(nodes=nodes, rows=tuple(rows))
         members = [{nodes[i] for i in s if i < len(nodes)} for s in subsets]
-        assert_read_api_matches_id_sets(graph, id_set_arcs(graph), [set(), set(nodes), *members])
+        arcs = id_set_arcs(nodes, rows)
+        assert_read_api_matches_id_sets(graph, arcs, [set(), set(nodes), *members])
 
     @settings(max_examples=400, deadline=None)
     @given(st.integers(min_value=5, max_value=12).flatmap(
@@ -369,7 +366,7 @@ class TestReadApiMatchesIdSetDefinitions:
         rows = [sum(1 << j for j in ts) for ts in targets]
         nodes = tuple(f"v{i}" for i in range(len(rows)))
         graph = DominationDigraph(nodes=nodes, rows=tuple(rows))
-        out = graph.out
+        out = {u: {nodes[j] for j in ts} for u, ts in zip(nodes, targets)}
         full = (1 << len(nodes)) - 1
         greedy = {nodes[i] for i in reference_greedy_cover_indices(
             reference_closed_masks(nodes, out), full
@@ -379,9 +376,8 @@ class TestReadApiMatchesIdSetDefinitions:
 
     def test_a_row_without_its_self_bit(self):
         graph = DominationDigraph(nodes=("a", "b", "c"), rows=(0b110, 0b000, 0b100))
-        assert graph.out == {"a": {"b", "c"}, "b": frozenset(), "c": {"c"}}
-        assert not graph.has_arc("a", "a") and graph.has_arc("a", "c")
-        assert graph.arc_count() == 3
+        assert graph.rows == (0b111, 0b010, 0b100)  # a and b gain their own bits
+        assert graph.arc_count() == 5  # self-loops included
         assert is_dominating(graph, {"a"})  # membership covers a itself
         assert not is_dominating(graph, {"b", "c"})
         assert greedy_cover_dominating_set(graph) == {"a"}
@@ -398,7 +394,33 @@ class TestReadApiMatchesIdSetDefinitions:
 
     def test_empty_digraph(self):
         graph = DominationDigraph(nodes=(), rows=())
-        assert graph.out == {} and graph.arc_count() == 0
+        assert graph.rows == () and graph.arc_count() == 0
         assert is_dominating(graph, set())
         assert greedy_cover_dominating_set(graph) == set()
         assert exact_min_dominating_set(graph) == set()
+
+
+class TestRowsAreClosedOnConstruction:
+    def test_a_cycle_without_self_bits_comes_back_closed(self):
+        graph = DominationDigraph(nodes=("a", "b", "c"), rows=(0b010, 0b100, 0b001))
+        assert graph.rows == (0b011, 0b110, 0b101)
+        assert graph.arc_count() == 6
+        assert greedy_cover_dominating_set(graph) == {"a", "b"}
+        assert greedy_tournament_dominating_set(graph) == {"a", "b"}
+        assert exact_min_dominating_set(graph) == {"a", "b"}
+        assert is_dominating(graph, {"a", "b"}) and not is_dominating(graph, {"a"})
+
+    def test_rows_that_have_their_bits_are_kept_as_given(self):
+        rows = tuple((1 << 300) - 1 - (1 << (i + 1) % 300) for i in range(300))
+        graph = DominationDigraph(nodes=tuple(f"v{i}" for i in range(300)), rows=rows)
+        assert all(kept is given for kept, given in zip(graph.rows, rows))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=12))
+    def test_closing_a_built_digraph_again_changes_nothing(self, seed, n):
+        instance = gen_random(n, 3, seed=seed, value_range=1)
+        for spec in ALL_SPECS:
+            graph = domination_digraph(instance, spec)
+            again = DominationDigraph(nodes=graph.nodes, rows=graph.rows)
+            assert again == graph
+            assert all(kept is given for kept, given in zip(again.rows, graph.rows))
