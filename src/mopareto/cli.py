@@ -22,7 +22,6 @@ from .constructors import (
     VerificationFailed,
     _certified,
     _grid_members,
-    _grid_supported,
     construct_via_gap,
     grid_select,
     weakly_efficient_lift,
@@ -136,7 +135,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if family == "prop-dominated":
         instance = gen_prop_dominated(args.eps)
     elif family == "prop-one-exact":
-        instance = gen_prop_one_exact(args.delta, args.n, eps=args.eps)
+        instance = gen_prop_one_exact(args.delta, args.n)
     elif family == "quasi2-gap":
         instance = gen_quasi2_gap(args.eps, args.n)
     elif family == "duplicated":
@@ -220,7 +219,7 @@ def _stats_row(instance: Instance, spec: RelationSpec, limit: int | None) -> dic
         "nonempty_cells": len(bucketing.cells),
         "retained_cells": len(retained),
         "nonempty_diagonals": len({diagonal_of(c) for c in bucketing.cells}),
-        # None: no general grid construction for this relation kind
+        # None: no grid construction for this relation at this p
         "grid_members": None if picks is None else sum(map(len, picks)),
         "max_cell_set": None if picks is None else max(map(len, picks), default=0),
     }
@@ -238,13 +237,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         _relation_from_args(argparse.Namespace(relation=args.relation, eps=eps, k=args.k))
         for eps in args.eps
     ]
-    kind = specs[0].kind
-    limit = _node_limit(args) if args.exact else None
+    limit = _node_limit(args)  # checked as min checks it, used only under --exact
     instance = _read_instance(args.instance)
-    if kind is RelationKind.QUASI_K and not _grid_supported(kind, args.k, instance.p):
-        raise UsageError(
-            f"per-cell selection needs 2k-1 <= p; got k={args.k}, p={instance.p}"
-        )
+    if instance.solutions:  # the relation must be valid at this p, as min checks it
+        specs[0].exact_rule(instance.p)
     summary = {
         "n": len(instance),
         "p": instance.p,
@@ -252,7 +248,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         "efficient": len(efficient_set(instance)),
         "weakly_efficient": len(weakly_efficient_set(instance)),
     }
-    rows = [_stats_row(instance, spec, limit) for spec in specs]
+    rows = [_stats_row(instance, spec, limit if args.exact else None) for spec in specs]
     if args.csv:
         columns = list(summary) + list(rows[0])
         buf = io.StringIO()
@@ -293,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = gen_sub.add_parser("prop-one-exact", help="first-component-exact chain family")
     g.add_argument("--delta", type=parse_rational, required=True)
     g.add_argument("--n", type=int, required=True)
-    g.add_argument("--eps", type=parse_rational, help="optional cross-check: (1+delta)^(2n)-1")
     g = gen_sub.add_parser("quasi2-gap", help="three-objective cardinality-gap family")
     g.add_argument("--eps", type=parse_rational, required=True)
     g.add_argument("--n", type=int, required=True)

@@ -189,11 +189,16 @@ def certificate_is_valid(instance: Instance, aset: ApproximationSet) -> bool:
     return True
 
 
-def _grid_supported(kind: RelationKind, k: int | None, p: int) -> bool:
-    """Epsilon, one-exact, and quasi-k with 2k - 1 <= p (complete cell tournaments)."""
-    if kind is RelationKind.QUASI_K:
-        return k is not None and 2 * k - 1 <= p
-    return kind in (RelationKind.EPSILON, RelationKind.ONE_EXACT)
+def _grid_refusal(spec: RelationSpec, p: int) -> UnsupportedRelationError | None:
+    """Why the relation has no grid construction at p, or None: epsilon, one-exact,
+    and quasi-k with 2k - 1 <= p (complete cell tournaments) have one."""
+    if spec.kind is RelationKind.QUASI_K and 2 * spec.k - 1 > p:
+        return UnsupportedRelationError(
+            f"quasi-k grid construction needs k <= ceil(p/2) = {-(-p // 2)}, got k={spec.k}"
+        )
+    if spec.kind in (RelationKind.TWO_EXACT, RelationKind.ONE_EXACT_QUASI_K):
+        return UnsupportedRelationError(f"no general grid construction for {spec.kind.value} sets")
+    return None
 
 
 def grid_select(
@@ -201,15 +206,12 @@ def grid_select(
 ) -> tuple[GridBucketing, list[CellIndex], list[list[str]] | None]:
     """Bucketing, retained cells in sorted order, and each retained cell's picks.
 
-    The picks are None when the relation has no grid construction; an empty
-    instance has no cells.
+    The picks are None when `_grid_refusal` gives a reason the relation has no
+    grid construction at the instance's p; an empty instance has no cells.
     """
-    if not instance.solutions:
-        bucketing = GridBucketing(eps=spec.eps, lower=(), cells={})
-    else:
-        bucketing = bucket(instance, spec.eps)
+    bucketing = bucket(instance, spec.eps)
     retained = sorted(filter_weakly_nondominated_cells(bucketing))
-    if not _grid_supported(spec.kind, spec.k, instance.p):
+    if _grid_refusal(spec, instance.p) is not None:
         return bucketing, retained, None
     picks = []
     for cell in retained:
@@ -224,16 +226,10 @@ def grid_select(
 
 def _grid_members(instance: Instance, spec: RelationSpec) -> list[str]:
     """construct_grid_approx's members, unverified: each retained cell's picks in cell order."""
-    kind = spec.kind
-    if not _grid_supported(kind, spec.k, instance.p):
-        if kind is RelationKind.QUASI_K:
-            raise UnsupportedRelationError(
-                f"quasi-k grid construction needs k <= ceil(p/2) = {-(-instance.p // 2)}, "
-                f"got k={spec.k}"
-            )
-        raise UnsupportedRelationError(f"no general grid construction for {kind.value} sets")
+    refusal = _grid_refusal(spec, instance.p)
+    if refusal is not None:
+        raise refusal
     _, _, picks = grid_select(instance, spec)
-    assert picks is not None
     return [m for cell in picks for m in cell]
 
 
@@ -242,8 +238,9 @@ def construct_grid_approx(instance: Instance, spec: RelationSpec) -> Approximati
 
     Supported relations: epsilon and one-exact (one representative per cell)
     and quasi-k with k <= ceil(p/2) (a greedy majority-tournament dominating
-    set per cell).  Two-exact and one-exact-quasi-k are rejected: no general
-    polynomial-cardinality construction exists for them.
+    set per cell).  Every other relation raises `_grid_refusal`'s
+    UnsupportedRelationError before any bucketing: no general
+    polynomial-cardinality construction exists for it.
     """
     return _certified(instance, _grid_members(instance, spec), spec)
 

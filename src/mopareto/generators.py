@@ -50,13 +50,12 @@ def gen_prop_dominated(eps: Fraction) -> Instance:
     return Instance(p=2, solutions=tuple(Solution(i, (a, b)) for i, a, b in points))
 
 
-def gen_prop_one_exact(delta: Fraction, n: int, eps: Fraction | None = None) -> Instance:
+def gen_prop_one_exact(delta: Fraction, n: int) -> Instance:
     """Biobjective family of 3n + 1 points whose smallest first-component-exact
     cover has exactly n + 1 members, all but one of them strictly dominated.
 
     Parameterized by (delta, n) with eps derived as (1+delta)**(2n) - 1 so all
-    values stay rational; an explicit eps is cross-checked against that
-    identity.  Points: x0 = (1, (1+eps)**n) and, for i = 1..n,
+    values stay rational.  Points: x0 = (1, (1+eps)**n) and, for i = 1..n,
     xbar_i = (3i,   (1+eps)**(n-i) * (1+delta)**(i-1)),
     x_i    = (3i+1, (1+eps)**(n-i) * (1+delta)**i),
     xtil_i = (3i+2, (1+eps)**(n-i) / (1+delta)**i).
@@ -65,12 +64,7 @@ def gen_prop_one_exact(delta: Fraction, n: int, eps: Fraction | None = None) -> 
         raise ValueError("delta must be positive")
     if n < 1:
         raise ValueError("n must be at least 1")
-    derived = pow_ratio(1 + delta, 2 * n) - 1
-    if eps is not None and eps != derived:
-        raise ValueError(
-            f"(1+delta)**(2n) = 1+eps must hold exactly: got eps={eps}, expected {derived}"
-        )
-    e, d = derived, delta
+    e, d = pow_ratio(1 + delta, 2 * n) - 1, delta
     solutions = [Solution("x0", (Fraction(1), pow_ratio(1 + e, n)))]
     for i in range(1, n + 1):
         tail = pow_ratio(1 + e, n - i)

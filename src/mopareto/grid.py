@@ -86,9 +86,8 @@ def _rung_walk(column: Sequence[Fraction], anchor: Fraction, eps: Fraction) -> d
 
 
 def bucket(instance: Instance, eps: Fraction) -> GridBucketing:
-    """Assign every solution to its grid cell; anchors are per-dimension minima."""
-    if not instance.solutions:
-        raise ValueError("cannot bucket an empty instance")
+    """Assign every solution to its grid cell; anchors are per-dimension minima
+    (an empty instance has no anchors and no cells)."""
     columns = list(zip(*(sol.f for sol in instance.solutions)))
     anchors = tuple(min(column) for column in columns)
     coords = [_rung_walk(c, a, eps) for c, a in zip(columns, anchors)]

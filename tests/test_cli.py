@@ -1,7 +1,10 @@
 import json
+import re
+import shlex
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -423,10 +426,9 @@ class TestGridCallersAgree:
             assert row["grid_members"] is None and row["max_cell_set"] is None
         too_big = str((p + 1) // 2 + 1)
         assert run("stats", "-i", str(path), "--relation", "quasi-k", "--k", too_big,
-                   "--eps", "1") == 2
-        assert capsys.readouterr().err == (
-            f"usage error: per-cell selection needs 2k-1 <= p; got k={too_big}, p={p}\n"
-        )
+                   "--eps", "1") == 0
+        row = json.loads(capsys.readouterr().out)["grids"][0]
+        assert row["grid_members"] is None and row["max_cell_set"] is None
         grid = ["compute", "--algo", "grid", "--eps", "1", "-i", str(path)]
         assert run(*grid, "--relation", "two-exact") == 2
         assert capsys.readouterr().err == (
@@ -437,6 +439,46 @@ class TestGridCallersAgree:
             f"usage error: quasi-k grid construction needs k <= ceil(p/2) = {(p + 1) // 2}, "
             f"got k={too_big}\n"
         )
+
+
+class TestStatsReportsEveryValidRelation:
+    """`stats` reads grid support from the one grid rule and validity from the model."""
+
+    def test_quasi_k_over_half_lift_gets_exact_minima(self, tmp_path, capsys):
+        base, lifted = tmp_path / "a.json", tmp_path / "d.json"
+        assert run("gen", "antichain", "--n", "6", "-o", str(base)) == 0
+        assert run("gen", "duplicated", "--base", str(base), "--p", "4",
+                   "--mode", "quasi-k-over-half", "-o", str(lifted)) == 0
+        capsys.readouterr()
+        argv = ["stats", "--exact", "--relation", "quasi-k", "--k", "3", "--eps", "1"]
+        assert run(*argv, "-i", str(lifted)) == 0
+        row = json.loads(capsys.readouterr().out)["grids"][0]
+        assert row["grid_members"] is None and row["max_cell_set"] is None
+        assert row["exact_min"] == 6 and row["exact_min_epsilon"] == 2
+
+    @pytest.mark.parametrize(
+        "p, relation, message",
+        [
+            (1, ["--relation", "two-exact"], "two-exact dominance needs at least two objectives"),
+            (2, ["--relation", "one-exact-quasi-k", "--k", "5"],
+             "k=5 exceeds the number of objectives p=2"),
+        ],
+    )
+    def test_invalid_relation_exits_2_with_the_model_message(
+        self, p, relation, message, tmp_path, capsys
+    ):
+        path, empty = tmp_path / "r.json", tmp_path / "empty.json"
+        path.write_bytes(save_instance(gen_random(8, p, seed=p)))
+        empty.write_text(json.dumps({"p": p, "solutions": []}))
+        for exact in ([], ["--exact"]):
+            argv = ["stats", *relation, "--eps", "1", *exact]
+            assert run(*argv, "-i", str(path)) == 2
+            assert capsys.readouterr().err == f"usage error: {message}\n"
+            assert run(*argv, "-i", str(empty)) == 0
+            row = json.loads(capsys.readouterr().out)["grids"][0]
+            assert row["grid_members"] is None and row["max_cell_set"] is None
+        assert run("min", *relation, "--eps", "1", "-i", str(path)) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 class TestRepeatedMainCalls:
@@ -639,6 +681,20 @@ class TestFailureModes:
             "usage error: --limit must be a nonnegative integer, got -1\n"
         )
 
+    def test_stats_checks_the_limit_before_reading_and_uses_it_only_under_exact(
+        self, dominated_family, tmp_path, capsys
+    ):
+        missing = str(tmp_path / "missing.json")
+        for exact in ([], ["--exact"]):
+            assert run("stats", "--eps", "1", *exact, "--limit", "-1", "-i", missing) == 2
+            assert capsys.readouterr().err == (
+                "usage error: --limit must be a nonnegative integer, got -1\n"
+            )
+        six = ["--eps", "1", "-i", str(dominated_family), "--limit", "0"]
+        assert run("stats", *six) == 0
+        assert "exact_min" not in json.loads(capsys.readouterr().out)["grids"][0]
+        assert run("stats", *six, "--exact") == 5
+
     def test_node_limit_zero_is_allowed(self, dominated_family, tmp_path):
         empty = tmp_path / "empty.json"
         empty.write_text('{"p": 2, "solutions": []}')
@@ -770,3 +826,26 @@ class TestDigitLimit:
         err = capsys.readouterr().err
         assert err == "bad input file: " + self.MESSAGE
         assert "set_int_max_str_digits" not in err
+
+
+def readme_cli_lines():
+    """The `mopareto` command lines of the README's `## CLI` block, in order."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("mopareto ")]
+
+
+def test_every_readme_cli_line_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    lines = readme_cli_lines()
+    assert [line.split()[1] for line in lines].count("lift") == 1
+    printed = 0
+    for line in lines:
+        command, _, comment = line.partition("#")
+        assert run(*shlex.split(command)[1:]) == 0, line
+        out = capsys.readouterr().out
+        expected = re.search(r"prints (\S+)", comment)
+        if expected:
+            assert out == expected.group(1) + "\n", line
+            printed += 1
+    assert printed == 1  # min's "prints 2"

@@ -86,11 +86,6 @@ class TestOneExactChainFamily:
             "xtil1": (F(5), F(10, 11)),
         }
 
-    def test_eps_cross_check(self):
-        gen_prop_one_exact(F(1, 10), 1, eps=F(21, 100))
-        with pytest.raises(ValueError, match="exactly"):
-            gen_prop_one_exact(F(1, 10), 1, eps=F(1, 5))
-
     def test_solution_count_is_three_n_plus_one(self):
         for n in (1, 2, 3):
             assert len(gen_prop_one_exact(F(1, 10), n)) == 3 * n + 1

@@ -123,6 +123,11 @@ class TestBucketing:
         assert set(b.cells) == {(0, 0)}
         assert b.lower == (Fraction(3), Fraction(5))
 
+    def test_empty_instance_has_no_anchors_and_no_cells(self):
+        for p in (1, 3):
+            got = bucket(Instance(p=p, solutions=()), Fraction(1, 2))
+            assert got == GridBucketing(Fraction(1, 2), (), {})
+
     def test_boundary_point_gets_upper_cell(self):
         b = bucket(inst((1, 1), (2, 2)), Fraction(1))
         assert set(b.cells) == {(0, 0), (1, 1)}
