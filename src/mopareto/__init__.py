@@ -67,12 +67,10 @@ from .model import (
     save_set,
 )
 from .numerics import (
-    Rational,
     encoding_bits,
     exact_sqrt,
     half_step_delta,
     parse_rational,
-    pow_ratio,
     render_rational,
 )
 from .oracles import (

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, product
+from itertools import accumulate, compress, product, repeat
 from math import lcm
-from operator import le
+from operator import le, mul
 from typing import Callable, Iterable, Sequence
 
 from .dominance import (
@@ -30,7 +30,6 @@ from .grid import (
     GridBucketing,
     bucket,
     filter_weakly_nondominated_cells,
-    ratio_steps_to_reach,
 )
 from .model import (
     ApproximationSet,
@@ -41,7 +40,7 @@ from .model import (
     RelationSpec,
     Solution,
 )
-from .numerics import half_step_delta, pow_ratio
+from .numerics import half_step_delta
 
 __all__ = [
     "UnsupportedRelationError",
@@ -270,20 +269,17 @@ def weakly_efficient_lift(
             chosen.append(member)
             continue
         sol = instance.solution(member)
-        candidates = sorted(
-            (
-                c
-                for c in instance.solutions
-                if c.id in weakly and strictly_dominates(c, sol)
-            ),
+        pick = min(
+            (c for c in instance.solutions if c.id in weakly and c.id not in taken
+             and strictly_dominates(c, sol)),
             key=lambda c: c.f,
+            default=None,
         )
-        unused = [c.id for c in candidates if c.id not in taken]
-        if not unused:
+        if pick is None:
             # every dominator already serves; those members cover this one too
             continue
-        taken.add(unused[0])
-        chosen.append(unused[0])
+        taken.add(pick.id)
+        chosen.append(pick.id)
     return _certified(instance, chosen, RelationSpec(RelationKind.QUASI_K, eps, k=1))
 
 
@@ -304,10 +300,11 @@ def construct_via_gap(
     order; callers verify against the underlying instance where one is
     available.
 
-    The sweep issues exactly (steps+1)**p queries; when that exceeds
-    GAP_QUERY_LIMIT it raises QueryLimitExceeded before the first query.
-    Only the smallest budget vector is validated, once: the levels ascend
-    from it, so each query is built unchecked and equals a validated one.
+    The sweep issues exactly levels**p queries.  The levels are counted by
+    multiplication, holding only the last, and the count raises
+    QueryLimitExceeded before the first query once levels**p passes
+    GAP_QUERY_LIMIT.  Only the smallest budget vector is validated, once: the
+    levels ascend from it, so each query is built unchecked and equals a validated one.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
@@ -316,15 +313,17 @@ def construct_via_gap(
     delta = half_step_delta(eps)
     # top budget must reach (1+delta) * 2**M so every value has a grid
     # threshold at most a factor (1+delta) above its (1+delta)-scaled image
-    steps = ratio_steps_to_reach(Fraction(1 << (2 * value_bound)), delta) + 1
-    queries = (steps + 1) ** p
-    if queries > GAP_QUERY_LIMIT:
-        raise QueryLimitExceeded(
-            f"{queries} budget queries ({steps + 1} levels, p={p}) exceed "
-            f"the gap-query limit {GAP_QUERY_LIMIT}"
-        )
-    floor = Fraction(1, 1 << value_bound)
-    levels = [floor * pow_ratio(1 + delta, t) for t in range(steps + 1)]
+    ratio = 1 + delta
+    floor, top = Fraction(1, 1 << value_bound), ratio * (1 << value_bound)
+    count, level = 1, floor
+    while level < top:
+        count, level = count + 1, level * ratio
+        if count**p > GAP_QUERY_LIMIT:
+            raise QueryLimitExceeded(
+                f"{count**p} or more budget queries ({count} or more levels, p={p}) "
+                f"exceed the gap-query limit {GAP_QUERY_LIMIT}"
+            )
+    levels = accumulate(repeat(ratio, count - 1), mul, initial=floor)
     GapQuery(b=(floor,) * p, delta=delta)  # the least budgets; later queries only have larger ones
     discovered: dict[str, Solution] = {}
     for budgets in product(levels, repeat=p):

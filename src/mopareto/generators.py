@@ -12,7 +12,6 @@ from fractions import Fraction
 from typing import Literal
 
 from .model import Instance, Solution
-from .numerics import pow_ratio
 
 __all__ = [
     "gen_prop_dominated",
@@ -64,13 +63,13 @@ def gen_prop_one_exact(delta: Fraction, n: int) -> Instance:
         raise ValueError("delta must be positive")
     if n < 1:
         raise ValueError("n must be at least 1")
-    e, d = pow_ratio(1 + delta, 2 * n) - 1, delta
-    solutions = [Solution("x0", (Fraction(1), pow_ratio(1 + e, n)))]
+    e, d = (1 + delta) ** (2 * n) - 1, delta
+    solutions = [Solution("x0", (Fraction(1), (1 + e) ** n))]
     for i in range(1, n + 1):
-        tail = pow_ratio(1 + e, n - i)
-        solutions.append(Solution(f"xbar{i}", (Fraction(3 * i), tail * pow_ratio(1 + d, i - 1))))
-        solutions.append(Solution(f"x{i}", (Fraction(3 * i + 1), tail * pow_ratio(1 + d, i))))
-        solutions.append(Solution(f"xtil{i}", (Fraction(3 * i + 2), tail / pow_ratio(1 + d, i))))
+        tail = (1 + e) ** (n - i)
+        solutions.append(Solution(f"xbar{i}", (Fraction(3 * i), tail * (1 + d) ** (i - 1))))
+        solutions.append(Solution(f"x{i}", (Fraction(3 * i + 1), tail * (1 + d) ** i)))
+        solutions.append(Solution(f"xtil{i}", (Fraction(3 * i + 2), tail / (1 + d) ** i)))
     return Instance(p=2, solutions=tuple(solutions))
 
 
@@ -88,7 +87,7 @@ def gen_quasi2_gap(eps: Fraction, n: int) -> Instance:
     solutions = []
     for j in range(n + 1):
         head = 1 + Fraction(n - j, n) * eps
-        solutions.append(Solution(f"x{j}", (head, head, pow_ratio(1 + eps, 2 * j + 1))))
+        solutions.append(Solution(f"x{j}", (head, head, (1 + eps) ** (2 * j + 1))))
     return Instance(p=3, solutions=tuple(solutions))
 
 

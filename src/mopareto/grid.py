@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .model import Instance
-from .numerics import pow_ratio
 
 __all__ = [
     "CellIndex",
@@ -56,12 +55,12 @@ def cell_coord(value: Fraction, anchor: Fraction, eps: Fraction) -> int:
     if anchor * ratio > value:
         return 0
     lo, hi = 1, 2
-    while anchor * pow_ratio(ratio, hi) <= value:
+    while anchor * ratio**hi <= value:
         lo, hi = hi, hi * 2
     # invariant: anchor * ratio**lo <= value < anchor * ratio**hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if anchor * pow_ratio(ratio, mid) <= value:
+        if anchor * ratio**mid <= value:
             lo = mid
         else:
             hi = mid
@@ -132,4 +131,4 @@ def ratio_steps_to_reach(target: Fraction, eps: Fraction) -> int:
     if target <= 1:
         return 0
     t = cell_coord(target, Fraction(1), eps)
-    return t if pow_ratio(1 + eps, t) == target else t + 1
+    return t if (1 + eps) ** t == target else t + 1

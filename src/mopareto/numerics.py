@@ -13,13 +13,9 @@ import sys
 from fractions import Fraction
 from math import isqrt
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "parse_rational",
     "render_rational",
-    "pow_ratio",
     "exact_sqrt",
     "half_step_delta",
     "encoding_bits",
@@ -58,13 +54,6 @@ def render_rational(r: Fraction) -> str:
         return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
     except ValueError:
         raise ValueError(_DIGIT_LIMIT.format(sys.get_int_max_str_digits())) from None
-
-
-def pow_ratio(base: Fraction, exponent: int) -> Fraction:
-    """Exact integer power of a positive rational (negative exponents invert)."""
-    if base <= 0:
-        raise ValueError("pow_ratio requires a positive base")
-    return base ** exponent
 
 
 def exact_sqrt(r: Fraction) -> Fraction | None:

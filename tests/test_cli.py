@@ -179,8 +179,8 @@ class TestComputeAndVerify:
         assert code == 2
 
     def test_gap_query_limit_exits_5_before_any_query(self, tmp_path, capsys):
-        # values span [1/16, 16], so M=4; at eps=1/2 the sweep has 30 levels
-        # and would issue 30**5 = 24 300 000 queries at p=5
+        # values span [1/16, 16], so M=4; at eps=1/2 the sweep has 30 levels,
+        # and the count stops at 16 levels, the first with 16**5 > 10**6 queries
         path = tmp_path / "p5.json"
         path.write_text(json.dumps({"p": 5, "solutions": [
             {"id": "lo", "f": ["1/16"] * 5},
@@ -193,7 +193,40 @@ class TestComputeAndVerify:
         assert code == 5
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "24300000" in captured.err and "1000000" in captured.err
+        assert captured.err == (
+            "gap-query limit: 1048576 or more budget queries (16 or more levels, p=5) "
+            "exceed the gap-query limit 1000000\n"
+        )
+
+    @pytest.mark.parametrize("p, levels", [(2, 1001), (3, 101)])
+    def test_a_ladder_of_billions_exits_5_before_any_query(self, p, levels, tmp_path, capsys,
+                                                            monkeypatch):
+        def refusing_oracle(instance, query):
+            raise AssertionError("no query may be issued over the limit")
+
+        monkeypatch.setattr(cli, "gap_oracle", refusing_oracle)
+        path = tmp_path / "r.json"
+        path.write_bytes(save_instance(gen_random(10, p, seed=1)))
+        code = run(
+            "compute", "--relation", "epsilon", "--eps", "1/1000000000",
+            "--algo", "gap", "-i", str(path),
+        )
+        assert code == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"gap-query limit: {levels**p} or more budget queries ({levels} or more levels, p={p})"
+        )
+
+    @pytest.mark.parametrize("algo", ["bi-greedy", "bi-dual2"])
+    def test_biobjective_sweeps_refuse_three_objectives(self, algo, tmp_path, capsys):
+        path = tmp_path / "r3.json"
+        path.write_bytes(save_instance(gen_random(6, 3, seed=1)))
+        code = run("compute", "--relation", "epsilon", "--eps", "1", "--algo", algo, "-i", str(path))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"usage error: --algo {algo} requires a biobjective instance\n"
+        )
 
 
 class TestMin:
@@ -614,6 +647,14 @@ class TestFailureModes:
         assert (
             run("min", "--relation", "epsilon", "--eps", "1", "-i", str(tmp_path / "no.json"))
             == 3
+        )
+
+    def test_instance_entry_without_f_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"p": 1, "solutions": [{"id": "a"}]}')
+        assert run("min", "--relation", "epsilon", "--eps", "1", "-i", str(bad)) == 3
+        assert capsys.readouterr().err == (
+            'bad input file: solution entries need "id" and "f": {\'id\': \'a\'}\n'
         )
 
     def test_malformed_instance_exits_3(self, tmp_path):

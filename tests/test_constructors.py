@@ -21,6 +21,7 @@ from mopareto.dominance import (
     DominationDigraph,
     exact_components,
     r_dominates,
+    strictly_dominates,
     weakly_efficient_set,
 )
 from mopareto.domsets import greedy_cover_dominating_set
@@ -40,7 +41,7 @@ from mopareto.model import (
     Solution,
     derive_value_bound,
 )
-from mopareto.numerics import half_step_delta, pow_ratio
+from mopareto.numerics import half_step_delta
 from mopareto.oracles import gap_oracle, valid_gap_answer
 
 F = Fraction
@@ -125,6 +126,9 @@ class TestVerify:
             + good.certificate[1:],
         )
         assert not certificate_is_valid(instance, outsider)  # x1 is not a member
+
+        ghost = ApproximationSet(spec, good.members + ("ghost",), good.certificate)
+        assert not certificate_is_valid(instance, ghost)  # ghost is not in the instance
 
     def test_relation_rule_is_only_checked_against_entries(self):
         # an empty instance has an empty certificate, valid even when k > p
@@ -443,6 +447,31 @@ class TestWeaklyEfficientLift:
         lifted = weakly_efficient_lift(instance, ["s1", "s2"], F(3))
         assert lifted.members == ("s2", "s3")
 
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=3).flatmap(
+            lambda p: st.lists(
+                st.tuples(*[st.integers(min_value=1, max_value=3)] * p), min_size=1, max_size=9
+            )
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_the_sorted_candidate_loop(self, vectors, rng):
+        # images from {1,2,3}**p, so image twins are common; the input set is a
+        # random subset plus whatever it leaves uncovered at eps=1
+        instance = inst(*vectors)
+        eps = F(1)
+        spec = RelationSpec(RelationKind.EPSILON, eps)
+        subset = [s for s in instance.ids if rng.random() < 0.5]
+        members = subset + [
+            x.id for x in instance.solutions
+            if not any(r_dominates(instance.solution(m), x, spec) for m in subset)
+        ]
+        lifted = weakly_efficient_lift(instance, members, eps)
+        inbound = verify_approximation(instance, members, spec).approximation
+        chosen = reference_lift(instance, inbound.members)
+        assert lifted.members == tuple(sorted(chosen, key=instance.position))
+
     def test_merge_only_when_no_unused_dominator_remains(self):
         # x5's only weakly efficient strict dominator is x2, which is already
         # a member; the merged set still covers everything
@@ -450,6 +479,35 @@ class TestWeaklyEfficientLift:
         lifted = weakly_efficient_lift(instance, ["x2", "x5", "x6"], F(1))
         assert lifted.members == ("x2", "x3")
         assert certificate_is_valid(instance, lifted)
+
+
+def reference_lift(instance, members_in_order):
+    """Reference lift loop: sort each member's weakly efficient strict dominators
+    stably by image, then take the first one not yet taken."""
+    weakly = weakly_efficient_set(instance)
+    # kept members reserve their ids first so replacements never collide with them
+    taken = {m for m in members_in_order if m in weakly}
+    chosen: list[str] = []
+    for member in members_in_order:
+        if member in weakly:
+            chosen.append(member)
+            continue
+        sol = instance.solution(member)
+        candidates = sorted(
+            (
+                c
+                for c in instance.solutions
+                if c.id in weakly and strictly_dominates(c, sol)
+            ),
+            key=lambda c: c.f,
+        )
+        unused = [c.id for c in candidates if c.id not in taken]
+        if not unused:
+            # every dominator already serves; those members cover this one too
+            continue
+        taken.add(unused[0])
+        chosen.append(unused[0])
+    return chosen
 
 
 class TestGapConstruction:
@@ -507,15 +565,31 @@ class TestGapConstruction:
         def refusing_oracle(query: GapQuery):
             raise AssertionError("no query may be issued over the limit")
 
-        # eps=1/2, M=4: 30 levels, 30**5 = 24 300 000 queries
-        with pytest.raises(QueryLimitExceeded, match="24300000"):
+        # eps=1/2, M=4: 30 levels, but the count stops at 16, the first with 16**5 > 10**6
+        with pytest.raises(QueryLimitExceeded, match=r"^1048576 or more budget queries "
+                           r"\(16 or more levels, p=5\) exceed the gap-query limit 1000000$"):
             construct_via_gap(refusing_oracle, F(1, 2), 4, 5)
         # eps=1, M=1: 7 levels, 7**2 = 49 queries; the limit itself is allowed
         monkeypatch.setattr(constructors, "GAP_QUERY_LIMIT", 49)
         assert construct_via_gap(lambda q: None, F(1), 1, 2) == []
         monkeypatch.setattr(constructors, "GAP_QUERY_LIMIT", 48)
-        with pytest.raises(QueryLimitExceeded, match="49 budget queries"):
+        with pytest.raises(QueryLimitExceeded, match=r"^49 or more budget queries \(7 or more levels"):
             construct_via_gap(refusing_oracle, F(1), 1, 2)
+
+    @pytest.mark.parametrize("p, levels", [(2, 1001), (3, 101)])
+    def test_a_ladder_of_billions_is_refused_at_the_first_level_over_the_limit(self, p, levels):
+        # eps=1/10**9, M=3: the full ladder has about 4 * 10**10 levels; counting
+        # stops at the first level count whose p-th power passes 10**6
+        def refusing_oracle(query: GapQuery):
+            raise AssertionError("no query may be issued over the limit")
+
+        with pytest.raises(QueryLimitExceeded) as info:
+            construct_via_gap(refusing_oracle, F(1, 10**9), 3, p)
+        assert str(info.value) == (
+            f"{levels**p} or more budget queries ({levels} or more levels, p={p}) "
+            "exceed the gap-query limit 1000000"
+        )
+        assert (levels - 1) ** p <= constructors.GAP_QUERY_LIMIT < levels**p
 
 
 class TestGapSweepValidatesOnce:
@@ -561,7 +635,7 @@ def reference_construct_via_gap(gap, eps, value_bound, p):
             f"the gap-query limit {constructors.GAP_QUERY_LIMIT}"
         )
     floor = F(1, 1 << value_bound)
-    levels = [floor * pow_ratio(1 + delta, t) for t in range(steps + 1)]
+    levels = [floor * (1 + delta) ** t for t in range(steps + 1)]
     discovered = {}
 
     def sweep(prefix):

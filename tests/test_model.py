@@ -50,6 +50,10 @@ class TestInstanceInvariants:
         with pytest.raises(ValueError, match="expected 2"):
             Instance(p=2, solutions=(Solution("a", (Fraction(1),)),))
 
+    def test_zero_objectives_rejected(self):
+        with pytest.raises(ValueError, match="at least one objective"):
+            Instance(p=0, solutions=())
+
     def test_duplicate_images_with_distinct_ids_allowed(self):
         inst = Instance(
             p=1,
@@ -166,6 +170,42 @@ class TestInstanceFiles:
         data = b'{"p": %s, "solutions": [{"id": "a", "f": ["1"]}]}' % p.encode()
         with pytest.raises(FormatError, match='"p" must be a positive integer'):
             load_instance(data)
+
+
+_INSTANCE_KEYS = 'instance file must be an object with "p" and "solutions"'
+_ENTRY_KEYS = 'solution entries need "id" and "f"'
+_SET_KEYS = 'set file must be an object with "relation" and "members"'
+
+
+@pytest.mark.parametrize(
+    "load, payload, message",
+    [
+        (load_instance, b'[1, 2]', _INSTANCE_KEYS),
+        (load_instance, b'{"p": 1}', _INSTANCE_KEYS),
+        (load_instance, b'{"solutions": []}', _INSTANCE_KEYS),
+        (load_instance, b'{"p": 1, "solutions": {"id": "a"}}', '"solutions" must be a list'),
+        (load_instance, b'{"p": 1, "solutions": [{"f": ["1"]}]}', _ENTRY_KEYS),
+        (load_instance, b'{"p": 1, "solutions": [{"id": "a"}]}', _ENTRY_KEYS),
+        (load_instance, b'{"p": 1, "solutions": ["a"]}', _ENTRY_KEYS),
+        (load_instance, b'{"p": 1, "solutions": [{"id": 7, "f": ["1"]}]}',
+         "solution id must be a string: 7"),
+        (load_instance, b'{"p": 1, "solutions": [{"id": "a", "f": "1"}]}',
+         "solution 'a': \"f\" must be a list"),
+        (load_instance, b'{"p": 1, "solutions": [{"id": "a", "f": [1]}]}',
+         "solution 'a': rational values must be strings, got 1"),
+        (load_set, b'"members"', _SET_KEYS),
+        (load_set, b'{"relation": {"kind": "epsilon", "eps": "1"}, "members": "a"}',
+         '"members" must be a list of id strings'),
+        (load_set, b'{"relation": {"kind": "epsilon", "eps": "1"}, "members": ["a", 2]}',
+         '"members" must be a list of id strings'),
+        (load_set, b'{"relation": "epsilon", "members": []}',
+         'relation must be an object with "kind" and "eps"'),
+    ],
+)
+def test_hostile_file_rejected_with_its_message(load, payload, message):
+    with pytest.raises(FormatError) as info:
+        load(payload)
+    assert str(info.value).startswith(message)
 
 
 class TestSetFiles:

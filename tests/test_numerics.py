@@ -10,7 +10,6 @@ from mopareto.numerics import (
     exact_sqrt,
     half_step_delta,
     parse_rational,
-    pow_ratio,
     render_rational,
 )
 
@@ -67,26 +66,6 @@ def test_render_canonical_forms():
 @given(st.fractions())
 def test_parse_render_round_trip(r):
     assert parse_rational(render_rational(r)) == r
-
-
-@pytest.mark.parametrize(
-    "base,exponent,expected",
-    [
-        (Fraction(2), 3, Fraction(8)),
-        (Fraction(3, 2), 2, Fraction(9, 4)),
-        (Fraction(3, 2), -1, Fraction(2, 3)),
-        (Fraction(7, 3), 0, Fraction(1)),
-    ],
-)
-def test_pow_ratio(base, exponent, expected):
-    assert pow_ratio(base, exponent) == expected
-
-
-def test_pow_ratio_rejects_nonpositive_base():
-    with pytest.raises(ValueError):
-        pow_ratio(Fraction(0), 2)
-    with pytest.raises(ValueError):
-        pow_ratio(Fraction(-1, 2), 2)
 
 
 def test_exact_sqrt():
