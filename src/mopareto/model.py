@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import Iterator, Mapping
 
 from .numerics import _DIGIT_LIMIT, parse_rational, render_rational
@@ -297,6 +298,7 @@ def load_instance(data: bytes | str) -> Instance:
     if not isinstance(entries, list):
         raise FormatError('"solutions" must be a list')
     solutions = []
+    parsed: dict[str, Fraction] = {}  # literal -> value; a Fraction is immutable, so shared
     for entry in entries:
         if not isinstance(entry, dict) or "id" not in entry or "f" not in entry:
             raise FormatError(f'solution entries need "id" and "f": {entry!r}')
@@ -306,12 +308,31 @@ def load_instance(data: bytes | str) -> Instance:
         values = entry["f"]
         if not isinstance(values, list):
             raise FormatError(f"solution {sol_id!r}: \"f\" must be a list")
-        vec = tuple(_parse_value(v, f"solution {sol_id!r}") for v in values)
+        try:
+            vec = tuple(map(parsed.__getitem__, values))
+        except (KeyError, TypeError):  # a literal not seen yet, or a value that is no string
+            vec = tuple(_parse_value(v, f"solution {sol_id!r}") for v in values)
+            parsed.update(zip(values, vec))
         solutions.append(Solution(id=sol_id, f=vec))
     try:
         return Instance(p=p, solutions=tuple(solutions))
     except ValueError as exc:
         raise FormatError(str(exc)) from None
+
+
+def _dumps(obj: object, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2) byte for byte, from C-encoded strings (json indents in Python)."""
+    if type(obj) is str:
+        return encode_basestring_ascii(obj)
+    if type(obj) is int:
+        return repr(obj)
+    inner = pad + "  "
+    if type(obj) is list and obj:
+        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in obj]) + pad + "]"
+    if type(obj) is dict and obj:
+        items = [f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return json.dumps(obj)  # [], {}, true, null, a float
 
 
 def save_instance(instance: Instance) -> bytes:
@@ -321,7 +342,7 @@ def save_instance(instance: Instance) -> bytes:
             {"id": s.id, "f": [render_rational(v) for v in s.f]} for s in instance.solutions
         ],
     }
-    return (json.dumps(payload, indent=2) + "\n").encode()
+    return (_dumps(payload) + "\n").encode()
 
 
 def _relation_to_json(spec: RelationSpec) -> dict:
@@ -367,13 +388,7 @@ def load_set(data: bytes | str) -> ApproximationSet:
             or not all(type(i) is int and i >= 1 for i in item["exact_indices"])
         ):
             raise FormatError(f"malformed certificate entry: {item!r}")
-        entries.append(
-            CertificateEntry(
-                covered=item["covered"],
-                by=item["by"],
-                exact_indices=tuple(item["exact_indices"]),
-            )
-        )
+        entries.append(CertificateEntry(item["covered"], item["by"], tuple(item["exact_indices"])))
     return ApproximationSet(relation=relation, members=tuple(members), certificate=tuple(entries))
 
 
@@ -386,4 +401,4 @@ def save_set(aset: ApproximationSet) -> bytes:
             for e in aset.certificate
         ],
     }
-    return (json.dumps(payload, indent=2) + "\n").encode()
+    return (_dumps(payload) + "\n").encode()

@@ -22,7 +22,7 @@ __all__ = [
 ]
 
 # integer ("5"), fraction ("3/2"), or finite decimal ("1.25"), optionally signed
-_RATIONAL_FORM = re.compile(r"^[+-]?(?:\d+/\d+|\d+(?:\.\d+)?)$")
+_RATIONAL_FORM = re.compile(r"([+-]?)(\d+)(?:/(\d+)|\.(\d+))?")
 
 # dyadic denominator used when a slack factor has no exact rational square root
 _LADDER_BITS = 40
@@ -37,11 +37,14 @@ def parse_rational(text: str) -> Fraction:
     Decimals are expanded exactly, never rounded.  Raises ValueError for
     malformed text and for a zero denominator.
     """
-    s = text.strip()
-    if not _RATIONAL_FORM.match(s):
+    m = _RATIONAL_FORM.fullmatch(text.strip())
+    if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
-    try:
-        return Fraction(s)
+    sign, whole, den, frac = m.groups()
+    scale = 10 ** len(frac or "")
+    try:  # a decimal's two parts each meet the digit limit alone, as in Fraction(str)
+        num = int(whole) * scale + int(frac or 0)
+        return Fraction(-num if sign == "-" else num, int(den or 1) * scale)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in rational literal: {text!r}") from None
     except ValueError:  # the form is valid, so only the digit limit gets here

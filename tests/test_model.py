@@ -1,7 +1,13 @@
+import json
+import operator
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mopareto import model
 from mopareto.generators import gen_prop_dominated, gen_random
 from mopareto.model import (
     ApproximationSet,
@@ -18,6 +24,7 @@ from mopareto.model import (
     save_instance,
     save_set,
 )
+from mopareto.numerics import render_rational
 
 
 def _inst(*vectors):
@@ -255,3 +262,140 @@ class TestSetFiles:
         )
         with pytest.raises(FormatError, match="certificate"):
             load_set(payload)
+
+
+def _instance_file(*rows):
+    """An instance file with solutions s1, s2, ... whose "f" lists are the given rows."""
+    solutions = [{"id": f"s{i}", "f": row} for i, row in enumerate(rows, start=1)]
+    return json.dumps({"p": len(rows[0]), "solutions": solutions}).encode()
+
+
+class TestEachLiteralIsParsedOnce:
+    """load_instance parses each distinct literal once; what it reports must not change."""
+
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            ("x", "not a rational literal: 'x'"),
+            ("1/0", "zero denominator in rational literal: '1/0'"),
+            ("7" * (sys.get_int_max_str_digits() + 1),
+             f"a number has more than {sys.get_int_max_str_digits()} digits"),
+            (1, "rational values must be strings, got 1"),
+            (True, "rational values must be strings, got True"),
+            ([1], "rational values must be strings, got [1]"),
+        ],
+        ids=["malformed", "zero-denominator", "digit-limit", "int", "bool", "list"],
+    )
+    def test_a_bad_value_is_reported_against_the_first_solution_holding_it(self, bad, reason):
+        data = _instance_file(["1", "2"], ["2", bad], [bad, "1"], ["1", bad])
+        with pytest.raises(FormatError) as info:
+            load_instance(data)
+        assert str(info.value).startswith(f"solution 's2': {reason}")
+
+    def test_repeated_literals_load_equal_values(self):
+        inst = load_instance(_instance_file(["3/2", "1.5"], ["1.5", "3/2"], ["3/2", "7"]))
+        assert [s.f for s in inst] == [(Fraction(3, 2),) * 2] * 2 + [(Fraction(3, 2), 7)]
+        # a solution whose literals were all seen before shares their immutable Fractions
+        assert inst.solutions[1].f == inst.solutions[0].f[::-1]
+        assert all(map(operator.is_, inst.solutions[1].f, inst.solutions[0].f[::-1]))
+
+    def test_padded_and_bare_literals_load_equal(self):
+        inst = load_instance(_instance_file([" 5"], ["5"], ["5\n"], ["+5"]))
+        assert {s.f for s in inst} == {(Fraction(5),)}
+
+
+def reference_save_instance(instance):
+    """save_instance as it was, through the indented json.dumps: the byte reference."""
+    payload = {
+        "p": instance.p,
+        "solutions": [
+            {"id": s.id, "f": [render_rational(v) for v in s.f]} for s in instance.solutions
+        ],
+    }
+    return (json.dumps(payload, indent=2) + "\n").encode()
+
+
+def reference_save_set(aset):
+    """save_set as it was, through the indented json.dumps: the byte reference."""
+    relation = {"kind": aset.relation.kind.value, "eps": render_rational(aset.relation.eps)}
+    if aset.relation.k is not None:
+        relation["k"] = aset.relation.k
+    payload = {
+        "relation": relation,
+        "members": list(aset.members),
+        "certificate": [
+            {"covered": e.covered, "by": e.by, "exact_indices": list(e.exact_indices)}
+            for e in aset.certificate
+        ],
+    }
+    return (json.dumps(payload, indent=2) + "\n").encode()
+
+
+# ids that json must escape: quotes, backslashes, control characters, non-ASCII (also
+# outside the BMP, written as a surrogate pair), next to plain letters
+_IDS = st.text(st.sampled_from('a"\\/\x00\x1f\x7f\n\u00e9\u2028\U0001f600') | st.characters(),
+               min_size=1, max_size=6)
+_POSITIVE = st.builds(Fraction, st.integers(1, 10**30), st.integers(1, 10**30))
+
+
+@st.composite
+def instances(draw):
+    p = draw(st.integers(1, 4))
+    ids = draw(st.lists(_IDS, max_size=5, unique=True))
+    vectors = draw(st.lists(st.tuples(*[_POSITIVE] * p), min_size=len(ids), max_size=len(ids)))
+    return Instance(p=p, solutions=tuple(map(Solution, ids, vectors)))
+
+
+@st.composite
+def approximation_sets(draw):
+    kind = draw(st.sampled_from(RelationKind))
+    quasi = kind in (RelationKind.QUASI_K, RelationKind.ONE_EXACT_QUASI_K)
+    k = draw(st.integers(1, 10**20)) if quasi else None
+    entries = st.builds(
+        CertificateEntry, _IDS, _IDS, st.lists(st.integers(1, 10**20), max_size=3).map(tuple)
+    )
+    return ApproximationSet(
+        relation=RelationSpec(kind, draw(_POSITIVE), k),
+        members=tuple(draw(st.lists(_IDS, max_size=4))),
+        certificate=tuple(draw(st.lists(entries, max_size=4))),
+    )
+
+
+class TestWrittenBytes:
+    """save_* write json.dumps(payload, indent=2) + "\n" exactly, and load_* read it back."""
+
+    @settings(max_examples=300)
+    @given(instances())
+    def test_instance_bytes_and_round_trip(self, inst):
+        data = save_instance(inst)
+        assert data == reference_save_instance(inst)
+        assert load_instance(data) == inst
+
+    @settings(max_examples=300)
+    @given(approximation_sets())
+    def test_set_bytes_and_round_trip(self, aset):
+        data = save_set(aset)
+        assert data == reference_save_set(aset)
+        assert load_set(data) == aset
+
+    def test_empty_lists_and_an_absent_k(self):
+        inst = Instance(p=2, solutions=())
+        aset = ApproximationSet(
+            RelationSpec(RelationKind.EPSILON, Fraction(1)),
+            members=(),
+            certificate=(CertificateEntry("a", "b", ()),),
+        )
+        assert save_instance(inst) == b'{\n  "p": 2,\n  "solutions": []\n}\n'
+        assert save_set(aset) == reference_save_set(aset)
+        assert b'"members": []' in save_set(aset) and b'"exact_indices": []' in save_set(aset)
+        assert b'"k"' not in save_set(aset)
+
+    @settings(max_examples=300)
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+        )
+    )
+    def test_the_writer_matches_indented_json_dumps(self, value):
+        assert model._dumps(value) == json.dumps(value, indent=2)

@@ -1,11 +1,13 @@
+import re
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mopareto.numerics import (
+    _DIGIT_LIMIT,
     encoding_bits,
     exact_sqrt,
     half_step_delta,
@@ -49,6 +51,84 @@ def test_digit_limit_is_named_plainly_both_ways():
         with pytest.raises(ValueError) as info:
             render_rational(value)
         assert str(info.value) == message
+
+
+# parse_rational as it was before it read its regex groups itself: the reference for
+# the differential test below (Fraction(str) matched the text a second time)
+_REFERENCE_FORM = re.compile(r"^[+-]?(?:\d+/\d+|\d+(?:\.\d+)?)$")
+
+
+def reference_parse_rational(text: str) -> Fraction:
+    s = text.strip()
+    if not _REFERENCE_FORM.match(s):
+        raise ValueError(f"not a rational literal: {text!r}")
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational literal: {text!r}") from None
+    except ValueError:  # the form is valid, so only the digit limit gets here
+        raise ValueError(_DIGIT_LIMIT.format(sys.get_int_max_str_digits())) from None
+
+
+def _outcome(parse, text):
+    """(type, value) of a parse, or (exception type, message) of its failure."""
+    try:
+        value = parse(text)
+    except Exception as exc:  # the comparison covers whatever either one raises
+        return type(exc), str(exc)
+    return type(value), value
+
+
+_LIMIT = sys.get_int_max_str_digits()
+# ASCII, Arabic-Indic, Devanagari and fullwidth digits: \d and int() accept them all
+_DIGITS = st.sampled_from("0123456789\u0660\u0661\u0665\u0967\uff10\uff11\uff19")
+# nonempty digit runs: short mixed ones, and runs of one digit at and past the digit limit
+_DIGIT_RUNS = st.one_of(
+    st.text(_DIGITS, min_size=1, max_size=4),
+    st.builds(str.__mul__, _DIGITS, st.sampled_from([_LIMIT - 1, _LIMIT, _LIMIT + 1])),
+)
+_SPACE = st.text(st.sampled_from(" \t\n\r\x0b\x0c\u00a0\u2003"), max_size=2)
+# a sign, digits and a separator, in forms the grammar accepts and forms it refuses
+_LITERALS = st.builds(
+    lambda lead, sign, whole, sep, rest, trail: lead + sign + whole + sep + rest + trail,
+    _SPACE,
+    st.sampled_from(["", "", "+", "-", "--", "+-"]),
+    _DIGIT_RUNS | st.just(""),
+    st.sampled_from(["/", ".", "/", ".", "//", "/-", "e", " / ", "_"]),
+    _DIGIT_RUNS | st.just(""),
+    _SPACE,
+)
+_WELL_FORMED = st.builds(
+    lambda lead, sign, whole, tail, trail: lead + sign + whole + tail + trail,
+    _SPACE,
+    st.sampled_from(["", "+", "-"]),
+    _DIGIT_RUNS,
+    st.just("") | st.builds(str.__add__, st.sampled_from("/."), _DIGIT_RUNS),
+    _SPACE,
+)
+
+
+@settings(max_examples=500)
+@given(st.one_of(_WELL_FORMED, _LITERALS, st.text(max_size=8)))
+@example("-1.25")
+@example(" 5")
+@example("5\n")
+@example("007/0010")
+@example("1.")
+@example(".5")
+@example("0/0")
+@example("1/0")
+@example("-0.0")
+@example("\u0661")
+@example("\u0661/\u0662")
+@example("-\u0661.\u0665")
+@example("7" * (_LIMIT + 1))
+@example("1/" + "7" * (_LIMIT + 1))
+@example("7" * (_LIMIT + 1) + "/0")
+@example("7" * _LIMIT + "." + "7" * _LIMIT)  # each part within the limit, the whole past it
+@example("1." + "7" * (_LIMIT + 1))
+def test_parse_matches_the_reference_parser(text):
+    assert _outcome(parse_rational, text) == _outcome(reference_parse_rational, text)
 
 
 @pytest.mark.parametrize("bad", ["", "a", "1/2/3", "1.2.3", "1e3", "3/-2", "inf", "1/0"])
