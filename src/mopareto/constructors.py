@@ -4,8 +4,9 @@ The grid pipeline buckets solutions into cells of intra-cell ratio below
 1 + eps, keeps only weakly nondominated nonempty cells, and selects a
 per-cell representative set suited to the requested relation.  Verification
 is independent of construction: it re-checks coverage of every instance
-solution from the definitions, on column-scaled integers (see `_scaled`),
-and emits a certificate that `certificate_is_valid` re-checks on Fractions.
+solution from the definitions, on the instance's cached integer image
+(`Instance._image`, see `model._scaled`), and emits a certificate that
+`certificate_is_valid` re-checks on Fractions.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, product, repeat
-from math import lcm
 from operator import le, mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .dominance import (
     _skyline,
@@ -60,8 +60,6 @@ __all__ = [
 # levels**p, checked before the first query
 GAP_QUERY_LIMIT = 10**6
 
-_SCALE_BITS = 8192  # LCM bits past which _scaled keeps a column's Fractions
-
 
 class UnsupportedRelationError(ValueError):
     """The requested relation has no general polynomial grid construction."""
@@ -102,17 +100,6 @@ def _ordered_members(instance: Instance, members: Iterable[str]) -> list[str]:
     return sorted(unique, key=instance.position)
 
 
-def _scaled(column: tuple[Fraction, ...]) -> Sequence[int | Fraction]:
-    """The column times the LCM of its denominators, as integers in the same order,
-    or the column itself once that LCM passes _SCALE_BITS bits."""
-    scale = 1
-    for den in {v.denominator for v in column}:
-        scale = lcm(scale, den)
-        if scale.bit_length() > _SCALE_BITS:
-            return column
-    return [v.numerator * (scale // v.denominator) for v in column]
-
-
 def verify_approximation(
     instance: Instance, members: Iterable[str], spec: RelationSpec
 ) -> VerifyResult:
@@ -121,12 +108,12 @@ def verify_approximation(
     On success the certificate names, for each solution, the first covering
     member in instance order together with all components in which coverage
     is exact.  On failure the counterexample is the first uncovered solution
-    in instance order.  Values are compared in `_scaled` columns: with
-    eps = num/den, "within 1 + eps" is den*a <= (den+num)*b, "exact" a <= b.
+    in instance order.  Values are compared in the instance's image rows:
+    with eps = num/den, "within 1 + eps" is den*a <= (den+num)*b, "exact" a <= b.
     The relation's rule is read only once some pair is compared.
     """
     ordered = _ordered_members(instance, members)
-    rows = list(zip(*map(_scaled, zip(*(s.f for s in instance.solutions)))))
+    rows = instance._rows
     num, den = spec.eps.numerator, spec.eps.denominator
     required, min_exact = spec.exact_rule(instance.p) if rows and ordered else ((), 0)
     must, positions = {i + 1 for i in required}, range(1, instance.p + 1)
@@ -219,7 +206,7 @@ def grid_select(
             view = tournament_view([instance.solution(i) for i in ids], spec.k)
             picks.append(sorted(greedy_tournament_dominating_set(view)))
         else:  # the lex-min image attains the cell's minimum f1, so it serves one-exact
-            picks.append([min(ids, key=lambda i: instance.solution(i).f)])
+            picks.append([min(ids, key=lambda i: instance._rows[instance.position(i)])])
     return bucketing, retained, picks
 
 
@@ -331,5 +318,5 @@ def construct_via_gap(
         if answer is not None:
             discovered.setdefault(answer.id, answer)
     found = list(discovered.values())
-    keep = _skyline(found, lambda y, x: all(a <= b for a, b in zip(y.f, x.f)))
-    return [x for x in found if x.id in keep]
+    keep = _skyline([x.f for x in found], lambda y, x: all(map(le, y, x)))
+    return [found[i] for i in sorted(keep)]

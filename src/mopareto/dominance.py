@@ -2,17 +2,19 @@
 
 All relations here are monotonic: componentwise "at least as good" always
 implies relation membership, so in particular every relation is reflexive.
-The efficient filters, and the prune of the gap construction, are presorted
-skylines (only a lexicographically smaller image can dominate).  The digraph
-is stored as one n-bit row per node, the AND of masks from the sorted-column
-index (`model._SortedColumn`); the dominating-set solvers read those rows
-directly, and the pairwise `values_r_dominate` remains their reference.
+The efficient filters, and the prune of the gap construction, are one
+presorted skyline (only a lexicographically smaller image can dominate).  The
+digraph is stored as one n-bit row per node, the AND of masks from the
+sorted-column index (`model._SortedColumn`).  Both compare the instance's
+cached integer image (a column past `model._SCALE_BITS` keeps its Fractions);
+the pairwise `values_r_dominate`, on Fractions, remains their reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import le, lt
 from typing import Callable, Sequence
 
 from .model import Instance, RelationSpec, Solution
@@ -81,19 +83,18 @@ def exact_components(x: Solution, y: Solution) -> tuple[int, ...]:
     return tuple(i + 1 for i, (a, b) in enumerate(zip(x.f, y.f)) if a <= b)
 
 
-def _skyline(
-    solutions: Sequence[Solution], beats: Callable[[Solution, Solution], bool]
-) -> set[str]:
-    """Ids of the solutions no earlier kept solution beats, in a stable image sort.
+def _skyline(rows: Sequence[tuple], beats: Callable[[tuple, tuple], bool]) -> list[int]:
+    """Positions of the rows no earlier kept row beats, in a stable sort of the rows.
 
-    `beats(y, x)` is transitive and holds only if y's image is lexicographically
-    at most x's; of two solutions with equal images, the earlier one is kept first.
+    `beats(y, x)` is transitive and holds only if y is lexicographically at
+    most x; of two equal rows, the earlier one is kept first.
     """
-    front: list[Solution] = []
-    for x in sorted(solutions, key=lambda s: s.f):
-        if not any(beats(y, x) for y in front):
-            front.append(x)
-    return {x.id for x in front}
+    front: list[int] = []
+    for i in sorted(range(len(rows)), key=rows.__getitem__):
+        x = rows[i]
+        if not any(beats(rows[j], x) for j in front):
+            front.append(i)
+    return front
 
 
 def efficient_set(instance: Instance) -> set[str]:
@@ -102,12 +103,14 @@ def efficient_set(instance: Instance) -> set[str]:
     Dominance is computed on images, so a solution tied with another on all
     components is not dominated by it (one strict inequality is required).
     """
-    return _skyline(instance.solutions, dominates)
+    ids = instance.ids
+    return {ids[i] for i in _skyline(instance._rows, lambda y, x: y != x and all(map(le, y, x)))}
 
 
 def weakly_efficient_set(instance: Instance) -> set[str]:
     """Ids of solutions not strictly dominated by any other solution."""
-    return _skyline(instance.solutions, strictly_dominates)
+    ids = instance.ids
+    return {ids[i] for i in _skyline(instance._rows, lambda y, x: all(map(lt, y, x)))}
 
 
 @dataclass(frozen=True)
@@ -138,17 +141,21 @@ def domination_digraph(instance: Instance, spec: RelationSpec) -> DominationDigr
 
     Bit k of x's row is set iff values_r_dominate(x.f, y.f, spec) for y = nodes[k]:
     y_j >= x_j/(1+eps) for every j, and y_j >= x_j on the rule's components (bit-sliced count).
+    On the integer image, with eps = num/den, y_j >= x_j/(1+eps) iff y_j >= ceil(den*x_j/(den+num)).
     """
     nodes = instance.ids
     required, min_exact = spec.exact_rule(instance.p) if nodes else ((), 0)
     columns = instance._sorted_columns
+    num, den = spec.eps.numerator, spec.eps.denominator
     slack = 1 + spec.eps
     rows = []
-    for x in instance.solutions:
-        exact = [c.at_least(v) for c, v in zip(columns, x.f)] if required or min_exact else []
+    for x in instance._rows:
+        exact = [c.at_least(v) for c, v in zip(columns, x)] if required or min_exact else []
         mask = -1
-        for j, (column, v) in enumerate(zip(columns, x.f)):  # exact implies within
-            mask &= exact[j] if j in required else column.at_least(v / slack)
+        for j, (column, v) in enumerate(zip(columns, x)):  # exact implies within
+            if j not in required:
+                v = v / slack if column.scale is None else -(-den * v // (den + num))
+            mask &= column.at_least(v)
         if min_exact:
             count = [-1] + [0] * min_exact  # count[c]: bits exact in >= c columns so far
             for e in exact:

@@ -7,7 +7,9 @@ per-dimension instance minima rather than the global value-range floor:
 identical correctness, far fewer cells.
 
 `bucket` walks each column's sorted values up the rungs anchor * (1+eps)**t,
-jumping by `cell_coord`; boundary values always land in the upper cell.
+jumping by `cell_coord`; boundary values always land in the upper cell.  It
+walks the instance's integer image, whose per-column scale divides out of
+every value-to-anchor ratio; `lower` reports the Fraction anchors.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def cell_coord(value: Fraction, anchor: Fraction, eps: Fraction) -> int:
     return lo
 
 
-def _rung_walk(column: Sequence[Fraction], anchor: Fraction, eps: Fraction) -> dict[Fraction, int]:
+def _rung_walk(column: Sequence[int | Fraction], anchor: int | Fraction, eps: Fraction) -> dict:
     """cell_coord(v, anchor, eps) for every distinct v of one column, in one walk."""
     num, den = (1 + eps).as_integer_ratio()
     rung_num, rung_den = anchor.as_integer_ratio()  # anchor * (1+eps)**t, unreduced
@@ -87,13 +89,15 @@ def _rung_walk(column: Sequence[Fraction], anchor: Fraction, eps: Fraction) -> d
 def bucket(instance: Instance, eps: Fraction) -> GridBucketing:
     """Assign every solution to its grid cell; anchors are per-dimension minima
     (an empty instance has no anchors and no cells)."""
-    columns = list(zip(*(sol.f for sol in instance.solutions)))
-    anchors = tuple(min(column) for column in columns)
-    coords = [_rung_walk(c, a, eps) for c, a in zip(columns, anchors)]
+    if not instance.solutions:
+        return GridBucketing(eps=eps, lower=(), cells={})
+    image = instance._image
+    lows = [min(values) for _, values in image]
+    coords = [_rung_walk(values, low, eps) for (_, values), low in zip(image, lows)]
     cells: dict[CellIndex, list[str]] = {}
-    for sol in instance.solutions:
-        key = tuple(coord[v] for coord, v in zip(coords, sol.f))
-        cells.setdefault(key, []).append(sol.id)
+    for sol_id, row in zip(instance.ids, instance._rows):
+        cells.setdefault(tuple(map(dict.__getitem__, coords, row)), []).append(sol_id)
+    anchors = tuple(low if s is None else Fraction(low, s) for (s, _), low in zip(image, lows))
     return GridBucketing(
         eps=eps, lower=anchors, cells={c: tuple(ids) for c, ids in cells.items()}
     )

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from typing import Iterator, Mapping
+from math import lcm
+from typing import Iterator, Mapping, Sequence
 
 from .numerics import _DIGIT_LIMIT, parse_rational, render_rational
 
@@ -55,6 +56,10 @@ class Instance:
 
     Invariants enforced here: ids are unique and nonempty, every objective
     value is strictly positive, and all vectors have exactly p components.
+
+    The fast paths compare one cached exact integer image (`_image`, from
+    `_scaled`): a positive scale per column keeps every order, equality and
+    ratio in it.  The pairwise references compare the Fractions.
     """
 
     p: int
@@ -74,7 +79,7 @@ class Instance:
                 raise ValueError(
                     f"solution {sol.id!r} has {len(sol.f)} objective values, expected {self.p}"
                 )
-            if any(v <= 0 for v in sol.f):
+            if any(v.numerator <= 0 for v in sol.f):  # a Fraction's denominator is positive
                 raise ValueError(f"nonpositive objective value in solution {sol.id!r}")
             pos[sol.id] = i
         object.__setattr__(self, "_pos", pos)
@@ -99,59 +104,80 @@ class Instance:
         except KeyError:
             raise KeyError(f"unknown solution id: {sol_id!r}") from None
 
+    # Cached in the instance's __dict__, outside the dataclass fields, so they
+    # take no part in ==, hash or repr.
+    @cached_property
+    def _image(self) -> tuple[tuple[int | None, Sequence[int | Fraction]], ...]:
+        """Each objective column as `_scaled` gives it: (scale, values in instance order)."""
+        return tuple(map(_scaled, list(zip(*(s.f for s in self.solutions))) or [()] * self.p))
+
+    @cached_property
+    def _rows(self) -> tuple[tuple[int | Fraction, ...], ...]:
+        """Each solution's image, in instance order."""
+        return tuple(zip(*(values for _, values in self._image)))
+
     @cached_property
     def _sorted_columns(self) -> tuple[_SortedColumn, ...]:
-        """Per-objective sorted-column index (gap oracle, digraph), built on first use.
+        """Per-objective sorted-column index of the image (gap oracle, digraph)."""
+        return tuple(_SortedColumn(values, scale) for scale, values in self._image)
 
-        Cached in the instance's __dict__, outside the dataclass fields, so it
-        takes no part in ==, hash or repr.
-        """
-        return tuple(
-            _SortedColumn([s.f[i] for s in self.solutions]) for i in range(self.p)
-        )
+
+_SCALE_BITS = 8192  # LCM bits past which _scaled keeps a column's Fractions
+
+
+def _scaled(column: Sequence[Fraction]) -> tuple[int | None, Sequence[int | Fraction]]:
+    """(s, the column times s as ints in the same order), s the LCM of its
+    denominators, or (None, the column itself) once that LCM passes _SCALE_BITS bits."""
+    scale = 1
+    for den in {v.denominator for v in column}:
+        scale = lcm(scale, den)
+        if scale.bit_length() > _SCALE_BITS:
+            return None, column
+    return scale, [v.numerator * (scale // v.denominator) for v in column]
 
 
 class _SortedColumn:
-    """One objective's values in sorted order, answering box questions as bitsets.
+    """One column of `Instance._image` in sorted order, answering box questions as bitsets.
 
-    Bit k stands for solutions[k].  `within(b)` (values <= b, the gap oracle's
-    budgets) is built per distinct b by a walk that stops past b, and cached.
-    `at_least(t)` (values >= t, the digraph's conditions) is one bisect plus a
-    suffix mask; the n + 1 suffix masks are built in one pass on the first
-    call, so the gap path never holds them.  The index knows no relation:
-    `dominance.values_r_dominate` remains the pairwise reference.
+    Bit k stands for solutions[k]; the values are ints, or Fractions when
+    `scale` is None.  `within(b)` (values <= b, the gap oracle's budgets, as
+    floor(b * scale)) is one bisect per distinct floor, cached.  `at_least(t)`
+    (values >= t on the image's scale, the digraph's conditions) is one
+    bisect plus a suffix mask; the n + 1 suffix masks are built in one pass on
+    the first call, so the gap path never holds them.  The index knows no
+    relation: `dominance.values_r_dominate` remains the pairwise reference.
     """
 
-    __slots__ = ("_ascending", "_masks", "_suffixes")
+    __slots__ = ("scale", "_values", "_order", "_masks", "_suffixes")
 
-    def __init__(self, values: list[Fraction]):
-        order = sorted(range(len(values)), key=values.__getitem__)
-        self._ascending = [(values[k], k) for k in order]
+    def __init__(self, values: Sequence[int | Fraction], scale: int | None):
+        self.scale = scale
+        self._order = sorted(range(len(values)), key=values.__getitem__)
+        self._values = [values[k] for k in self._order]
         self._masks: dict[object, int] = {}
         self._suffixes: list[int] = []
 
     def within(self, bound: Fraction) -> int:
-        try:
-            key: object = (bound.numerator, bound.denominator)  # cheaper to hash
-        except AttributeError:  # a float or Decimal budget keys on its exact value
-            key = bound
-        mask = self._masks.get(key)
+        try:  # floor(b * scale) on a scaled column: an int, cheap to hash
+            num, den = bound.as_integer_ratio()
+            cut = bound if self.scale is None else num * self.scale // den
+        except (OverflowError, ValueError):  # an infinite or NaN budget compares as is
+            cut = bound
+        mask = self._masks.get(cut)
         if mask is None:
             mask = 0
-            for value, k in self._ascending:
-                if value > bound:
-                    break
+            for k in self._order[: bisect_right(self._values, cut)]:
                 mask |= 1 << k
-            self._masks[key] = mask
+            self._masks[cut] = mask
         return mask
 
-    def at_least(self, threshold: Fraction) -> int:
+    def at_least(self, threshold: int | Fraction) -> int:
         if not self._suffixes:  # suffixes[r]: every solution at rank r or later
             suffixes = [0]
-            for _, k in reversed(self._ascending):
+            for k in reversed(self._order):
                 suffixes.append(suffixes[-1] | 1 << k)
             self._suffixes = suffixes[::-1]
-        return self._suffixes[bisect_left(self._ascending, threshold, key=lambda e: e[0])]
+        return self._suffixes[bisect_left(self._values, threshold)]
 
 
 class RelationKind(str, Enum):
@@ -378,18 +404,33 @@ def load_set(data: bytes | str) -> ApproximationSet:
     members = raw["members"]
     if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
         raise FormatError('"members" must be a list of id strings')
-    entries = []
-    for item in raw.get("certificate", []):
-        if (
-            not isinstance(item, dict)
-            or not isinstance(item.get("covered"), str)
-            or not isinstance(item.get("by"), str)
-            or not isinstance(item.get("exact_indices"), list)
-            or not all(type(i) is int and i >= 1 for i in item["exact_indices"])
-        ):
-            raise FormatError(f"malformed certificate entry: {item!r}")
-        entries.append(CertificateEntry(item["covered"], item["by"], tuple(item["exact_indices"])))
+    items = raw.get("certificate", [])
+    try:  # check every entry's fields at once, then build the entries
+        shapes = {(type(e["covered"]), type(e["by"]), type(e["exact_indices"])) for e in items}
+        indices = [i for e in items for i in e["exact_indices"]]
+        well_formed = (
+            shapes <= {(str, str, list)}
+            and set(map(type, indices)) <= {int}  # not isinstance: JSON true/false load as bool
+            and min(indices, default=1) >= 1
+        )
+    except (KeyError, TypeError):  # an entry that is no object or lacks a field
+        well_formed = False
+    if not well_formed:
+        raise FormatError(f"malformed certificate entry: {next(filter(_malformed, items))!r}")
+    entries = [CertificateEntry(e["covered"], e["by"], tuple(e["exact_indices"])) for e in items]
     return ApproximationSet(relation=relation, members=tuple(members), certificate=tuple(entries))
+
+
+def _malformed(item: object) -> bool:
+    """Is this no certificate entry: an object with "covered" and "by" strings and an
+    "exact_indices" list of positive integers?"""
+    return (
+        not isinstance(item, dict)
+        or not isinstance(item.get("covered"), str)
+        or not isinstance(item.get("by"), str)
+        or not isinstance(item.get("exact_indices"), list)
+        or not all(type(i) is int and i >= 1 for i in item["exact_indices"])
+    )
 
 
 def save_set(aset: ApproximationSet) -> bytes:

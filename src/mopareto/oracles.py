@@ -58,8 +58,8 @@ def gap_oracle(instance: Instance, query: GapQuery) -> Solution | None:
 
     The answer is the lowest set bit of the AND of the instance's cached
     per-objective bitsets for b (see Instance._sorted_columns).  The index
-    keeps one n-bit bitset per distinct budget value queried on each
-    objective; on the construct_via_gap path that is one per budget level.
+    keeps one n-bit bitset per distinct floor(b * scale) queried on each
+    objective; on the construct_via_gap path that is at most one per budget level.
     """
     if len(query.b) != instance.p:
         raise ValueError("query dimension does not match the instance")

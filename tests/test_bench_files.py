@@ -61,9 +61,23 @@ def test_bench_file_names_only_declared_workloads_and_metrics(path):
 
 
 
+def digest_workloads(name, seed):
+    """The workloads named, in order, by a digest file's `outputs` lines at this seed."""
+    lines = (ROOT / ".github" / name).read_text().splitlines()
+    pattern = re.compile(rf"outputs (\S+) seed {seed} sha256 [0-9a-f]{{64}}")
+    return [m and m[1] for m in map(pattern.fullmatch, lines)]
+
+
+def workload_names():
+    return [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
 def test_digest_file_has_one_seed_1_line_per_workload():
     """CI diffs perfbench's `outputs` lines, in BENCHMARK.json order, against this file."""
-    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
-    lines = (ROOT / ".github" / "bench-digests.txt").read_text().splitlines()
-    pattern = re.compile(r"outputs (\S+) seed 1 sha256 [0-9a-f]{64}")
-    assert [m and m[1] for m in map(pattern.fullmatch, lines)] == names
+    assert digest_workloads("bench-digests.txt", 1) == workload_names()
+
+
+def test_held_out_digest_file_has_one_line_per_workload():
+    """CI diffs the held-out seed's `outputs` lines against bench-digests-<seed>.txt too."""
+    seed = json.loads((ROOT / "perfbench" / "interaction_map.json").read_text())["held_out_seed"]
+    assert digest_workloads(f"bench-digests-{seed}.txt", seed) == workload_names()

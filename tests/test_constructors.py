@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mopareto import constructors
+from mopareto import constructors, model
 from mopareto.constructors import (
     QueryLimitExceeded,
     UnsupportedRelationError,
@@ -216,7 +216,11 @@ def verify_cases(draw):
 
 
 class TestVerifyKernelMatchesTheOldLoop:
-    """verify_approximation on column-scaled values returns what the pairwise loop returned."""
+    """verify_approximation on column-scaled values returns what the pairwise loop returned.
+
+    The scale limit is model._SCALE_BITS, read when an instance first builds
+    its cached image, so each instance is built after the limit is patched.
+    """
 
     @settings(max_examples=400, deadline=None)
     @given(verify_cases(), st.sampled_from([0, 12, 24, None]))
@@ -225,8 +229,11 @@ class TestVerifyKernelMatchesTheOldLoop:
         instance, members, spec = case
         with pytest.MonkeyPatch.context() as mp:
             if scale_bits is not None:
-                mp.setattr(constructors, "_SCALE_BITS", scale_bits)
+                mp.setattr(model, "_SCALE_BITS", scale_bits)
+            instance = Instance(instance.p, instance.solutions)  # no image cached yet
             got = outcome(verify_approximation, instance, members, spec)
+            if scale_bits == 0:
+                assert all(scale is None for scale, _ in instance._image) or not instance.solutions
         assert got == outcome(reference_verify, instance, members, spec)
         if isinstance(got, VerifyResult) and got.ok:
             assert certificate_is_valid(instance, got.approximation)
@@ -236,7 +243,7 @@ class TestVerifyKernelMatchesTheOldLoop:
     def test_each_boundary_and_one_step_either_side(self, kind, scale_bits, monkeypatch):
         # the target t and, per member, one component moved onto or past a boundary
         if scale_bits is not None:
-            monkeypatch.setattr(constructors, "_SCALE_BITS", scale_bits)
+            monkeypatch.setattr(model, "_SCALE_BITS", scale_bits)
         eps = F(2, 5)
         t = (F(5, 7), F(2, 3), F(3, 5))
         spec = RelationSpec(kind, eps, 1 if kind in QUASI_KINDS else None)
@@ -249,11 +256,15 @@ class TestVerifyKernelMatchesTheOldLoop:
 
     def test_a_column_is_scaled_to_integers_or_kept_past_the_bit_limit(self, monkeypatch):
         small, large = (F(1, 2), F(2, 3), F(5, 4)), (F(1, 3), F(1, 5), F(2, 7))
-        assert constructors._scaled(small) == [6, 8, 15]  # LCM 12
-        assert constructors._scaled(large) == [35, 21, 30]  # LCM 105
-        monkeypatch.setattr(constructors, "_SCALE_BITS", 5)  # 12 fits in 5 bits, 105 does not
-        assert constructors._scaled(small) == [6, 8, 15]
-        assert constructors._scaled(large) is large
+        assert model._scaled(small) == (12, [6, 8, 15])
+        assert model._scaled(large) == (105, [35, 21, 30])
+        monkeypatch.setattr(model, "_SCALE_BITS", 5)  # 12 fits in 5 bits, 105 does not
+        assert model._scaled(small) == (12, [6, 8, 15])
+        scale, values = model._scaled(large)
+        assert scale is None and values is large
+        instance = Instance(2, tuple(Solution(f"s{i}", f) for i, f in enumerate(zip(small, large))))
+        assert instance._image == ((12, [6, 8, 15]), (None, large))
+        assert instance._rows == ((6, F(1, 3)), (8, F(1, 5)), (15, F(2, 7)))
 
     @pytest.mark.parametrize(
         "kind, k",
@@ -274,8 +285,9 @@ class TestVerifyKernelMatchesTheOldLoop:
         ]
         instance = inst(*images)
         column, other = zip(*images)
-        assert constructors._scaled(column) is column  # falls back
-        assert all(type(v) is int for v in constructors._scaled(other))  # is scaled
+        assert model._scaled(column) == (None, column)  # falls back
+        assert instance._image[0] == (None, column)
+        assert all(type(v) is int for v in instance._image[1][1])  # is scaled
         spec = RelationSpec(kind, eps, k)
         for members in (["s1"], ["s1", "s3"], ["s3", "s2", "s3"], list(instance.ids)):
             got = verify_approximation(instance, members, spec)

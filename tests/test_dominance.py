@@ -17,6 +17,7 @@ from mopareto.dominance import (
     values_r_dominate,
     weakly_efficient_set,
 )
+from mopareto import model
 from mopareto.generators import gen_prop_dominated, gen_prop_one_exact, gen_quasi2_gap, gen_random
 from mopareto.model import Instance, RelationKind, RelationSpec, Solution
 
@@ -386,16 +387,33 @@ def _digraph_outcome(builder, instance, spec):
         return f"ValueError: {exc}"
 
 
+# model._SCALE_BITS: every column falls back to Fractions (0), the columns
+# with large coprime denominators do (12), or none does (None: the default)
+SCALE_BITS = [0, 12, None]
+
+
+def under_scale_bits(mp, scale_bits, instance):
+    """The instance rebuilt with model._SCALE_BITS patched, so its image is cached under it."""
+    if scale_bits is not None:
+        mp.setattr(model, "_SCALE_BITS", scale_bits)
+    fresh = Instance(instance.p, instance.solutions)
+    if scale_bits == 0 and fresh.solutions:
+        assert all(scale is None for scale, _ in fresh._image)
+    return fresh
+
+
 class TestIndexedDigraphMatchesThePairwiseBuilder:
     @settings(max_examples=400, deadline=None)
-    @given(digraph_cases())
-    def test_same_digraph_or_error(self, case):
+    @given(digraph_cases(), st.sampled_from(SCALE_BITS))
+    def test_same_digraph_or_error(self, case, scale_bits):
         spec, instance = case
-        # the index is cached on the instance: query it for two relations in turn
-        for relation in (spec, RelationSpec(RelationKind.EPSILON, spec.eps)):
-            assert _digraph_outcome(domination_digraph, instance, relation) == _digraph_outcome(
-                reference_domination_digraph, instance, relation
-            )
+        with pytest.MonkeyPatch.context() as mp:
+            instance = under_scale_bits(mp, scale_bits, instance)
+            # the index is cached on the instance: query it for two relations in turn
+            for relation in (spec, RelationSpec(RelationKind.EPSILON, spec.eps)):
+                assert _digraph_outcome(domination_digraph, instance, relation) == _digraph_outcome(
+                    reference_domination_digraph, instance, relation
+                )
 
     @pytest.mark.parametrize("p", range(1, 6))
     def test_every_kind_and_k_on_a_random_instance(self, p):
@@ -408,8 +426,9 @@ class TestIndexedDigraphMatchesThePairwiseBuilder:
                 continue
             assert domination_digraph(instance, spec) == reference_domination_digraph(instance, spec)
 
-    def test_empty_instance(self):
-        empty = Instance(p=1, solutions=())
+    @pytest.mark.parametrize("scale_bits", SCALE_BITS)
+    def test_empty_instance(self, scale_bits, monkeypatch):
+        empty = under_scale_bits(monkeypatch, scale_bits, Instance(p=1, solutions=()))
         for spec in (
             RelationSpec(RelationKind.TWO_EXACT, Fraction(1)),
             RelationSpec(RelationKind.QUASI_K, Fraction(1), k=2),
@@ -432,3 +451,22 @@ class TestIndexedDigraphMatchesThePairwiseBuilder:
         before = (i == gen_random(12, 3, seed=4), hash(i), repr(i))
         domination_digraph(i, RelationSpec(RelationKind.QUASI_K, Fraction(1, 2), k=2))
         assert (i == gen_random(12, 3, seed=4), hash(i), repr(i)) == before
+
+
+class TestImageFiltersMatchThePairwiseReferences:
+    """efficient_set and weakly_efficient_set on image rows, under each scale limit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(digraph_cases(), st.sampled_from(SCALE_BITS))
+    def test_coprime_denominators_twins_and_boundaries(self, case, scale_bits):
+        _, instance = case
+        with pytest.MonkeyPatch.context() as mp:
+            instance = under_scale_bits(mp, scale_bits, instance)
+            assert efficient_set(instance) == reference_efficient_set(instance)
+            assert weakly_efficient_set(instance) == reference_weakly_efficient_set(instance)
+
+    @pytest.mark.parametrize("scale_bits", SCALE_BITS)
+    def test_empty_instance(self, scale_bits, monkeypatch):
+        for p in (1, 3):
+            empty = under_scale_bits(monkeypatch, scale_bits, Instance(p=p, solutions=()))
+            assert efficient_set(empty) == weakly_efficient_set(empty) == set()

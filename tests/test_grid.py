@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mopareto import model
 from mopareto.dominance import values_r_dominate
 from mopareto.generators import gen_random
 from mopareto.grid import (
@@ -85,6 +86,21 @@ def grid_inputs(draw):
     return Instance(p, tuple(Solution(f"s{i}", row) for i, row in enumerate(rows))), eps
 
 
+# model._SCALE_BITS: every column falls back to Fractions (0), columns with
+# large denominators do (12), or none does (None: the default)
+SCALE_BITS = [0, 12, None]
+
+
+def under_scale_bits(mp, scale_bits, instance):
+    """The instance rebuilt with model._SCALE_BITS patched, so its image is cached under it."""
+    if scale_bits is not None:
+        mp.setattr(model, "_SCALE_BITS", scale_bits)
+    fresh = Instance(instance.p, instance.solutions)
+    if scale_bits == 0 and fresh.solutions:
+        assert all(scale is None for scale, _ in fresh._image)
+    return fresh
+
+
 class TestCellCoord:
     def test_powers_of_two(self):
         assert cell_coord(Fraction(8), Fraction(1), Fraction(1)) == 3
@@ -123,10 +139,11 @@ class TestBucketing:
         assert set(b.cells) == {(0, 0)}
         assert b.lower == (Fraction(3), Fraction(5))
 
-    def test_empty_instance_has_no_anchors_and_no_cells(self):
+    @pytest.mark.parametrize("scale_bits", SCALE_BITS)
+    def test_empty_instance_has_no_anchors_and_no_cells(self, scale_bits, monkeypatch):
         for p in (1, 3):
-            got = bucket(Instance(p=p, solutions=()), Fraction(1, 2))
-            assert got == GridBucketing(Fraction(1, 2), (), {})
+            empty = under_scale_bits(monkeypatch, scale_bits, Instance(p=p, solutions=()))
+            assert bucket(empty, Fraction(1, 2)) == GridBucketing(Fraction(1, 2), (), {})
 
     def test_boundary_point_gets_upper_cell(self):
         b = bucket(inst((1, 1), (2, 2)), Fraction(1))
@@ -139,16 +156,19 @@ class TestBucketing:
         assert sorted(seen) == sorted(instance.ids)
 
     @settings(max_examples=150, deadline=None)
-    @given(grid_inputs())
-    def test_matches_per_value_reference(self, case):
+    @given(grid_inputs(), st.sampled_from(SCALE_BITS))
+    def test_matches_per_value_reference(self, case, scale_bits):
         instance, eps = case
-        got, want = bucket(instance, eps), reference_bucket(instance, eps)
+        with pytest.MonkeyPatch.context() as mp:
+            instance = under_scale_bits(mp, scale_bits, instance)
+            got, want = bucket(instance, eps), reference_bucket(instance, eps)
         assert got.lower == want.lower
         assert list(got.cells.items()) == list(want.cells.items())
 
+    @pytest.mark.parametrize("scale_bits", SCALE_BITS)
     @pytest.mark.parametrize("p", [1, 2, 3])
-    def test_all_distinct_columns_match_reference(self, p):
-        instance = gen_random(300, p, seed=p, value_range=30)
+    def test_all_distinct_columns_match_reference(self, p, scale_bits, monkeypatch):
+        instance = under_scale_bits(monkeypatch, scale_bits, gen_random(300, p, seed=p, value_range=30))
         for eps in (Fraction(1, 64), Fraction(1, 2), Fraction(5, 3)):
             assert list(bucket(instance, eps).cells.items()) == list(
                 reference_bucket(instance, eps).cells.items()

@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mopareto import model
@@ -52,6 +52,23 @@ class TestInstanceInvariants:
     def test_nonpositive_value_rejected(self):
         with pytest.raises(ValueError, match="nonpositive"):
             _inst((1, 0))
+
+    @pytest.mark.parametrize(
+        "bad", [Fraction(0), Fraction(-1, 3), Fraction(-10**40, 7), 0, -2], ids=repr
+    )
+    def test_nonpositive_value_names_the_first_solution_holding_one(self, bad):
+        # the sign is read off the numerator: a Fraction's denominator is positive
+        solutions = (
+            Solution("a", (Fraction(1, 3), 2)),
+            Solution("b", (Fraction(5), bad)),
+            Solution("c", (bad, bad)),
+        )
+        with pytest.raises(ValueError, match=r"^nonpositive objective value in solution 'b'$"):
+            Instance(p=2, solutions=solutions)
+
+    def test_plain_int_values_are_accepted(self):
+        inst = Instance(p=2, solutions=(Solution("a", (1, Fraction(1, 10**40))), Solution("b", (3, 2))))
+        assert inst._rows == ((1, 1), (3, 2 * 10**40))
 
     def test_ragged_vector_rejected(self):
         with pytest.raises(ValueError, match="expected 2"):
@@ -399,3 +416,91 @@ class TestWrittenBytes:
     )
     def test_the_writer_matches_indented_json_dumps(self, value):
         assert model._dumps(value) == json.dumps(value, indent=2)
+
+
+def reference_load_set(data):
+    """load_set as it was before its entries were checked all at once, verbatim."""
+    raw = model._load_json(data)
+    if not isinstance(raw, dict) or "relation" not in raw or "members" not in raw:
+        raise FormatError('set file must be an object with "relation" and "members"')
+    relation = model._relation_from_json(raw["relation"])
+    members = raw["members"]
+    if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
+        raise FormatError('"members" must be a list of id strings')
+    entries = []
+    for item in raw.get("certificate", []):
+        if (
+            not isinstance(item, dict)
+            or not isinstance(item.get("covered"), str)
+            or not isinstance(item.get("by"), str)
+            or not isinstance(item.get("exact_indices"), list)
+            or not all(type(i) is int and i >= 1 for i in item["exact_indices"])
+        ):
+            raise FormatError(f"malformed certificate entry: {item!r}")
+        entries.append(CertificateEntry(item["covered"], item["by"], tuple(item["exact_indices"])))
+    return ApproximationSet(relation=relation, members=tuple(members), certificate=tuple(entries))
+
+
+_JUNK = st.sampled_from([None, True, False, 0, -1, 1.0, 2.5, "", "1", "a", [], [1], {}, {"a": 1}])
+_INDEX = st.integers(1, 10**20) | st.sampled_from([0, -3, True, False, 1.0, "1", None, [1]])
+
+
+@st.composite
+def certificate_items(draw):
+    """A certificate entry: well formed, or with a field missing or of the wrong type, or no object."""
+    indices = draw(st.lists(st.integers(1, 5), max_size=3))
+    item = {"covered": draw(_IDS), "by": draw(_IDS), "exact_indices": indices}
+    how = draw(st.sampled_from(["good"] * 4 + ["drop", "junk", "indices", "extra", "no object"]))
+    key = draw(st.sampled_from(sorted(item)))
+    if how == "drop":
+        del item[key]
+    elif how == "junk":
+        item[key] = draw(_JUNK)
+    elif how == "indices":
+        item["exact_indices"] = draw(st.lists(_INDEX, min_size=1, max_size=3))
+    elif how == "extra":
+        item["note"] = draw(_JUNK)
+    elif how == "no object":
+        return draw(_JUNK)
+    return item
+
+
+def _outcome(load, data):
+    try:
+        return load(data)
+    except Exception as exc:  # the type and message must match too
+        return type(exc), str(exc)
+
+
+class TestCertificateEntriesAreCheckedAtOnce:
+    """load_set returns what the per-entry loop returned, or raises its error for the first bad entry."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(certificate_items(), max_size=6)
+        | _JUNK.filter(lambda v: not isinstance(v, list))
+        | st.just("absent")
+    )
+    # an empty object or string, or a string of digits, is no index list though tuple() takes it
+    @example([{"covered": "a", "by": "a", "exact_indices": {}}])
+    @example([{"covered": "a", "by": "a", "exact_indices": ""}])
+    @example([{"covered": "a", "by": "a", "exact_indices": [1]},
+              {"covered": "b", "by": "a", "exact_indices": "12"}])
+    def test_matches_the_per_entry_loop(self, certificate):
+        payload = {"relation": {"kind": "epsilon", "eps": "1/2"}, "members": ["a"]}
+        if certificate != "absent":
+            payload["certificate"] = certificate
+        data = json.dumps(payload).encode()
+        assert _outcome(load_set, data) == _outcome(reference_load_set, data)
+
+    def test_the_first_bad_entry_is_named(self):
+        good = {"covered": "a", "by": "a", "exact_indices": [1]}
+        certificate = [good, {"covered": "b", "by": "a", "exact_indices": [0]}, {"covered": 1}]
+        data = json.dumps({"relation": {"kind": "epsilon", "eps": "1"}, "members": ["a"],
+                           "certificate": certificate}).encode()
+        with pytest.raises(FormatError) as info:
+            load_set(data)
+        assert str(info.value) == (
+            "malformed certificate entry: {'covered': 'b', 'by': 'a', 'exact_indices': [0]}"
+        )
+

@@ -1,4 +1,5 @@
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from random import Random
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mopareto import constructors, dominance, oracles
+from mopareto import constructors, dominance, model, oracles
 from mopareto.constructors import verify_approximation
 from mopareto.dominance import (
     domination_digraph,
@@ -181,6 +182,64 @@ class TestGapOracle:
         # a "NO" is wrong when something fits even the shrunken budgets
         roomy = GapQuery(b=(F(4), F(8)), delta=F(1, 2))
         assert not valid_gap_answer(STAIRCASE, roomy, None)
+
+
+# VALUES plus values whose 14- and 17-bit denominators pass a 12-bit scale limit
+MIXED_VALUES = VALUES + [F(40009, 10007), F(99991, 65537)]
+
+
+@st.composite
+def mixed_instances(draw):
+    """An instance of up to 12 solutions, possibly empty, with repeated values and images."""
+    p = draw(st.integers(min_value=1, max_value=4))
+    vectors = draw(st.lists(st.tuples(*[st.sampled_from(MIXED_VALUES)] * p), max_size=12))
+    vectors += draw(st.lists(st.sampled_from(vectors), max_size=4)) if vectors else []
+    return Instance(p=p, solutions=tuple(Solution(f"s{i}", v) for i, v in enumerate(vectors)))
+
+
+def mixed_budget(column):
+    """budget_component's budgets, also as a float or a Decimal, or an infinite float."""
+    exact = budget_component(column) if column else st.fractions(F(1, 4), F(4))
+    return st.one_of(
+        exact,
+        exact.map(float),
+        exact.map(lambda b: Decimal(b.numerator) / Decimal(b.denominator)),
+        st.just(float("inf")),
+    )
+
+
+class TestGapOracleOnTheIntegerImage:
+    """The index compares floor(b * scale) with each scaled column; the references compare b."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_instances(), st.sampled_from([0, 12, None]), st.data())
+    def test_answers_validate_and_match_the_scan_under_each_scale_limit(
+        self, instance, scale_bits, data
+    ):
+        # scale_bits: every column falls back (0), some do (12), none do (None)
+        columns = list(zip(*(s.f for s in instance.solutions))) or [()] * instance.p
+        budgets = st.tuples(*[mixed_budget(c) for c in columns])
+        with pytest.MonkeyPatch.context() as mp:
+            if scale_bits is not None:
+                mp.setattr(model, "_SCALE_BITS", scale_bits)
+            instance = Instance(instance.p, instance.solutions)  # no image cached yet
+            if scale_bits == 0 and instance.solutions:
+                assert all(scale is None for scale, _ in instance._image)
+            for _ in range(10):
+                query = GapQuery(b=data.draw(budgets), delta=data.draw(st.sampled_from([F(1, 2), F(1, 9)])))
+                answer = gap_oracle(instance, query)
+                assert answer is scan_gap_oracle(instance, query)
+                # valid_gap_answer divides b by 1 + delta, which a Decimal does not take from a Fraction
+                exact = GapQuery(tuple(F(v) if isinstance(v, Decimal) else v for v in query.b), query.delta)
+                assert valid_gap_answer(instance, exact, answer)
+
+    def test_a_budget_on_a_value_and_one_unit_below_it(self):
+        # 1/3 and 2/7 scale by 21: floor(b * 21) decides b = 1/3 (7) and b just below it (6)
+        instance = inst((F(1, 3), F(2, 7)), (F(2, 7), F(1, 3)))
+        for b, want in [((F(1, 3), F(1, 3)), "s1"), ((F(1, 3) - F(1, 10**30), F(1, 3)), "s2"),
+                        ((F(2, 7), F(2, 7)), None), ((0.3, Decimal(1)), "s2"), ((Decimal(1), 0.3), "s1")]:
+            answer = gap_oracle(instance, GapQuery(b=b, delta=F(1, 2)))
+            assert (answer and answer.id) == want, b
 
 
 class TestGapOracleSharesTheDigraphIndex:
