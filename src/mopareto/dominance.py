@@ -23,7 +23,6 @@ __all__ = [
     "r_dominates",
     "values_r_dominate",
     "strictly_dominates",
-    "dominates",
     "exact_components",
     "efficient_set",
     "weakly_efficient_set",
@@ -69,12 +68,6 @@ def strictly_dominates(x: Solution, y: Solution) -> bool:
     """Strictly better in every objective."""
     _check_dims(x.f, y.f)
     return all(a < b for a, b in zip(x.f, y.f))
-
-
-def dominates(x: Solution, y: Solution) -> bool:
-    """At least as good everywhere and strictly better somewhere."""
-    _check_dims(x.f, y.f)
-    return all(a <= b for a, b in zip(x.f, y.f)) and any(a < b for a, b in zip(x.f, y.f))
 
 
 def exact_components(x: Solution, y: Solution) -> tuple[int, ...]:

@@ -23,7 +23,6 @@ __all__ = [
     "greedy_tournament_dominating_set",
     "greedy_cover_dominating_set",
     "exact_min_dominating_set",
-    "is_dominating",
 ]
 
 DEFAULT_NODE_LIMIT = 25
@@ -115,12 +114,3 @@ def exact_min_dominating_set(
 
     descend((1 << n) - 1, [])
     return {graph.nodes[i] for i in best}
-
-
-def is_dominating(graph: DominationDigraph, members: set[str]) -> bool:
-    """Every node is a member or the target of an arc from a member."""
-    covered = 0
-    for u, row in zip(graph.nodes, graph.rows):
-        if u in members:
-            covered |= row
-    return covered == (1 << len(graph.nodes)) - 1

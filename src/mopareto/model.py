@@ -118,7 +118,8 @@ class Instance:
 
     @cached_property
     def _sorted_columns(self) -> tuple[_SortedColumn, ...]:
-        """Per-objective sorted-column index of the image (gap oracle, digraph)."""
+        """Per-objective sorted-column index of the image; the gap oracle, the digraph
+        and the biobjective sweeps read it."""
         return tuple(_SortedColumn(values, scale) for scale, values in self._image)
 
 
@@ -144,8 +145,10 @@ class _SortedColumn:
     floor(b * scale)) is one bisect per distinct floor, cached.  `at_least(t)`
     (values >= t on the image's scale, the digraph's conditions) is one
     bisect plus a suffix mask; the n + 1 suffix masks are built in one pass on
-    the first call, so the gap path never holds them.  The index knows no
-    relation: `dominance.values_r_dominate` remains the pairwise reference.
+    the first call, so the gap path never holds them.  The biobjective sweeps
+    bisect `_values` and walk `_order` (a stable sort: ties in instance order)
+    directly.  The index knows no relation: `dominance.values_r_dominate`
+    remains the pairwise reference.
     """
 
     __slots__ = ("scale", "_values", "_order", "_masks", "_suffixes")
@@ -161,7 +164,7 @@ class _SortedColumn:
         try:  # floor(b * scale) on a scaled column: an int, cheap to hash
             num, den = bound.as_integer_ratio()
             cut = bound if self.scale is None else num * self.scale // den
-        except (OverflowError, ValueError):  # an infinite or NaN budget compares as is
+        except OverflowError:  # an infinite budget compares as is
             cut = bound
         mask = self._masks.get(cut)
         if mask is None:
@@ -266,9 +269,9 @@ class GapQuery:
     delta: Fraction
 
     def __post_init__(self) -> None:
-        if any(v <= 0 for v in self.b):
+        if any(not v > 0 for v in self.b):  # not v <= 0: a NaN compares false both ways
             raise ValueError("all budget components must be positive")
-        if self.delta <= 0:
+        if not self.delta > 0:
             raise ValueError("delta must be positive")
 
     @classmethod

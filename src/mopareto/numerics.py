@@ -18,7 +18,6 @@ __all__ = [
     "render_rational",
     "exact_sqrt",
     "half_step_delta",
-    "encoding_bits",
 ]
 
 # integer ("5"), fraction ("3/2"), or finite decimal ("1.25"), optionally signed
@@ -90,8 +89,3 @@ def half_step_delta(eps: Fraction) -> Fraction:
     if delta <= 0:
         raise ValueError(f"eps={eps} is too small for the dyadic delta ladder")
     return delta
-
-
-def encoding_bits(r: Fraction) -> int:
-    """Binary encoding length of a rational: max bit length of numerator and denominator."""
-    return max(abs(r.numerator).bit_length(), r.denominator.bit_length())

@@ -2,13 +2,15 @@
 biobjective greedy algorithms built on them, and the adversarial query
 answerer that makes two instances indistinguishable to budget queries.
 
-The gap oracle answers from a per-instance index: for each objective, a
-cached bitset per budget value of the solutions within it, so a query costs p
-lookups and p big-integer ANDs instead of a scan of the instance.  The
-constrained and budget-relaxed oracles are per-query scans; the biobjective
-sweeps reach the same answers from two sorted orders, O(n log n) per sweep.
-Every answer can be validated independently against the instance:
-`valid_gap_answer` is the exhaustive check that shares no code with the index.
+The gap oracle and the biobjective sweeps read one per-instance index, the
+sorted columns of the instance's integer image (`Instance._sorted_columns`).
+The gap oracle keeps a cached bitset per budget value of the solutions within
+it, so a query costs p lookups and p big-integer ANDs instead of a scan of the
+instance.  The sweeps find each answer a constrained ("min f2 subject to
+f1 <= bound") or budget-relaxed oracle would give by bisecting prefix minima
+over the two sorted orders, O(n log n) per sweep.  Every gap answer can be
+validated independently against the instance: `valid_gap_answer` is the
+exhaustive check that shares no code with the index.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Sequence
 
 from .constructors import _certified
 from .model import (
@@ -38,8 +39,6 @@ __all__ = [
     "gap_oracle",
     "valid_gap_answer",
     "consistent_gap_answer",
-    "constrained_oracle",
-    "dual_restrict_oracle",
     "greedy_biobjective_min",
     "dual_restrict_2approx",
 ]
@@ -145,50 +144,6 @@ def consistent_gap_answer(pair: AdversarialPair, query: GapQuery) -> Solution | 
     return None
 
 
-def constrained_oracle(
-    instance: Instance, objective: int, bounds: Sequence[Fraction]
-) -> Solution | None:
-    """Minimize objective i subject to bounds on all other objectives.
-
-    `objective` is 1-based; `bounds` applies to the remaining objectives in
-    ascending index order.  Among feasible solutions the minimizer with the
-    lexicographically smallest image (ties by instance order) is returned,
-    which is automatically efficient.  None means infeasible.
-    """
-    if not 1 <= objective <= instance.p:
-        raise ValueError(f"objective index {objective} out of range 1..{instance.p}")
-    if len(bounds) != instance.p - 1:
-        raise ValueError(f"expected {instance.p - 1} bounds, got {len(bounds)}")
-    if any(b <= 0 for b in bounds):
-        raise ValueError("bounds must be positive")
-    i = objective - 1
-    feasible = (
-        s for s in instance.solutions if all(v <= b for v, b in zip(s.f[:i] + s.f[i + 1:], bounds))
-    )
-    return min(feasible, key=lambda s: (s.f[i], s.f), default=None)
-
-
-def dual_restrict_oracle(
-    instance: Instance,
-    objective: int,
-    bounds: Sequence[Fraction],
-    delta: Fraction,
-) -> Solution | None:
-    """Budget-relaxed variant: optimal in objective i, bounds slack by 1+delta.
-
-    None only if no solution meets the *un-relaxed* bounds.  Otherwise the
-    answer must reach the constrained optimum in objective i while exceeding
-    each bound by at most a factor 1 + delta.  This implementation returns
-    the constrained oracle's answer.  It meets both requirements without
-    using the slack, and it is efficient: a solution componentwise at most
-    it meets the bounds too, so the lexicographic tie-break gives it the
-    same image.
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    return constrained_oracle(instance, objective, bounds)
-
-
 def _biobjective_sweep(instance: Instance, eps: Fraction, relaxed: bool) -> list[str]:
     """The sweep both biobjective covers share; returns its picks, unverified.
 
@@ -200,23 +155,26 @@ def _biobjective_sweep(instance: Instance, eps: Fraction, relaxed: bool) -> list
     uncovered s iff f2(pick) <= (1+eps) * f2(s), so the uncovered solutions
     are always the first ones in f2 order: t is a prefix minimum there and
     the pick a prefix minimum in f1 order, two exact bisects per pick.
+
+    Both orders are the instance's sorted-column index.  The sweep compares
+    values within one column and multiplies them by ratios only, so each
+    column's scale drops out and a Fraction fallback column takes the same code.
     """
     if eps <= 0:  # before the loop: a bound below t would never shrink the uncovered prefix
         raise ValueError("eps must be positive")
     ratio = 1 + (half_step_delta(eps) if relaxed else eps)
-    by_f1 = sorted(instance.solutions, key=lambda s: s.f[0])
-    by_f2 = sorted(instance.solutions, key=lambda s: s.f[1])
+    f1, f2 = instance._sorted_columns
+    rows = instance._rows
     # prefix minima: t over the f2 order; the pick, least f2 and then earliest, over the f1 order,
     # which is least (f2, f1, position) since f1 ties keep instance order
-    least_f1 = list(accumulate((s.f[0] for s in by_f2), min))
-    best = list(accumulate(by_f1, lambda a, s: s if s.f[1] < a.f[1] else a))
+    least_f1 = list(accumulate((rows[k][0] for k in f2._order), min))
+    best = list(accumulate(f1._order, lambda a, k: k if rows[k][1] < rows[a][1] else a))
     members: list[str] = []
-    uncovered = len(by_f2)
+    uncovered = len(rows)
     while uncovered:
-        bound = ratio * least_f1[uncovered - 1]
-        pick = best[bisect_right(by_f1, bound, key=lambda s: s.f[0]) - 1]
-        members.append(pick.id)
-        uncovered = bisect_left(by_f2, pick.f[1] / (1 + eps), key=lambda s: s.f[1])
+        pick = best[bisect_right(f1._values, ratio * least_f1[uncovered - 1]) - 1]
+        members.append(instance.solutions[pick].id)
+        uncovered = bisect_left(f2._values, rows[pick][1] / (1 + eps))
     return members
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from mopareto.dominance import (
     DominationDigraph,
     _check_dims,
-    dominates,
     domination_digraph,
     efficient_set,
     exact_components,
@@ -34,6 +33,12 @@ def inst(*vectors):
             for i, vec in enumerate(vectors, start=1)
         ),
     )
+
+
+def dominates(x: Solution, y: Solution) -> bool:
+    """Classical dominance: at least as good everywhere and strictly better somewhere."""
+    _check_dims(x.f, y.f)
+    return all(a <= b for a, b in zip(x.f, y.f)) and any(a < b for a, b in zip(x.f, y.f))
 
 
 # The pairwise filters, kept as references for the presorted implementations.

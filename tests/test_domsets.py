@@ -12,7 +12,6 @@ from mopareto.domsets import (
     exact_min_dominating_set,
     greedy_cover_dominating_set,
     greedy_tournament_dominating_set,
-    is_dominating,
     tournament_view,
 )
 from mopareto.generators import gen_prop_dominated, gen_quasi2_gap, gen_random
@@ -30,6 +29,15 @@ def digraph_of(out):
     nodes = tuple(out)
     rows = tuple(sum(1 << nodes.index(v) for v in set(vs) | {u}) for u, vs in out.items())
     return DominationDigraph(nodes=nodes, rows=rows)
+
+
+def is_dominating(graph, members):
+    """The reference cover check: every node is a member or the target of an arc from a member."""
+    covered = 0
+    for u, row in zip(graph.nodes, graph.rows):
+        if u in members:
+            covered |= row
+    return covered == (1 << len(graph.nodes)) - 1
 
 
 def brute_force_min(graph):

@@ -1,9 +1,14 @@
-"""Every name a package module imports is used there or re-exported by it."""
+"""Every name a package module imports is used there or re-exported by it, and
+the package exports exactly the names its modules declare in `__all__`."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
+
+import mopareto
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mopareto"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -65,3 +70,16 @@ def test_the_check_sees_plain_aliased_and_reexported_imports():
         "    return os.getcwd()\n"
     )
     assert unused_imports(source) == [("Fraction", 4), ("j", 3)]
+
+
+def test_the_package_exports_exactly_its_modules_all():
+    modules = [importlib.import_module(f"mopareto.{path.stem}") for path in MODULES]
+    declared = [(module, name) for module in modules for name in getattr(module, "__all__", ())]
+    exported = {
+        name
+        for name, value in vars(mopareto).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert exported == {name for _, name in declared}
+    # a name two modules declare (GapQuery) is one object, so import order cannot shadow it
+    assert all(getattr(mopareto, name) is getattr(module, name) for module, name in declared)

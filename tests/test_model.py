@@ -122,6 +122,19 @@ class TestGapQuery:
         with pytest.raises(ValueError):
             GapQuery(b=(Fraction(1),), delta=Fraction(0))
 
+    @pytest.mark.parametrize(
+        "b, delta, message",
+        [
+            ((float("nan"), float("nan")), Fraction(1, 2), "all budget components must be"),
+            ((Fraction(1), float("nan")), Fraction(1, 2), "all budget components must be"),
+            ((Fraction(1), Fraction(1)), float("nan"), "delta must be"),
+        ],
+    )
+    def test_nan_budget_and_nan_delta_rejected(self, b, delta, message):
+        # NaN compares false both ways, so a check written as v <= 0 would let it through
+        with pytest.raises(ValueError, match=f"^{message} positive$"):
+            GapQuery(b=b, delta=delta)
+
 
 class TestValueBound:
     def test_all_ones_gives_zero(self):

@@ -8,12 +8,16 @@ from hypothesis import strategies as st
 
 from mopareto.numerics import (
     _DIGIT_LIMIT,
-    encoding_bits,
     exact_sqrt,
     half_step_delta,
     parse_rational,
     render_rational,
 )
+
+
+def encoding_bits(r):
+    """Binary encoding length of a rational: max bit length of numerator and denominator."""
+    return max(abs(r.numerator).bit_length(), r.denominator.bit_length())
 
 
 def test_parse_fraction_form():

@@ -24,9 +24,7 @@ from mopareto.oracles import (
     AdversaryPrecisionError,
     adversarial_pair,
     consistent_gap_answer,
-    constrained_oracle,
     dual_restrict_2approx,
-    dual_restrict_oracle,
     gap_oracle,
     greedy_biobjective_min,
     valid_gap_answer,
@@ -297,6 +295,50 @@ class TestAdversary:
             consistent_gap_answer(pair, GapQuery(b=(F(2), F(2)), delta=F(1, 11)))
 
 
+# Reference oracles, as per-query scans: the constrained minimizer with an
+# explicit instance-order tie-break, and a budget-relaxed answer found by a
+# second scan that takes, among the solutions componentwise at most that
+# minimizer, the lex-min image.  The library reaches their answers only
+# through the biobjective sweeps.
+def _reference_bounded(sol, objective, bounds):
+    others = [v for i, v in enumerate(sol.f, start=1) if i != objective]
+    return all(v <= b for v, b in zip(others, bounds))
+
+
+def _reference_check_constrained_args(instance, objective, bounds):
+    if not 1 <= objective <= instance.p:
+        raise ValueError(f"objective index {objective} out of range 1..{instance.p}")
+    if len(bounds) != instance.p - 1:
+        raise ValueError(f"expected {instance.p - 1} bounds, got {len(bounds)}")
+    if any(b <= 0 for b in bounds):
+        raise ValueError("bounds must be positive")
+
+
+def reference_constrained_oracle(instance, objective, bounds):
+    _reference_check_constrained_args(instance, objective, bounds)
+    feasible = [s for s in instance.solutions if _reference_bounded(s, objective, bounds)]
+    if not feasible:
+        return None
+    return min(
+        feasible,
+        key=lambda s: (s.f[objective - 1], s.f, instance.position(s.id)),
+    )
+
+
+def reference_dual_restrict_oracle(instance, objective, bounds, delta):
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    anchor = reference_constrained_oracle(instance, objective, bounds)
+    if anchor is None:
+        return None
+    candidates = [
+        s
+        for s in instance.solutions
+        if all(a <= b for a, b in zip(s.f, anchor.f))
+    ]
+    return min(candidates, key=lambda s: (s.f, instance.position(s.id)))
+
+
 def brute_force_constrained(instance, objective, bounds):
     feasible = []
     for s in instance.solutions:
@@ -310,15 +352,30 @@ def brute_force_constrained(instance, objective, bounds):
 
 class TestConstrainedOracle:
     def test_scan_example(self):
-        answer = constrained_oracle(STAIRCASE, objective=2, bounds=[F(2)])
+        answer = reference_constrained_oracle(STAIRCASE, objective=2, bounds=[F(2)])
         assert answer is not None and answer.f == (F(2), F(3))
 
     def test_infeasible(self):
-        assert constrained_oracle(STAIRCASE, objective=1, bounds=[F(1, 2)]) is None
+        assert reference_constrained_oracle(STAIRCASE, objective=1, bounds=[F(1, 2)]) is None
 
     def test_bounds_length_checked(self):
         with pytest.raises(ValueError, match="bounds"):
-            constrained_oracle(STAIRCASE, objective=1, bounds=[F(1), F(1)])
+            reference_constrained_oracle(STAIRCASE, objective=1, bounds=[F(1), F(1)])
+
+    @pytest.mark.parametrize(
+        "objective, bounds, message",
+        [
+            (0, [F(1)], "objective index 0 out of range 1..2"),
+            (3, [F(1)], "objective index 3 out of range 1..2"),
+            (1, [F(1), F(1)], "expected 1 bounds, got 2"),
+            (1, [], "expected 1 bounds, got 0"),
+            (1, [F(0)], "bounds must be positive"),
+            (2, [F(-1)], "bounds must be positive"),
+        ],
+    )
+    def test_argument_errors(self, objective, bounds, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            reference_constrained_oracle(STAIRCASE, objective, bounds)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -333,7 +390,7 @@ class TestConstrainedOracle:
         self, seed, objective, bounds
     ):
         instance = gen_random(15, 3, seed=seed)
-        answer = constrained_oracle(instance, objective, list(bounds))
+        answer = reference_constrained_oracle(instance, objective, list(bounds))
         opt = brute_force_constrained(instance, objective, list(bounds))
         if opt is None:
             assert answer is None
@@ -345,13 +402,24 @@ class TestConstrainedOracle:
 
 class TestDualRestrictOracle:
     def test_matches_constrained_when_optimum_efficient(self):
-        answer = dual_restrict_oracle(STAIRCASE, objective=2, bounds=[F(2)], delta=F(1, 10))
-        assert answer == constrained_oracle(STAIRCASE, objective=2, bounds=[F(2)])
+        answer = reference_dual_restrict_oracle(STAIRCASE, 2, bounds=[F(2)], delta=F(1, 10))
+        assert answer == reference_constrained_oracle(STAIRCASE, 2, bounds=[F(2)])
 
     def test_near_optimal_decoy_is_not_taken(self):
         tricky = inst((1, 4), (3, 1), ("31/10", "9/10"))
-        answer = dual_restrict_oracle(tricky, objective=1, bounds=[F(1)], delta=F(1, 10))
+        answer = reference_dual_restrict_oracle(tricky, objective=1, bounds=[F(1)], delta=F(1, 10))
         assert answer is not None and answer.f == (F(3), F(1))
+
+    def test_twins_answer_with_the_first_in_instance_order(self):
+        twins = inst((2, 1), (1, 3), (2, 1), (1, 3))
+        assert reference_dual_restrict_oracle(twins, 1, [F(3)], F(1, 4)).id == "s2"
+        assert reference_dual_restrict_oracle(twins, 2, [F(2)], F(1, 4)).id == "s1"
+
+    @pytest.mark.parametrize("objective, bounds", [(1, [F(1)]), (0, [])])
+    @pytest.mark.parametrize("delta", [F(0), F(-1, 2)])
+    def test_delta_is_checked_first(self, objective, bounds, delta):
+        with pytest.raises(ValueError, match="^delta must be positive$"):
+            reference_dual_restrict_oracle(STAIRCASE, objective, bounds, delta)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -361,7 +429,7 @@ class TestDualRestrictOracle:
     )
     def test_contract_on_random_instances(self, seed, bound, delta):
         instance = gen_random(15, 2, seed=seed)
-        answer = dual_restrict_oracle(instance, objective=1, bounds=[bound], delta=delta)
+        answer = reference_dual_restrict_oracle(instance, objective=1, bounds=[bound], delta=delta)
         opt = brute_force_constrained(instance, 1, [bound])
         if opt is None:
             assert answer is None
@@ -468,7 +536,7 @@ def reference_greedy_biobjective_min(instance, eps):
     members: list[str] = []
     while uncovered:
         t = min(s.f[0] for s in uncovered)
-        pick = constrained_oracle(instance, objective=2, bounds=[(1 + eps) * t])
+        pick = reference_constrained_oracle(instance, objective=2, bounds=[(1 + eps) * t])
         assert pick is not None  # the attainer of t is feasible
         members.append(pick.id)
         uncovered = [s for s in uncovered if not r_dominates(pick, s, eps_spec)]
@@ -486,7 +554,7 @@ def reference_dual_restrict_2approx(instance, eps):
     members: list[str] = []
     while uncovered:
         t = min(s.f[0] for s in uncovered)
-        pick = dual_restrict_oracle(
+        pick = reference_dual_restrict_oracle(
             instance, objective=2, bounds=[(1 + delta) * t], delta=delta
         )
         assert pick is not None
@@ -603,6 +671,41 @@ class TestMergedSweepMatchesTheOldLoops:
         self.assert_both_match(Instance(p=2, solutions=tuple(points)), eps)
 
 
+class TestSweepsOnTheIntegerImage:
+    """The sweeps bisect each image column on its own scale; the references compare Fractions."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from([0, 12, None]), st.sampled_from(SWEEP_EPS))
+    def test_both_sweeps_match_the_references_under_each_scale_limit(self, data, scale_bits, eps):
+        # scale_bits: every column falls back (0), some do (12), none do (None);
+        # values on each other's bounds, a 10**-9 nudge off them, or with 14- and 17-bit
+        # denominators
+        on_bound = st.builds(
+            lambda a, nudge: (1 + eps) ** a * (1 + nudge * F(1, 10**9)),
+            st.integers(min_value=0, max_value=3),
+            st.sampled_from([-1, 0, 0, 1]),
+        )
+        value = st.one_of(st.sampled_from(MIXED_VALUES), on_bound)
+        images = data.draw(st.lists(st.tuples(value, value), max_size=14))
+        with pytest.MonkeyPatch.context() as mp:
+            if scale_bits is not None:
+                mp.setattr(model, "_SCALE_BITS", scale_bits)
+            instance = biobjective(images)  # built inside the patch: the image is cached
+            if scale_bits == 0 and images:
+                assert all(scale is None for scale, _ in instance._image)
+            TestMergedSweepMatchesTheOldLoops.assert_both_match(instance, eps)
+
+    def test_a_fallback_column_beside_a_scaled_one(self):
+        # f1 has coprime 17-bit denominators and falls back at 12 bits; f2 scales by 6
+        images = [(F(99991, 65537), F(1, 2)), (F(40009, 65539), F(1, 3)), (F(3), F(1, 6))]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "_SCALE_BITS", 12)
+            instance = biobjective(images)
+            assert [scale for scale, _ in instance._image] == [None, 6]
+            for eps in SWEEP_EPS:
+                TestMergedSweepMatchesTheOldLoops.assert_both_match(instance, eps)
+
+
 class TestSweepsCallNoPerPickOracle:
     @pytest.mark.parametrize("sweep", [greedy_biobjective_min, dual_restrict_2approx])
     def test_no_oracle_scan_and_no_dominance_check_outside_the_verifier(
@@ -610,7 +713,7 @@ class TestSweepsCallNoPerPickOracle:
     ):
         instance = gen_random(60, 2, seed=3)
         eps = F(1, 8)
-        expected = sweep(instance, eps)
+        expected = sweep(Instance(instance.p, instance.solutions), eps)
         verifier_calls = Counter()
         original = dominance.r_dominates
         verified = []
@@ -624,15 +727,18 @@ class TestSweepsCallNoPerPickOracle:
             return verify_approximation(instance, members, spec)
 
         def refused(*args, **kwargs):
-            raise AssertionError("the sweep must not call a per-query oracle")
+            raise AssertionError("the sweep must not check dominance itself")
 
-        for name in ("constrained_oracle", "dual_restrict_oracle"):
-            monkeypatch.setattr(oracles, name, refused)
         monkeypatch.setattr(oracles, "r_dominates", refused, raising=False)
         monkeypatch.setattr(dominance, "r_dominates", counting_r_dominates)
         monkeypatch.setattr(constructors, "r_dominates", counting_r_dominates)
         monkeypatch.setattr(constructors, "verify_approximation", counting_verify)
+        assert "_sorted_columns" not in vars(instance)
         assert sweep(instance, eps) == expected
+        # the sweep bisects the instance's cached sorted columns, which hold no
+        # suffix masks (the digraph's) and no budget masks (the gap oracle's)
+        columns = vars(instance)["_sorted_columns"]
+        assert all(not column._suffixes and not column._masks for column in columns)
         quasi1 = RelationSpec(RelationKind.QUASI_K, eps, k=1)
         assert verify_approximation(instance, expected.members, quasi1).ok
         # the sweep's only dominance check is its final verification, under
@@ -640,114 +746,3 @@ class TestSweepsCallNoPerPickOracle:
         assert verified == [quasi1] and not verifier_calls
 
 
-# Reference oracles: the constrained minimizer with an explicit instance-order
-# tie-break, and a budget-relaxed answer found by a second scan that takes,
-# among the solutions componentwise at most that minimizer, the lex-min image.
-def _reference_bounded(sol, objective, bounds):
-    others = [v for i, v in enumerate(sol.f, start=1) if i != objective]
-    return all(v <= b for v, b in zip(others, bounds))
-
-
-def _reference_check_constrained_args(instance, objective, bounds):
-    if not 1 <= objective <= instance.p:
-        raise ValueError(f"objective index {objective} out of range 1..{instance.p}")
-    if len(bounds) != instance.p - 1:
-        raise ValueError(f"expected {instance.p - 1} bounds, got {len(bounds)}")
-    if any(b <= 0 for b in bounds):
-        raise ValueError("bounds must be positive")
-
-
-def reference_constrained_oracle(instance, objective, bounds):
-    _reference_check_constrained_args(instance, objective, bounds)
-    feasible = [s for s in instance.solutions if _reference_bounded(s, objective, bounds)]
-    if not feasible:
-        return None
-    return min(
-        feasible,
-        key=lambda s: (s.f[objective - 1], s.f, instance.position(s.id)),
-    )
-
-
-def reference_dual_restrict_oracle(instance, objective, bounds, delta):
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    anchor = reference_constrained_oracle(instance, objective, bounds)
-    if anchor is None:
-        return None
-    candidates = [
-        s
-        for s in instance.solutions
-        if all(a <= b for a, b in zip(s.f, anchor.f))
-    ]
-    return min(candidates, key=lambda s: (s.f, instance.position(s.id)))
-
-
-# few distinct values, so images repeat and bounds often fall on a value
-TWIN_VALUES = [F(1), F(3, 2), F(2), F(5, 2), F(3)]
-
-
-@st.composite
-def twin_instances(draw):
-    p = draw(st.integers(min_value=1, max_value=4))
-    images = draw(
-        st.lists(st.tuples(*[st.sampled_from(TWIN_VALUES)] * p), min_size=0, max_size=12)
-    )
-    return Instance(
-        p=p, solutions=tuple(Solution(f"s{i}", image) for i, image in enumerate(images))
-    )
-
-
-@st.composite
-def oracle_calls(draw):
-    instance = draw(twin_instances())
-    objective = draw(st.integers(min_value=1, max_value=instance.p))
-    bound = st.one_of(
-        st.sampled_from(TWIN_VALUES), st.fractions(min_value=F(1, 2), max_value=F(4))
-    )
-    bounds = draw(st.lists(bound, min_size=instance.p - 1, max_size=instance.p - 1))
-    return instance, objective, bounds
-
-
-class TestOraclesMatchTheOldScans:
-    @settings(max_examples=400, deadline=None)
-    @given(oracle_calls(), st.fractions(min_value=F(1, 100), max_value=F(2)))
-    def test_answers_match_on_instances_with_image_twins(self, call, delta):
-        instance, objective, bounds = call
-        assert constrained_oracle(instance, objective, bounds) == reference_constrained_oracle(
-            instance, objective, bounds
-        )
-        assert dual_restrict_oracle(
-            instance, objective, bounds, delta
-        ) == reference_dual_restrict_oracle(instance, objective, bounds, delta)
-
-    def test_twins_answer_with_the_first_in_instance_order(self):
-        twins = inst((2, 1), (1, 3), (2, 1), (1, 3))
-        for objective, bound in [(1, F(3)), (2, F(2))]:
-            expected = reference_dual_restrict_oracle(twins, objective, [bound], F(1, 4))
-            assert dual_restrict_oracle(twins, objective, [bound], F(1, 4)) is expected
-        assert dual_restrict_oracle(twins, 1, [F(3)], F(1, 4)).id == "s2"
-        assert dual_restrict_oracle(twins, 2, [F(2)], F(1, 4)).id == "s1"
-
-    @pytest.mark.parametrize(
-        "objective, bounds",
-        [(0, [F(1)]), (3, [F(1)]), (1, [F(1), F(1)]), (1, []), (1, [F(0)]), (2, [F(-1)])],
-    )
-    def test_argument_errors_keep_their_messages(self, objective, bounds):
-        for new, old, extra in [
-            (constrained_oracle, reference_constrained_oracle, ()),
-            (dual_restrict_oracle, reference_dual_restrict_oracle, (F(1),)),
-        ]:
-            with pytest.raises(ValueError) as expected:
-                old(STAIRCASE, objective, bounds, *extra)
-            with pytest.raises(ValueError) as got:
-                new(STAIRCASE, objective, bounds, *extra)
-            assert str(got.value) == str(expected.value)
-
-    @pytest.mark.parametrize("objective, bounds", [(1, [F(1)]), (0, [])])
-    @pytest.mark.parametrize("delta", [F(0), F(-1, 2)])
-    def test_delta_is_checked_first(self, objective, bounds, delta):
-        with pytest.raises(ValueError) as expected:
-            reference_dual_restrict_oracle(STAIRCASE, objective, bounds, delta)
-        with pytest.raises(ValueError, match="^delta must be positive$"):
-            dual_restrict_oracle(STAIRCASE, objective, bounds, delta)
-        assert str(expected.value) == "delta must be positive"
