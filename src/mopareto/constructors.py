@@ -17,13 +17,7 @@ from itertools import accumulate, compress, product, repeat
 from operator import le, mul
 from typing import Callable, Iterable
 
-from .dominance import (
-    _skyline,
-    exact_components,
-    r_dominates,
-    strictly_dominates,
-    weakly_efficient_set,
-)
+from .dominance import _skyline, _strictly_below, exact_components, r_dominates
 from .domsets import greedy_tournament_dominating_set, tournament_view
 from .grid import (
     CellIndex,
@@ -242,31 +236,29 @@ def weakly_efficient_lift(
     instance order), skipping candidates already used so cardinality is
     preserved whenever distinct dominators exist.  The result consists of
     weakly efficient solutions only and therefore covers every solution with
-    at least one exact component.
+    at least one exact component.  Images are the instance's integer rows, whose
+    positive per-column scales keep every lexicographic order.
     """
     failure = "input set fails epsilon coverage at solution {!r}"
     inbound = _certified(instance, members, RelationSpec(RelationKind.EPSILON, eps), failure)
-    weakly = weakly_efficient_set(instance)
-    members_in_order = inbound.members
+    rows, ids = instance._rows, instance.ids
+    front = _skyline(rows, _strictly_below)  # the weakly efficient, least image first
+    weakly = {ids[k] for k in front}
     # kept members reserve their ids first so replacements never collide with them
-    taken = {m for m in members_in_order if m in weakly}
+    taken = {m for m in inbound.members if m in weakly}
     chosen: list[str] = []
-    for member in members_in_order:
+    for member in inbound.members:
         if member in weakly:
             chosen.append(member)
             continue
-        sol = instance.solution(member)
-        pick = min(
-            (c for c in instance.solutions if c.id in weakly and c.id not in taken
-             and strictly_dominates(c, sol)),
-            key=lambda c: c.f,
-            default=None,
-        )
+        row = rows[instance.position(member)]
+        below = (ids[k] for k in front if _strictly_below(rows[k], row))
+        pick = next((i for i in below if i not in taken), None)
         if pick is None:
             # every dominator already serves; those members cover this one too
             continue
-        taken.add(pick.id)
-        chosen.append(pick.id)
+        taken.add(pick)
+        chosen.append(pick)
     return _certified(instance, chosen, RelationSpec(RelationKind.QUASI_K, eps, k=1))
 
 

@@ -2,18 +2,21 @@
 
 All relations here are monotonic: componentwise "at least as good" always
 implies relation membership, so in particular every relation is reflexive.
-The efficient filters, and the prune of the gap construction, are one
-presorted skyline (only a lexicographically smaller image can dominate).  The
-digraph is stored as one n-bit row per node, the AND of masks from the
-sorted-column index (`model._SortedColumn`).  Both compare the instance's
-cached integer image (a column past `model._SCALE_BITS` keeps its Fractions);
-the pairwise `values_r_dominate`, on Fractions, remains their reference.
+The efficient filters, the weakly-efficient lift, the grid's cell filter
+(on cell coordinates) and the prune of the gap construction (on the oracle's
+Fraction images) are one presorted skyline: only a lexicographically smaller
+row can beat another.  The digraph is stored as one n-bit row per node, the
+AND of masks from the sorted-column index (`model._SortedColumn`).  The
+filters, the lift and the digraph compare the instance's cached integer image
+(a column past `model._SCALE_BITS` keeps its Fractions); the pairwise
+`values_r_dominate`, on Fractions, remains their reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from operator import le, lt
 from typing import Callable, Sequence
 
@@ -22,7 +25,6 @@ from .model import Instance, RelationSpec, Solution
 __all__ = [
     "r_dominates",
     "values_r_dominate",
-    "strictly_dominates",
     "exact_components",
     "efficient_set",
     "weakly_efficient_set",
@@ -64,12 +66,6 @@ def r_dominates(x: Solution, y: Solution, spec: RelationSpec) -> bool:
     return values_r_dominate(x.f, y.f, spec)
 
 
-def strictly_dominates(x: Solution, y: Solution) -> bool:
-    """Strictly better in every objective."""
-    _check_dims(x.f, y.f)
-    return all(a < b for a, b in zip(x.f, y.f))
-
-
 def exact_components(x: Solution, y: Solution) -> tuple[int, ...]:
     """1-based objective indices in which x is at least as good as y."""
     _check_dims(x.f, y.f)
@@ -83,11 +79,18 @@ def _skyline(rows: Sequence[tuple], beats: Callable[[tuple, tuple], bool]) -> li
     most x; of two equal rows, the earlier one is kept first.
     """
     front: list[int] = []
+    kept: list[tuple] = []  # rows[front[k]] for each k
     for i in sorted(range(len(rows)), key=rows.__getitem__):
         x = rows[i]
-        if not any(beats(rows[j], x) for j in front):
+        if not any(map(beats, kept, repeat(x))):
             front.append(i)
+            kept.append(x)
     return front
+
+
+def _strictly_below(y: tuple, x: tuple) -> bool:
+    """Is y strictly below x in every coordinate?  The weakly efficient skyline's `beats`."""
+    return all(map(lt, y, x))
 
 
 def efficient_set(instance: Instance) -> set[str]:
@@ -103,7 +106,7 @@ def efficient_set(instance: Instance) -> set[str]:
 def weakly_efficient_set(instance: Instance) -> set[str]:
     """Ids of solutions not strictly dominated by any other solution."""
     ids = instance.ids
-    return {ids[i] for i in _skyline(instance._rows, lambda y, x: all(map(lt, y, x)))}
+    return {ids[i] for i in _skyline(instance._rows, _strictly_below)}
 
 
 @dataclass(frozen=True)

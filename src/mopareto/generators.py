@@ -34,7 +34,7 @@ def gen_prop_dominated(eps: Fraction) -> Instance:
     single solution covers all six even within factor 1 + eps.  Six other
     two-member quasi-1-exact covers exist, four of them all efficient.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     e = eps
     one = Fraction(1)
@@ -59,7 +59,7 @@ def gen_prop_one_exact(delta: Fraction, n: int) -> Instance:
     x_i    = (3i+1, (1+eps)**(n-i) * (1+delta)**i),
     xtil_i = (3i+2, (1+eps)**(n-i) / (1+delta)**i).
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -80,7 +80,7 @@ def gen_quasi2_gap(eps: Fraction, n: int) -> Instance:
 
     x_j = (1 + (n-j)/n * eps, 1 + (n-j)/n * eps, (1+eps)**(2j+1)) for j = 0..n.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if n < 1:
         raise ValueError("n must be at least 1")

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .dominance import _skyline, _strictly_below
 from .model import Instance
 
 __all__ = [
@@ -49,7 +50,7 @@ def cell_coord(value: Fraction, anchor: Fraction, eps: Fraction) -> int:
     ever the final authority, so values sitting exactly on a cell boundary are
     placed deterministically (they go up).
     """
-    if anchor <= 0 or eps <= 0:
+    if not anchor > 0 or not eps > 0:  # not x <= 0: a NaN compares false both ways
         raise ValueError("anchor and eps must be positive")
     if value < anchor:
         raise ValueError(f"value {value} below anchor {anchor}")
@@ -106,16 +107,9 @@ def bucket(instance: Instance, eps: Fraction) -> GridBucketing:
 def filter_weakly_nondominated_cells(bucketing: GridBucketing) -> set[CellIndex]:
     """Keep a nonempty cell unless another nonempty cell is strictly below it
     in every coordinate (in which case that cell's points cover it under any
-    monotonic relation).  One lexicographic pass suffices: cells below come
-    first, and each has a cell minimal under <= below or equal to it."""
-    minimal: list[CellIndex] = []
-    kept: set[CellIndex] = set()
-    for c in sorted(bucketing.cells):
-        if not any(all(m_i < c_i for m_i, c_i in zip(m, c)) for m in minimal):
-            kept.add(c)
-            if not any(all(m_i <= c_i for m_i, c_i in zip(m, c)) for m in minimal):
-                minimal.append(c)
-    return kept
+    monotonic relation): the weakly efficient skyline over the cell coordinates."""
+    cells = list(bucketing.cells)
+    return {cells[i] for i in _skyline(cells, _strictly_below)}
 
 
 def diagonal_of(cell: CellIndex) -> CellIndex:
@@ -130,7 +124,7 @@ def diagonal_of(cell: CellIndex) -> CellIndex:
 
 def ratio_steps_to_reach(target: Fraction, eps: Fraction) -> int:
     """Smallest t >= 0 with (1+eps)**t >= target (target >= 1 assumed useful)."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if target <= 1:
         return 0

@@ -218,7 +218,7 @@ class RelationSpec:
     k: int | None = None
 
     def __post_init__(self) -> None:
-        if self.eps <= 0:
+        if not self.eps > 0:  # not eps <= 0: a NaN compares false both ways
             raise ValueError("eps must be positive")
         if self.kind in _KINDS_WITH_K:
             if self.k is None:
@@ -287,14 +287,24 @@ def derive_value_bound(instance: Instance) -> int:
 
     Derived, never user-supplied, so the value-range assumption cannot be
     violated by configuration.  An empty instance has M = 0 (vacuously).
+    Read from the extremes of each column of the integer image: with scale s,
+    the largest value a/s needs a <= s * 2**M and the smallest b/s needs
+    s <= b * 2**M; a Fraction fallback column uses its own numerators and
+    denominators.  The least such M comes from bit lengths.
     """
     m = 0
-    for sol in instance.solutions:
-        for v in sol.f:
-            big = v if v >= 1 else 1 / v
-            while big > (1 << m):
-                m += 1
+    for scale, values in instance._image if instance.solutions else ():
+        high_num, high_den = max(values).as_integer_ratio()
+        low_num, low_den = min(values).as_integer_ratio()
+        s = scale or 1
+        m = max(m, _doublings(high_num, high_den * s), _doublings(low_den * s, low_num))
     return m
+
+
+def _doublings(a: int, b: int) -> int:
+    """Least m >= 0 with a <= b * 2**m, for positive a and b."""
+    m = max(0, a.bit_length() - b.bit_length())  # b << m has at most a's bit length
+    return m + (a > b << m)
 
 
 def _parse_value(text: object, context: str) -> Fraction:

@@ -77,7 +77,7 @@ def half_step_delta(eps: Fraction) -> Fraction:
     slack is exact; otherwise the best dyadic delta with denominator
     2**40 is returned (coarser dyadic rungs are subsumed by the finest one).
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     target = 1 + eps
     root = exact_sqrt(target)

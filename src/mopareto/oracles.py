@@ -160,7 +160,7 @@ def _biobjective_sweep(instance: Instance, eps: Fraction, relaxed: bool) -> list
     values within one column and multiplies them by ratios only, so each
     column's scale drops out and a Fraction fallback column takes the same code.
     """
-    if eps <= 0:  # before the loop: a bound below t would never shrink the uncovered prefix
+    if not eps > 0:  # before the loop: a bound below t would never shrink the uncovered prefix
         raise ValueError("eps must be positive")
     ratio = 1 + (half_step_delta(eps) if relaxed else eps)
     f1, f2 = instance._sorted_columns

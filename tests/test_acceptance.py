@@ -19,9 +19,9 @@ from mopareto.constructors import (
     weakly_efficient_lift,
 )
 from mopareto.dominance import (
+    _check_dims,
     domination_digraph,
     efficient_set,
-    strictly_dominates,
     values_r_dominate,
     weakly_efficient_set,
 )
@@ -42,6 +42,7 @@ from mopareto.model import (
     GapQuery,
     RelationKind,
     RelationSpec,
+    Solution,
     derive_value_bound,
 )
 from mopareto.oracles import (
@@ -54,6 +55,12 @@ from mopareto.oracles import (
 
 F = Fraction
 EPS_ROTATION = (F(1, 2), F(1), F(2))
+
+
+def strictly_dominates(x: Solution, y: Solution) -> bool:
+    """Strictly better in every objective."""
+    _check_dims(x.f, y.f)
+    return all(a < b for a, b in zip(x.f, y.f))
 
 
 def _report(num: int, ok: bool, elapsed: float, description: str) -> None:

@@ -1,8 +1,9 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mopareto import constructors, model
@@ -19,9 +20,9 @@ from mopareto.constructors import (
 )
 from mopareto.dominance import (
     DominationDigraph,
+    _check_dims,
     exact_components,
     r_dominates,
-    strictly_dominates,
     weakly_efficient_set,
 )
 from mopareto.domsets import greedy_cover_dominating_set
@@ -58,6 +59,7 @@ def inst(*vectors):
 
 
 STAIRCASE = inst((1, 4), (2, 3), (3, 2), (4, 1))
+LIFT_FRACTIONS = [F(3, 2), F(5, 7), F(9, 11), F(12, 13), F(17, 64), F(65, 64)]
 
 
 class TestVerify:
@@ -459,27 +461,52 @@ class TestWeaklyEfficientLift:
         lifted = weakly_efficient_lift(instance, ["s1", "s2"], F(3))
         assert lifted.members == ("s2", "s3")
 
+    # column 0 over denominators 64, 127 and 2 (an LCM of 13 bits), column 1 over thirds;
+    # s4 and s5 cover the rest, and their picks s2 and s3 come from the tie 65/64
+    MIXED = [
+        (F(65, 64), F(5, 3)),
+        (F(65, 64), F(4, 3)),
+        (F(128, 127), 2),
+        (F(3, 2), 2),
+        (F(3, 2), F(7, 3)),
+    ]
+
     @settings(max_examples=400, deadline=None)
     @given(
         st.integers(min_value=1, max_value=3).flatmap(
             lambda p: st.lists(
-                st.tuples(*[st.integers(min_value=1, max_value=3)] * p), min_size=1, max_size=9
+                st.tuples(*[st.one_of(st.integers(1, 3), st.sampled_from(LIFT_FRACTIONS))] * p),
+                min_size=1,
+                max_size=9,
             )
         ),
         st.randoms(use_true_random=False),
+        st.sampled_from([0, 12, None]),
     )
-    def test_matches_the_sorted_candidate_loop(self, vectors, rng):
-        # images from {1,2,3}**p, so image twins are common; the input set is a
-        # random subset plus whatever it leaves uncovered at eps=1
-        instance = inst(*vectors)
-        eps = F(1)
-        spec = RelationSpec(RelationKind.EPSILON, eps)
-        subset = [s for s in instance.ids if rng.random() < 0.5]
-        members = subset + [
-            x.id for x in instance.solutions
-            if not any(r_dominates(instance.solution(m), x, spec) for m in subset)
-        ]
-        lifted = weakly_efficient_lift(instance, members, eps)
+    @example(MIXED, random.Random(27), 12)  # 27 and 17 draw {s4, s5} and {s4}
+    @example(MIXED, random.Random(17), 12)
+    @example(MIXED, random.Random(27), None)
+    def test_matches_the_sorted_candidate_loop(self, vectors, rng, scale_bits):
+        # images from {1,2,3} and fractions over 2, 7, 11, 13 and 64, so image twins
+        # and lexicographic ties broken in another scaled column are common; the input
+        # set is a random subset plus whatever it leaves uncovered at eps=1.
+        # scale_bits: every column falls back (0), a column whose LCM passes 12
+        # bits does (12), none does (None)
+        with pytest.MonkeyPatch.context() as mp:
+            if scale_bits is not None:
+                mp.setattr(model, "_SCALE_BITS", scale_bits)
+            instance = inst(*vectors)  # its image is cached under the patched limit
+            eps = F(1)
+            spec = RelationSpec(RelationKind.EPSILON, eps)
+            subset = [s for s in instance.ids if rng.random() < 0.5]
+            members = subset + [
+                x.id for x in instance.solutions
+                if not any(r_dominates(instance.solution(m), x, spec) for m in subset)
+            ]
+            lifted = weakly_efficient_lift(instance, members, eps)
+            if vectors == self.MIXED and scale_bits == 12:
+                assert [scale is None for scale, _ in instance._image] == [True, False]
+                assert lifted.members == (("s2", "s3") if len(subset) == 2 else ("s2",))
         inbound = verify_approximation(instance, members, spec).approximation
         chosen = reference_lift(instance, inbound.members)
         assert lifted.members == tuple(sorted(chosen, key=instance.position))
@@ -491,6 +518,12 @@ class TestWeaklyEfficientLift:
         lifted = weakly_efficient_lift(instance, ["x2", "x5", "x6"], F(1))
         assert lifted.members == ("x2", "x3")
         assert certificate_is_valid(instance, lifted)
+
+
+def strictly_dominates(x: Solution, y: Solution) -> bool:
+    """Strictly better in every objective."""
+    _check_dims(x.f, y.f)
+    return all(a < b for a, b in zip(x.f, y.f))
 
 
 def reference_lift(instance, members_in_order):

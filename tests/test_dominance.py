@@ -12,7 +12,6 @@ from mopareto.dominance import (
     efficient_set,
     exact_components,
     r_dominates,
-    strictly_dominates,
     values_r_dominate,
     weakly_efficient_set,
 )
@@ -39,6 +38,12 @@ def dominates(x: Solution, y: Solution) -> bool:
     """Classical dominance: at least as good everywhere and strictly better somewhere."""
     _check_dims(x.f, y.f)
     return all(a <= b for a, b in zip(x.f, y.f)) and any(a < b for a, b in zip(x.f, y.f))
+
+
+def strictly_dominates(x: Solution, y: Solution) -> bool:
+    """Strictly better in every objective."""
+    _check_dims(x.f, y.f)
+    return all(a < b for a, b in zip(x.f, y.f))
 
 
 # The pairwise filters, kept as references for the presorted implementations.

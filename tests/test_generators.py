@@ -4,9 +4,9 @@ from itertools import combinations
 import pytest
 
 from mopareto.dominance import (
+    _check_dims,
     domination_digraph,
     efficient_set,
-    strictly_dominates,
 )
 from mopareto.domsets import exact_min_dominating_set
 from mopareto.generators import (
@@ -17,10 +17,16 @@ from mopareto.generators import (
     gen_quasi2_gap,
     gen_random,
 )
-from mopareto.model import RelationKind, RelationSpec
+from mopareto.model import RelationKind, RelationSpec, Solution
 from mopareto.constructors import verify_approximation
 
 F = Fraction
+
+
+def strictly_dominates(x: Solution, y: Solution) -> bool:
+    """Strictly better in every objective."""
+    _check_dims(x.f, y.f)
+    return all(a < b for a, b in zip(x.f, y.f))
 
 
 class TestDominatedCoverFamily:

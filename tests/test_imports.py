@@ -83,3 +83,68 @@ def test_the_package_exports_exactly_its_modules_all():
     assert exported == {name for _, name in declared}
     # a name two modules declare (GapQuery) is one object, so import order cannot shadow it
     assert all(getattr(mopareto, name) is getattr(module, name) for module, name in declared)
+
+
+def solution_f_readers(source: str) -> set[str]:
+    """Qualified names of the functions (methods as Class.name) that read an
+    attribute `.f`, which in the package is only a Solution's objective vector."""
+    readers = set()
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "f":
+                readers.add(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return readers
+
+
+# Every other path compares the instance's cached integer image (Instance._rows).
+SOLUTION_F_READERS = {
+    # file I/O
+    "model.save_instance",
+    # Instance validation and the image itself
+    "model.Instance.__post_init__",
+    "model.Instance._image",
+    # the generators
+    "generators.gen_duplicated",
+    # the Fraction references
+    "dominance.r_dominates",
+    "dominance.exact_components",
+    "oracles.valid_gap_answer",
+    "oracles.consistent_gap_answer",
+    # a cell's majority digraph, called with Solutions
+    "domsets.tournament_view",
+    # the gap construction's prune of the oracle's Solutions, which come with no instance
+    "constructors.construct_via_gap",
+}
+
+
+def test_only_the_pinned_functions_read_a_solutions_values():
+    readers = {
+        f"{path.stem}.{name}" for path in MODULES for name in solution_f_readers(path.read_text())
+    }
+    assert readers == SOLUTION_F_READERS
+
+
+def test_the_reader_check_sees_methods_lambdas_and_nested_functions():
+    source = (
+        "class A:\n"
+        "    def m(self, s):\n"
+        "        return s.f\n"
+        "    def n(self, s):\n"
+        "        return s.g\n"
+        "def outer(items):\n"
+        "    def inner(s):\n"
+        "        return s.id\n"
+        "    return min(items, key=lambda s: s.f)\n"
+        "def deep(s):\n"
+        "    def inner(t):\n"
+        "        return t.f[0]\n"
+        "    return inner(s)\n"
+    )
+    assert solution_f_readers(source) == {"A.m", "outer", "deep.inner"}

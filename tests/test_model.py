@@ -8,7 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mopareto import model
-from mopareto.generators import gen_prop_dominated, gen_random
+from mopareto.generators import (
+    gen_prop_dominated,
+    gen_prop_one_exact,
+    gen_quasi2_gap,
+    gen_random,
+)
+from mopareto.grid import cell_coord, ratio_steps_to_reach
 from mopareto.model import (
     ApproximationSet,
     CertificateEntry,
@@ -24,7 +30,8 @@ from mopareto.model import (
     save_instance,
     save_set,
 )
-from mopareto.numerics import render_rational
+from mopareto.numerics import half_step_delta, render_rational
+from mopareto.oracles import dual_restrict_2approx, greedy_biobjective_min
 
 
 def _inst(*vectors):
@@ -136,6 +143,70 @@ class TestGapQuery:
             GapQuery(b=b, delta=delta)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: RelationSpec(RelationKind.EPSILON, NAN), "eps must be positive"),
+        (lambda: greedy_biobjective_min(gen_random(20, 2, seed=1), NAN), "eps must be positive"),
+        (lambda: dual_restrict_2approx(gen_random(20, 2, seed=1), NAN), "eps must be positive"),
+        (lambda: half_step_delta(NAN), "eps must be positive"),
+        (lambda: cell_coord(Fraction(2), NAN, Fraction(1)), "anchor and eps must be positive"),
+        (lambda: cell_coord(Fraction(2), Fraction(1), NAN), "anchor and eps must be positive"),
+        (lambda: ratio_steps_to_reach(Fraction(2), NAN), "eps must be positive"),
+        (lambda: gen_prop_dominated(NAN), "eps must be positive"),
+        (lambda: gen_prop_one_exact(NAN, 2), "delta must be positive"),
+        (lambda: gen_quasi2_gap(NAN, 2), "eps must be positive"),
+    ],
+    ids=[
+        "RelationSpec",
+        "greedy_biobjective_min",
+        "dual_restrict_2approx",
+        "half_step_delta",
+        "cell_coord-anchor",
+        "cell_coord-eps",
+        "ratio_steps_to_reach",
+        "gen_prop_dominated",
+        "gen_prop_one_exact",
+        "gen_quasi2_gap",
+    ],
+)
+def test_a_nan_is_not_positive(call, message):
+    # each guard reads `not x > 0`: a NaN compares false both ways, so `x <= 0` lets it through
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def reference_derive_value_bound(instance):
+    """The per-value loop derive_value_bound replaced, on the Fraction values."""
+    m = 0
+    for sol in instance.solutions:
+        for v in sol.f:
+            big = v if v >= 1 else 1 / v
+            while big > (1 << m):
+                m += 1
+    return m
+
+
+NANO = Fraction(1, 10**9)
+
+
+@st.composite
+def bound_cases(draw):
+    """(p, vectors): values exactly 2**m or 2**-m, or 10**-9 either side, and values
+    over the coprime 14- and 17-bit denominators 16381 and 131071 (an LCM of 31 bits)."""
+    power = st.integers(0, 12).flatmap(
+        lambda m: st.sampled_from([Fraction(1 << m), Fraction(1, 1 << m)])
+    )
+    near = st.builds(lambda v, step: v + step, power, st.sampled_from([0, -NANO, NANO]))
+    coprime = st.builds(Fraction, st.integers(1, 1 << 20), st.sampled_from([16381, 131071]))
+    p = draw(st.integers(1, 3))
+    value = st.one_of(near, coprime)
+    return p, draw(st.lists(st.tuples(*[value] * p), max_size=6))
+
+
 class TestValueBound:
     def test_all_ones_gives_zero(self):
         assert derive_value_bound(_inst((1, 1), (1, 1))) == 0
@@ -158,6 +229,27 @@ class TestValueBound:
         if m > 0:
             tight_low, tight_high = Fraction(1, 1 << (m - 1)), Fraction(1 << (m - 1))
             assert any(not tight_low <= v <= tight_high for s in inst for v in s.f)
+
+    @settings(max_examples=400, deadline=None)
+    @given(bound_cases(), st.sampled_from([0, 12, None]))
+    @example((1, []), 0)
+    @example((1, []), None)
+    @example((3, []), 12)
+    @example((3, []), None)
+    def test_matches_the_per_value_loop(self, case, scale_bits):
+        # scale_bits: every column falls back to Fractions (0), the columns
+        # with a 10**-9 step or both coprime denominators do (12), none do (None)
+        p, vectors = case
+        with pytest.MonkeyPatch.context() as mp:
+            if scale_bits is not None:
+                mp.setattr(model, "_SCALE_BITS", scale_bits)
+            instance = Instance(
+                p, tuple(Solution(f"s{i}", v) for i, v in enumerate(vectors))
+            )  # its image is cached under the patched limit
+            got = derive_value_bound(instance)
+            if scale_bits == 0 and vectors:
+                assert all(scale is None for scale, _ in instance._image)
+        assert got == reference_derive_value_bound(instance)
 
 
 class TestInstanceFiles:
