@@ -12,7 +12,6 @@ import argparse
 import csv
 import functools
 import io
-import json
 import os
 import sys
 from pathlib import Path
@@ -48,6 +47,7 @@ from .model import (
     Instance,
     RelationKind,
     RelationSpec,
+    _dumps,
     derive_value_bound,
     load_instance,
     load_set,
@@ -250,16 +250,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     }
     rows = [_stats_row(instance, spec, limit if args.exact else None) for spec in specs]
     if args.csv:
-        columns = list(summary) + list(rows[0])
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=columns)
+        writer = csv.DictWriter(buf, fieldnames=list(summary) + list(rows[0]))
         writer.writeheader()
-        for row in rows:
-            writer.writerow({**summary, **row})
+        writer.writerows({**summary, **row} for row in rows)
         _write_payload(args.out, buf.getvalue().encode())
     else:
-        payload = json.dumps({"instance": summary, "grids": rows}, indent=2) + "\n"
-        _write_payload(args.out, payload.encode())
+        _write_payload(args.out, (_dumps({"instance": summary, "grids": rows}) + "\n").encode())
     _say(f"stats over {len(rows)} eps value(s) for n={len(instance)}, p={instance.p}")
     return EXIT_OK
 

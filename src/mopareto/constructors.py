@@ -120,7 +120,7 @@ def verify_approximation(
             if all(map(le, den_a, slack_b)):
                 exact = tuple(compress(positions, map(le, a, b)))
                 if len(exact) >= min_exact and must.issubset(exact):
-                    entries.append(CertificateEntry(covered=target.id, by=m, exact_indices=exact))
+                    entries.append(CertificateEntry(target.id, m, exact))
                     break
         else:
             return VerifyResult(approximation=None, counterexample=target.id)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from math import lcm
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .numerics import _DIGIT_LIMIT, parse_rational, render_rational
 
@@ -238,13 +238,12 @@ class RelationSpec:
         return required, self.k or 0
 
 
-@dataclass(frozen=True)
-class CertificateEntry:
+class CertificateEntry(NamedTuple):
     """Coverage witness: `by` approximates `covered`, exactly in `exact_indices`.
 
     Indices are 1-based objective positions and list every component in which
     the covering member is at least as good, so one certificate serves every
-    relation kind.
+    relation kind.  A named tuple: equal to a plain tuple of the same fields.
     """
 
     covered: str
@@ -269,9 +268,9 @@ class GapQuery:
     delta: Fraction
 
     def __post_init__(self) -> None:
-        if any(not v > 0 for v in self.b):  # not v <= 0: a NaN compares false both ways
+        if not all(map(_positive, self.b)):
             raise ValueError("all budget components must be positive")
-        if not self.delta > 0:
+        if not _positive(self.delta):
             raise ValueError("delta must be positive")
 
     @classmethod
@@ -280,6 +279,14 @@ class GapQuery:
         query = object.__new__(cls)
         query.__dict__.update(b=b, delta=delta)
         return query
+
+
+def _positive(v: object) -> bool:
+    """v > 0, False for a NaN: a float NaN is never > 0 and a Decimal NaN cannot be ordered."""
+    try:
+        return v > 0
+    except ArithmeticError:
+        return False
 
 
 def derive_value_bound(instance: Instance) -> int:
@@ -418,25 +425,19 @@ def load_set(data: bytes | str) -> ApproximationSet:
     if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
         raise FormatError('"members" must be a list of id strings')
     items = raw.get("certificate", [])
-    try:  # check every entry's fields at once, then build the entries
-        shapes = {(type(e["covered"]), type(e["by"]), type(e["exact_indices"])) for e in items}
-        indices = [i for e in items for i in e["exact_indices"]]
-        well_formed = (
-            shapes <= {(str, str, list)}
-            and set(map(type, indices)) <= {int}  # not isinstance: JSON true/false load as bool
-            and min(indices, default=1) >= 1
-        )
-    except (KeyError, TypeError):  # an entry that is no object or lacks a field
-        well_formed = False
-    if not well_formed:
-        raise FormatError(f"malformed certificate entry: {next(filter(_malformed, items))!r}")
-    entries = [CertificateEntry(e["covered"], e["by"], tuple(e["exact_indices"])) for e in items]
+    if not isinstance(items, list):
+        raise FormatError('"certificate" must be a list of entries')
+    entries = []
+    for e in items:
+        if _malformed(e):
+            raise FormatError(f"malformed certificate entry: {e!r}")
+        entries.append(CertificateEntry(e["covered"], e["by"], tuple(e["exact_indices"])))
     return ApproximationSet(relation=relation, members=tuple(members), certificate=tuple(entries))
 
 
 def _malformed(item: object) -> bool:
     """Is this no certificate entry: an object with "covered" and "by" strings and an
-    "exact_indices" list of positive integers?"""
+    "exact_indices" list of positive ints (not bools, which JSON true/false load as)?"""
     return (
         not isinstance(item, dict)
         or not isinstance(item.get("covered"), str)

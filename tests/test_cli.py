@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from mopareto import cli, constructors, oracles
 from mopareto.cli import main
@@ -822,6 +824,51 @@ class TestRuleCheckedOnlyAtAComparedPair:
         argv = ["verify", *relation, "--eps", "1", *self.files(tmp_path, solutions, ["b"])]
         assert run(*argv) == 2
         assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+_FAMILY_IDS = ["x1", "x2", "x3", "x4", "x5", "x6"]
+_ENTRY_KEYS = ["covered", "by", "exact_indices"]
+# any JSON tree, with the ids and keys of a certificate entry drawn often
+_JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(_FAMILY_IDS) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_ENTRY_KEYS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+_NOT_A_LIST = 'bad input file: "certificate" must be a list of entries\n'
+
+
+class TestHostileCertificates:
+    """A set file's "certificate" is checked for shape only; whatever it holds,
+    verify and lift exit 0, 3 or 4 and never raise."""
+
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(st.lists(st.sampled_from(_FAMILY_IDS), unique=True), _JSON_TREES)
+    @example(_FAMILY_IDS, 5)
+    @example(_FAMILY_IDS, None)
+    @example(_FAMILY_IDS, True)
+    @example(_FAMILY_IDS, {})
+    @example(_FAMILY_IDS, "ab")
+    @example(_FAMILY_IDS, {"a": 1})
+    def test_verify_and_lift_exit_by_the_documented_codes(
+        self, dominated_family, tmp_path, capsys, members, certificate
+    ):
+        path = tmp_path / "set.json"  # every example rewrites it
+        path.write_text(json.dumps({
+            "relation": {"kind": "epsilon", "eps": "1"}, "members": members,
+            "certificate": certificate,
+        }))
+        files = ["-i", str(dominated_family), "--set", str(path)]
+        for argv in (["verify", "--relation", "epsilon", "--eps", "1", *files],
+                     ["lift", "--eps", "1", *files]):
+            code = run(*argv)
+            err = capsys.readouterr().err
+            assert code in (0, 3, 4), (argv, err)
+            if not isinstance(certificate, list):
+                assert (code, err) == (3, _NOT_A_LIST), argv
 
 
 class TestDigitLimit:

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used there or re-exported by it, and
-the package exports exactly the names its modules declare in `__all__`."""
+"""Every name a package module imports is used there or re-exported by it, the
+package exports exactly the names its modules declare in `__all__`, and only
+`model` imports json."""
 
 import ast
 import importlib
@@ -55,6 +56,26 @@ def test_the_package_modules_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imports_json(source: str) -> bool:
+    """Does the source import json, or anything from it?"""
+    return any(
+        (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "json" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json")
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_only_model_reads_or_writes_json():
+    assert {path.stem for path in MODULES if imports_json(path.read_text())} == {"model"}
+
+
+def test_the_json_check_sees_every_form_of_import():
+    for source in ("import json", "import json.decoder as d", "from json import dumps",
+                   "from json.encoder import encode_basestring_ascii", "def f():\n    import json"):
+        assert imports_json(source), source
+    assert not imports_json("import jsonschema\nfrom .json_io import x\nimport csv")
 
 
 def test_the_check_sees_plain_aliased_and_reexported_imports():

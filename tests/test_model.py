@@ -1,6 +1,7 @@
 import json
 import operator
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,10 @@ class TestGapQuery:
             ((float("nan"), float("nan")), Fraction(1, 2), "all budget components must be"),
             ((Fraction(1), float("nan")), Fraction(1, 2), "all budget components must be"),
             ((Fraction(1), Fraction(1)), float("nan"), "delta must be"),
+            # a Decimal NaN raises InvalidOperation on an ordered comparison
+            ((Decimal("NaN"),), Fraction(1, 2), "all budget components must be"),
+            ((Decimal("sNaN"),), Fraction(1, 2), "all budget components must be"),
+            ((Fraction(1),), Decimal("NaN"), "delta must be"),
         ],
     )
     def test_nan_budget_and_nan_delta_rejected(self, b, delta, message):
@@ -524,7 +529,8 @@ class TestWrittenBytes:
 
 
 def reference_load_set(data):
-    """load_set as it was before its entries were checked all at once, verbatim."""
+    """load_set as it was before its entries were checked all at once, verbatim; the
+    one-pass loop is this plus a check that the certificate is a list."""
     raw = model._load_json(data)
     if not isinstance(raw, dict) or "relation" not in raw or "members" not in raw:
         raise FormatError('set file must be an object with "relation" and "members"')
@@ -577,26 +583,57 @@ def _outcome(load, data):
         return type(exc), str(exc)
 
 
-class TestCertificateEntriesAreCheckedAtOnce:
-    """load_set returns what the per-entry loop returned, or raises its error for the first bad entry."""
+def test_a_certificate_entry_is_a_named_tuple():
+    entry = CertificateEntry("a", "b", (1, 2))
+    assert CertificateEntry._fields == ("covered", "by", "exact_indices")
+    assert entry == ("a", "b", (1, 2)) and hash(entry) == hash(("a", "b", (1, 2)))
+    assert (entry.covered, entry.by, entry.exact_indices) == ("a", "b", (1, 2))
+    with pytest.raises(AttributeError):
+        entry.by = "c"
+
+
+ABSENT = object()  # a set file without a "certificate" key
+
+
+def _set_file(certificate):
+    payload = {"relation": {"kind": "epsilon", "eps": "1/2"}, "members": ["a"]}
+    if certificate is not ABSENT:
+        payload["certificate"] = certificate
+    return json.dumps(payload).encode()
+
+
+class TestCertificatesLoadInOnePass:
+    """load_set refuses a certificate that is no list; on a list, or with none, it returns
+    what the per-entry loop returned, or raises its error for the first bad entry."""
 
     @settings(max_examples=500, deadline=None)
-    @given(
-        st.lists(certificate_items(), max_size=6)
-        | _JUNK.filter(lambda v: not isinstance(v, list))
-        | st.just("absent")
-    )
+    @given(st.lists(certificate_items(), max_size=6) | st.just(ABSENT))
     # an empty object or string, or a string of digits, is no index list though tuple() takes it
     @example([{"covered": "a", "by": "a", "exact_indices": {}}])
     @example([{"covered": "a", "by": "a", "exact_indices": ""}])
     @example([{"covered": "a", "by": "a", "exact_indices": [1]},
               {"covered": "b", "by": "a", "exact_indices": "12"}])
     def test_matches_the_per_entry_loop(self, certificate):
-        payload = {"relation": {"kind": "epsilon", "eps": "1/2"}, "members": ["a"]}
-        if certificate != "absent":
-            payload["certificate"] = certificate
-        data = json.dumps(payload).encode()
+        data = _set_file(certificate)
         assert _outcome(load_set, data) == _outcome(reference_load_set, data)
+
+    @settings(max_examples=200)
+    @given(
+        _JUNK.filter(lambda v: not isinstance(v, list))
+        | st.dictionaries(st.sampled_from(["covered", "by", "exact_indices"]), _JUNK)
+        | st.text()
+    )
+    @example(5)
+    @example(None)
+    @example(True)
+    @example({})
+    @example("ab")
+    @example({"a": 1})
+    def test_a_certificate_that_is_no_list_is_refused(self, certificate):
+        # the per-entry loop raised TypeError here, or iterated the string or the object
+        with pytest.raises(FormatError) as info:
+            load_set(_set_file(certificate))
+        assert str(info.value) == '"certificate" must be a list of entries'
 
     def test_the_first_bad_entry_is_named(self):
         good = {"covered": "a", "by": "a", "exact_indices": [1]}
