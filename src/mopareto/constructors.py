@@ -17,7 +17,7 @@ from itertools import accumulate, compress, product, repeat
 from operator import le, mul
 from typing import Callable, Iterable
 
-from .dominance import _skyline, _strictly_below, exact_components, r_dominates
+from .dominance import _skyline, _strictly_below, _weakly_below, exact_components, r_dominates
 from .domsets import greedy_tournament_dominating_set, tournament_view
 from .grid import (
     CellIndex,
@@ -83,17 +83,6 @@ class VerifyResult:
         return self.counterexample is None
 
 
-def _ordered_members(instance: Instance, members: Iterable[str]) -> list[str]:
-    seen = set()
-    unique = []
-    for m in members:
-        instance.position(m)  # raises KeyError on unknown ids
-        if m not in seen:
-            seen.add(m)
-            unique.append(m)
-    return sorted(unique, key=instance.position)
-
-
 def verify_approximation(
     instance: Instance, members: Iterable[str], spec: RelationSpec
 ) -> VerifyResult:
@@ -106,7 +95,8 @@ def verify_approximation(
     with eps = num/den, "within 1 + eps" is den*a <= (den+num)*b, "exact" a <= b.
     The relation's rule is read only once some pair is compared.
     """
-    ordered = _ordered_members(instance, members)
+    # sorted computes the keys in first-occurrence order: the first unknown id raises KeyError
+    ordered = sorted(dict.fromkeys(members), key=instance.position)
     rows = instance._rows
     num, den = spec.eps.numerator, spec.eps.denominator
     required, min_exact = spec.exact_rule(instance.p) if rows and ordered else ((), 0)
@@ -310,5 +300,5 @@ def construct_via_gap(
         if answer is not None:
             discovered.setdefault(answer.id, answer)
     found = list(discovered.values())
-    keep = _skyline([x.f for x in found], lambda y, x: all(map(le, y, x)))
+    keep = _skyline([x.f for x in found], _weakly_below)
     return [found[i] for i in sorted(keep)]

@@ -5,11 +5,11 @@ implies relation membership, so in particular every relation is reflexive.
 The efficient filters, the weakly-efficient lift, the grid's cell filter
 (on cell coordinates) and the prune of the gap construction (on the oracle's
 Fraction images) are one presorted skyline: only a lexicographically smaller
-row can beat another.  The digraph is stored as one n-bit row per node, the
-AND of masks from the sorted-column index (`model._SortedColumn`).  The
-filters, the lift and the digraph compare the instance's cached integer image
-(a column past `model._SCALE_BITS` keeps its Fractions); the pairwise
-`values_r_dominate`, on Fractions, remains their reference.
+row can beat another, and only a minimal one need be asked.  The digraph is
+stored as one n-bit row per node, the AND of masks from the sorted-column
+index (`model._SortedColumn`).  The filters, the lift and the digraph compare
+the instance's cached integer image (a column past `model._SCALE_BITS` keeps
+its Fractions); the pairwise `values_r_dominate`, on Fractions, is their reference.
 """
 
 from __future__ import annotations
@@ -75,17 +75,27 @@ def exact_components(x: Solution, y: Solution) -> tuple[int, ...]:
 def _skyline(rows: Sequence[tuple], beats: Callable[[tuple, tuple], bool]) -> list[int]:
     """Positions of the rows no earlier kept row beats, in a stable sort of the rows.
 
-    `beats(y, x)` is transitive and holds only if y is lexicographically at
-    most x; of two equal rows, the earlier one is kept first.
+    `beats(y, x)` is transitive, implies y weakly below x, and holds when y is
+    weakly below some z with beats(z, x), as all three `beats` in use do; of
+    two equal rows, the earlier one is kept first.  So a row need only be
+    tested against the minimal rows, those no earlier row is weakly below (a
+    minimal row is kept): at most n * |minimal| `beats` calls, however many are kept.
     """
     front: list[int] = []
-    kept: list[tuple] = []  # rows[front[k]] for each k
+    minimal: list[tuple] = []
     for i in sorted(range(len(rows)), key=rows.__getitem__):
         x = rows[i]
-        if not any(map(beats, kept, repeat(x))):
+        if not any(map(_weakly_below, minimal, repeat(x))):
             front.append(i)
-            kept.append(x)
+            minimal.append(x)
+        elif not any(map(beats, minimal, repeat(x))):
+            front.append(i)
     return front
+
+
+def _weakly_below(y: tuple, x: tuple) -> bool:
+    """Is y at most x in every coordinate?"""
+    return all(map(le, y, x))
 
 
 def _strictly_below(y: tuple, x: tuple) -> bool:
@@ -100,7 +110,7 @@ def efficient_set(instance: Instance) -> set[str]:
     components is not dominated by it (one strict inequality is required).
     """
     ids = instance.ids
-    return {ids[i] for i in _skyline(instance._rows, lambda y, x: y != x and all(map(le, y, x)))}
+    return {ids[i] for i in _skyline(instance._rows, lambda y, x: y != x and _weakly_below(y, x))}
 
 
 def weakly_efficient_set(instance: Instance) -> set[str]:

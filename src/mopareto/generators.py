@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Literal
 
 from .model import Instance, Solution
+from .numerics import _positive
 
 __all__ = [
     "gen_prop_dominated",
@@ -34,9 +35,7 @@ def gen_prop_dominated(eps: Fraction) -> Instance:
     single solution covers all six even within factor 1 + eps.  Six other
     two-member quasi-1-exact covers exist, four of them all efficient.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    e = eps
+    e = Fraction(_positive(eps, "eps"))  # e / 2 of an int eps would be a float
     one = Fraction(1)
     points = [
         ("x1", one, (1 + e) ** 2),
@@ -59,11 +58,10 @@ def gen_prop_one_exact(delta: Fraction, n: int) -> Instance:
     x_i    = (3i+1, (1+eps)**(n-i) * (1+delta)**i),
     xtil_i = (3i+2, (1+eps)**(n-i) / (1+delta)**i).
     """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    d = Fraction(_positive(delta, "delta"))  # tail / (1+d)**i of an int delta would be a float
     if n < 1:
         raise ValueError("n must be at least 1")
-    e, d = (1 + delta) ** (2 * n) - 1, delta
+    e = (1 + d) ** (2 * n) - 1
     solutions = [Solution("x0", (Fraction(1), (1 + e) ** n))]
     for i in range(1, n + 1):
         tail = (1 + e) ** (n - i)
@@ -80,8 +78,7 @@ def gen_quasi2_gap(eps: Fraction, n: int) -> Instance:
 
     x_j = (1 + (n-j)/n * eps, 1 + (n-j)/n * eps, (1+eps)**(2j+1)) for j = 0..n.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    _positive(eps, "eps")
     if n < 1:
         raise ValueError("n must be at least 1")
     solutions = []

@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 
 from .dominance import _skyline, _strictly_below
 from .model import Instance
+from .numerics import _positive
 
 __all__ = [
     "CellIndex",
@@ -50,8 +51,8 @@ def cell_coord(value: Fraction, anchor: Fraction, eps: Fraction) -> int:
     ever the final authority, so values sitting exactly on a cell boundary are
     placed deterministically (they go up).
     """
-    if not anchor > 0 or not eps > 0:  # not x <= 0: a NaN compares false both ways
-        raise ValueError("anchor and eps must be positive")
+    _positive(anchor, "anchor")
+    _positive(eps, "eps")
     if value < anchor:
         raise ValueError(f"value {value} below anchor {anchor}")
     ratio = 1 + eps
@@ -90,6 +91,7 @@ def _rung_walk(column: Sequence[int | Fraction], anchor: int | Fraction, eps: Fr
 def bucket(instance: Instance, eps: Fraction) -> GridBucketing:
     """Assign every solution to its grid cell; anchors are per-dimension minima
     (an empty instance has no anchors and no cells)."""
+    _positive(eps, "eps")
     if not instance.solutions:
         return GridBucketing(eps=eps, lower=(), cells={})
     image = instance._image
@@ -124,8 +126,7 @@ def diagonal_of(cell: CellIndex) -> CellIndex:
 
 def ratio_steps_to_reach(target: Fraction, eps: Fraction) -> int:
     """Smallest t >= 0 with (1+eps)**t >= target (target >= 1 assumed useful)."""
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    _positive(eps, "eps")
     if target <= 1:
         return 0
     t = cell_coord(target, Fraction(1), eps)

@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 from math import lcm
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .numerics import _DIGIT_LIMIT, parse_rational, render_rational
+from .numerics import _DIGIT_LIMIT, _positive, parse_rational, render_rational
 
 __all__ = [
     "FormatError",
@@ -55,7 +55,7 @@ class Instance:
     """An explicit multiobjective instance: p objectives, ordered solutions.
 
     Invariants enforced here: ids are unique and nonempty, every objective
-    value is strictly positive, and all vectors have exactly p components.
+    value is a positive int or Fraction, and all vectors have p components.
 
     The fast paths compare one cached exact integer image (`_image`, from
     `_scaled`): a positive scale per column keeps every order, equality and
@@ -79,8 +79,13 @@ class Instance:
                 raise ValueError(
                     f"solution {sol.id!r} has {len(sol.f)} objective values, expected {self.p}"
                 )
-            if any(v.numerator <= 0 for v in sol.f):  # a Fraction's denominator is positive
-                raise ValueError(f"nonpositive objective value in solution {sol.id!r}")
+            try:  # a Fraction's denominator is positive
+                if any(v.numerator <= 0 for v in sol.f):
+                    raise ValueError(f"nonpositive objective value in solution {sol.id!r}")
+            except AttributeError:  # no numerator: no int and no Fraction, which the check names
+                for v in sol.f:
+                    _positive(v, f"an objective value of solution {sol.id!r}")
+                raise
             pos[sol.id] = i
         object.__setattr__(self, "_pos", pos)
 
@@ -160,12 +165,9 @@ class _SortedColumn:
         self._masks: dict[object, int] = {}
         self._suffixes: list[int] = []
 
-    def within(self, bound: Fraction) -> int:
-        try:  # floor(b * scale) on a scaled column: an int, cheap to hash
-            num, den = bound.as_integer_ratio()
-            cut = bound if self.scale is None else num * self.scale // den
-        except OverflowError:  # an infinite budget compares as is
-            cut = bound
+    def within(self, bound: int | Fraction) -> int:
+        num, den = bound.as_integer_ratio()  # cut on a scaled column: floor(b * scale), an int
+        cut = bound if self.scale is None else num * self.scale // den
         mask = self._masks.get(cut)
         if mask is None:
             mask = 0
@@ -209,8 +211,8 @@ _REQUIRED_EXACT = {
 class RelationSpec:
     """Which approximate-dominance relation is meant, with its parameters.
 
-    k is present exactly for the quasi-k kinds; the upper bound k <= p is
-    checked where an instance is at hand.
+    eps is a positive int or Fraction.  k, an int, is present exactly for the
+    quasi-k kinds; the upper bound k <= p is checked where an instance is at hand.
     """
 
     kind: RelationKind
@@ -218,11 +220,12 @@ class RelationSpec:
     k: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.eps > 0:  # not eps <= 0: a NaN compares false both ways
-            raise ValueError("eps must be positive")
+        _positive(self.eps, "eps")
         if self.kind in _KINDS_WITH_K:
             if self.k is None:
                 raise ValueError(f"relation {self.kind.value} requires k")
+            if not isinstance(self.k, int):
+                raise ValueError(f"k must be an int, got {self.k!r}")
             if self.k < 1:
                 raise ValueError("k must be at least 1")
         elif self.k is not None:
@@ -262,16 +265,15 @@ class ApproximationSet:
 
 @dataclass(frozen=True)
 class GapQuery:
-    """A budget-threshold query: componentwise bounds b and a slack delta."""
+    """A budget-threshold query: bounds b and a slack delta, positive ints or Fractions."""
 
-    b: tuple[Fraction, ...]
-    delta: Fraction
+    b: tuple[int | Fraction, ...]
+    delta: int | Fraction
 
     def __post_init__(self) -> None:
-        if not all(map(_positive, self.b)):
-            raise ValueError("all budget components must be positive")
-        if not _positive(self.delta):
-            raise ValueError("delta must be positive")
+        for bound in self.b:
+            _positive(bound, "all budget components")
+        _positive(self.delta, "delta")
 
     @classmethod
     def _unchecked(cls, b: tuple[Fraction, ...], delta: Fraction) -> GapQuery:
@@ -279,14 +281,6 @@ class GapQuery:
         query = object.__new__(cls)
         query.__dict__.update(b=b, delta=delta)
         return query
-
-
-def _positive(v: object) -> bool:
-    """v > 0, False for a NaN: a float NaN is never > 0 and a Decimal NaN cannot be ordered."""
-    try:
-        return v > 0
-    except ArithmeticError:
-        return False
 
 
 def derive_value_bound(instance: Instance) -> int:

@@ -1,9 +1,9 @@
 """Exact rational arithmetic for dominance checks and grid placement.
 
-Every objective value, tolerance, and grid anchor in this package is a
-`fractions.Fraction`.  Comparisons are therefore bit-exact: two distinct
-values of bounded encoding length differ by an observable margin, and no
-decision anywhere depends on floating point.
+Every objective value, tolerance, budget and grid anchor in this package is
+an `int` or a `fractions.Fraction`, checked once by `_positive`.  Comparisons
+are therefore bit-exact: two distinct values of bounded encoding length differ
+by an observable margin, and no decision anywhere depends on floating point.
 """
 
 from __future__ import annotations
@@ -28,6 +28,16 @@ _LADDER_BITS = 40
 
 # CPython refuses int/str conversions past sys.get_int_max_str_digits() digits
 _DIGIT_LIMIT = "a number has more than {} digits, the interpreter's int/str conversion limit"
+
+
+def _positive(value: object, what: str) -> int | Fraction:
+    """value, if a positive int or Fraction; a float (even 1.0), a Decimal, a NaN,
+    an infinity, a str or None is a ValueError before any comparison decides with it."""
+    if not isinstance(value, (int, Fraction)):
+        raise ValueError(f"{what} must be an int or a Fraction, got {value!r}")
+    if value <= 0:
+        raise ValueError(f"{what} must be positive")
+    return value
 
 
 def parse_rational(text: str) -> Fraction:
@@ -77,9 +87,7 @@ def half_step_delta(eps: Fraction) -> Fraction:
     slack is exact; otherwise the best dyadic delta with denominator
     2**40 is returned (coarser dyadic rungs are subsumed by the finest one).
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    target = 1 + eps
+    target = 1 + _positive(eps, "eps")
     root = exact_sqrt(target)
     if root is not None:
         return root - 1

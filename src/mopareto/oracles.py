@@ -29,7 +29,7 @@ from .model import (
     RelationSpec,
     Solution,
 )
-from .numerics import half_step_delta
+from .numerics import _positive, half_step_delta
 
 __all__ = [
     "GapQuery",
@@ -86,7 +86,7 @@ def valid_gap_answer(
         if known.f != answer.f:
             return False
         return all(v <= bound for v, bound in zip(answer.f, query.b))
-    shrunk = tuple(bound / (1 + query.delta) for bound in query.b)
+    shrunk = tuple(Fraction(bound, 1 + query.delta) for bound in query.b)  # exact for ints too
     return not any(
         all(v <= bound for v, bound in zip(sol.f, shrunk))
         for sol in instance.solutions
@@ -160,8 +160,7 @@ def _biobjective_sweep(instance: Instance, eps: Fraction, relaxed: bool) -> list
     values within one column and multiplies them by ratios only, so each
     column's scale drops out and a Fraction fallback column takes the same code.
     """
-    if not eps > 0:  # before the loop: a bound below t would never shrink the uncovered prefix
-        raise ValueError("eps must be positive")
+    _positive(eps, "eps")  # first: a bound below t would never shrink the uncovered prefix
     ratio = 1 + (half_step_delta(eps) if relaxed else eps)
     f1, f2 = instance._sorted_columns
     rows = instance._rows
@@ -174,7 +173,7 @@ def _biobjective_sweep(instance: Instance, eps: Fraction, relaxed: bool) -> list
     while uncovered:
         pick = best[bisect_right(f1._values, ratio * least_f1[uncovered - 1]) - 1]
         members.append(instance.solutions[pick].id)
-        uncovered = bisect_left(f2._values, rows[pick][1] / (1 + eps))
+        uncovered = bisect_left(f2._values, Fraction(rows[pick][1], 1 + eps))
     return members
 
 

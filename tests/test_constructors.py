@@ -104,6 +104,14 @@ class TestVerify:
         with pytest.raises(KeyError, match="ghost"):
             verify_approximation(STAIRCASE, ["ghost"], RelationSpec(RelationKind.EPSILON, F(1)))
 
+    def test_the_first_unknown_member_in_the_given_order_is_named(self):
+        # "zz" comes first in the given order, "aa" first in sorted order
+        members = ["s2", "zz", "s1", "aa", "zz"]
+        spec = RelationSpec(RelationKind.EPSILON, F(1))
+        for verify in (verify_approximation, reference_verify):
+            with pytest.raises(KeyError, match="^\"unknown solution id: 'zz'\"$"):
+                verify(STAIRCASE, members, spec)
+
     def test_tampered_certificates_fail_recheck(self):
         instance = gen_prop_dominated(F(1))
         spec = RelationSpec(RelationKind.QUASI_K, F(1), k=1)
@@ -144,10 +152,22 @@ class TestVerify:
         assert not certificate_is_valid(one, ApproximationSet(two_exact, ("a",), (entry,)))
 
 
+def reference_ordered_members(instance, members):
+    """The member-ordering loop verify_approximation replaced by one sorted call."""
+    seen = set()
+    unique = []
+    for m in members:
+        instance.position(m)  # raises KeyError on unknown ids
+        if m not in seen:
+            seen.add(m)
+            unique.append(m)
+    return sorted(unique, key=instance.position)
+
+
 # Reference verification: the pairwise loop the column-scaled kernel replaced,
 # one r_dominates and one exact_components call per (member, target) pair.
 def reference_verify(instance, members, spec):
-    ordered = constructors._ordered_members(instance, members)
+    ordered = reference_ordered_members(instance, members)
     member_solutions = [instance.solution(m) for m in ordered]
     entries = []
     for target in instance.solutions:

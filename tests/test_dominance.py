@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from mopareto.dominance import (
     DominationDigraph,
     _check_dims,
+    _skyline,
+    _strictly_below,
+    _weakly_below,
     domination_digraph,
     efficient_set,
     exact_components,
@@ -480,3 +483,50 @@ class TestImageFiltersMatchThePairwiseReferences:
         for p in (1, 3):
             empty = under_scale_bits(monkeypatch, scale_bits, Instance(p=p, solutions=()))
             assert efficient_set(empty) == weakly_efficient_set(empty) == set()
+
+
+def reference_skyline(rows, beats):
+    """The skyline loop that tested each row against every kept row."""
+    front, kept = [], []
+    for i in sorted(range(len(rows)), key=rows.__getitem__):
+        if not any(beats(y, rows[i]) for y in kept):
+            front.append(i)
+            kept.append(rows[i])
+    return front
+
+
+BEATS = {
+    "strictly-below": _strictly_below,
+    "below-and-distinct": lambda y, x: y != x and _weakly_below(y, x),
+    "weakly-below": _weakly_below,
+}
+
+
+class TestSkylineAsksOnlyTheMinimalRows:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda p: st.lists(st.tuples(*[st.integers(min_value=0, max_value=3)] * p), max_size=40)
+        ),
+        st.sampled_from(sorted(BEATS)),
+    )
+    def test_matches_the_loop_over_every_kept_row(self, rows, beats):
+        assert _skyline(rows, BEATS[beats]) == reference_skyline(rows, BEATS[beats])
+
+    def test_a_large_weakly_efficient_front_costs_calls_per_efficient_row(self):
+        m, ties = 6, 60
+        antichain = [(i, m + 1 - i) for i in range(1, m + 1)]
+        # each ties (1, m) in the first coordinate: weakly efficient, not efficient
+        tied = [(1, m + 1 + j) for j in range(1, ties + 1)]
+        dominated = [(i + 1, m + 2 - i) for i in range(1, m)]
+        rows = tied[::2] + dominated + antichain[::-1] + tied[1::2]
+        calls = 0
+
+        def counting(y, x):
+            nonlocal calls
+            calls += 1
+            return _strictly_below(y, x)
+
+        front = _skyline(rows, counting)
+        assert sorted(rows[i] for i in front) == sorted(antichain + tied)
+        assert calls <= len(rows) * len(antichain)

@@ -181,6 +181,17 @@ class TestDuplication:
         assert len(exact_min_dominating_set(partial)) == n
 
 
+@pytest.mark.parametrize(
+    "make",
+    [gen_prop_dominated, lambda v: gen_prop_one_exact(v, 3), lambda v: gen_quasi2_gap(v, 3)],
+    ids=["gen_prop_dominated", "gen_prop_one_exact", "gen_quasi2_gap"],
+)
+def test_an_int_parameter_builds_the_instance_of_its_fraction(make):
+    # e / 2 and tail / (1+d)**i on an int would be floats, which Instance refuses
+    for value in (1, 2):
+        assert make(value) == make(F(value))
+
+
 class TestAntichainAndRandom:
     def test_antichain_values_and_efficiency(self):
         inst = gen_antichain(3)

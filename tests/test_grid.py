@@ -145,6 +145,15 @@ class TestBucketing:
             empty = under_scale_bits(monkeypatch, scale_bits, Instance(p=p, solutions=()))
             assert bucket(empty, Fraction(1, 2)) == GridBucketing(Fraction(1, 2), (), {})
 
+    @pytest.mark.parametrize("eps, message", [
+        (Fraction(0), "eps must be positive"),
+        (-1, "eps must be positive"),
+        (0.5, "eps must be an int or a Fraction, got 0.5"),
+    ])
+    def test_eps_is_checked_before_the_empty_instance_returns(self, eps, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            bucket(Instance(p=2, solutions=()), eps)
+
     def test_boundary_point_gets_upper_cell(self):
         b = bucket(inst((1, 1), (2, 2)), Fraction(1))
         assert set(b.cells) == {(0, 0), (1, 1)}

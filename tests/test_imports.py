@@ -1,10 +1,13 @@
 """Every name a package module imports is used there or re-exported by it, the
-package exports exactly the names its modules declare in `__all__`, and only
-`model` imports json."""
+package exports exactly the names its modules declare in `__all__`, only
+`model` imports json, and every public numeric parameter takes only an int or
+a Fraction."""
 
 import ast
 import importlib
 import inspect
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -169,3 +172,74 @@ def test_the_reader_check_sees_methods_lambdas_and_nested_functions():
         "    return inner(s)\n"
     )
     assert solution_f_readers(source) == {"A.m", "outer", "deep.inner"}
+
+
+F = Fraction
+BIOBJECTIVE = mopareto.gen_random(6, 2, seed=1)
+
+# Each public callable with a parameter named eps, delta, anchor or b, and a call
+# that puts a value in that parameter, every other argument valid.  A new entry
+# point with such a parameter joins this list, and so the exact-number rule.
+NUMERIC_PARAMETERS = {
+    "RelationSpec": {"eps": lambda v: mopareto.RelationSpec(mopareto.RelationKind.EPSILON, v)},
+    "GapQuery": {
+        "b": lambda v: mopareto.GapQuery(b=(F(1), v), delta=F(1, 2)),
+        "delta": lambda v: mopareto.GapQuery(b=(F(1),), delta=v),
+    },
+    "half_step_delta": {"eps": lambda v: mopareto.half_step_delta(v)},
+    "cell_coord": {
+        "anchor": lambda v: mopareto.cell_coord(F(2), v, F(1)),
+        "eps": lambda v: mopareto.cell_coord(F(2), F(1), v),
+    },
+    "bucket": {"eps": lambda v: mopareto.bucket(BIOBJECTIVE, v)},
+    "ratio_steps_to_reach": {"eps": lambda v: mopareto.ratio_steps_to_reach(F(2), v)},
+    "weakly_efficient_lift": {
+        "eps": lambda v: mopareto.weakly_efficient_lift(BIOBJECTIVE, BIOBJECTIVE.ids, v)
+    },
+    "construct_via_gap": {"eps": lambda v: mopareto.construct_via_gap(lambda q: None, v, 0, 1)},
+    "greedy_biobjective_min": {"eps": lambda v: mopareto.greedy_biobjective_min(BIOBJECTIVE, v)},
+    "dual_restrict_2approx": {"eps": lambda v: mopareto.dual_restrict_2approx(BIOBJECTIVE, v)},
+    "gen_prop_dominated": {"eps": lambda v: mopareto.gen_prop_dominated(v)},
+    "gen_prop_one_exact": {"delta": lambda v: mopareto.gen_prop_one_exact(v, 2)},
+    "gen_quasi2_gap": {"eps": lambda v: mopareto.gen_quasi2_gap(v, 2)},
+}
+RESULT_RECORDS = {"GridBucketing": {"eps"}}  # built by the library, not taken from a caller
+
+
+def public_numeric_parameters() -> dict[str, set[str]]:
+    """Each public callable's parameters named eps, delta, anchor or b, when it has any."""
+    found = {}
+    for name, value in vars(mopareto).items():
+        if name.startswith("_") or inspect.ismodule(value) or not callable(value):
+            continue
+        try:  # exception classes and type aliases have no signature, and no such parameter
+            parameters = inspect.signature(value).parameters
+        except (TypeError, ValueError):
+            continue
+        if named := {"eps", "delta", "anchor", "b"} & set(parameters):
+            found[name] = named
+    return found
+
+
+def test_the_numeric_parameters_are_pinned():
+    pinned = {name: set(calls) for name, calls in NUMERIC_PARAMETERS.items()}
+    assert public_numeric_parameters() == pinned | RESULT_RECORDS
+
+
+each_pinned_call = pytest.mark.parametrize(
+    "call", [c for calls in NUMERIC_PARAMETERS.values() for c in calls.values()],
+    ids=[f"{name}-{param}" for name, calls in NUMERIC_PARAMETERS.items() for param in calls],
+)
+
+
+@pytest.mark.parametrize("value", [0.5, Decimal("0.5"), float("nan"), Decimal("NaN"), float("inf")], ids=repr)
+@each_pinned_call
+def test_each_numeric_parameter_refuses_a_number_that_is_not_exact(call, value):
+    with pytest.raises(ValueError, match=" must be an int or a Fraction, got "):
+        call(value)
+
+
+@each_pinned_call
+def test_each_pinned_call_accepts_an_exact_value(call):
+    call(F(1, 2))
+    call(1)

@@ -1,5 +1,6 @@
 import json
 import operator
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -74,6 +75,17 @@ class TestInstanceInvariants:
         with pytest.raises(ValueError, match=r"^nonpositive objective value in solution 'b'$"):
             Instance(p=2, solutions=solutions)
 
+    @pytest.mark.parametrize("bad", [0.5, 2.0, float("nan"), Decimal("1.5"), "3/2", None], ids=repr)
+    def test_a_value_that_is_no_int_or_fraction_names_its_solution(self, bad):
+        solutions = (Solution("a", (Fraction(1), 2)), Solution("b", (Fraction(5), bad)))
+        message = rf"^an objective value of solution 'b' must be an int or a Fraction, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            Instance(p=2, solutions=solutions)
+
+    def test_a_nonpositive_value_before_a_float_is_named_first(self):
+        with pytest.raises(ValueError, match=r"^nonpositive objective value in solution 'a'$"):
+            Instance(p=2, solutions=(Solution("a", (Fraction(-1), 0.5)),))
+
     def test_plain_int_values_are_accepted(self):
         inst = Instance(p=2, solutions=(Solution("a", (1, Fraction(1, 10**40))), Solution("b", (3, 2))))
         assert inst._rows == ((1, 1), (3, 2 * 10**40))
@@ -120,6 +132,12 @@ class TestRelationSpec:
         with pytest.raises(ValueError):
             RelationSpec(RelationKind.QUASI_K, Fraction(1), k=0)
 
+    @pytest.mark.parametrize("k", [1.5, 1.0, Fraction(1), "1"], ids=repr)
+    def test_k_must_be_an_int(self, k):
+        # a float k would reach the digraph's bit-sliced count as a TypeError
+        with pytest.raises(ValueError, match=rf"^k must be an int, got {re.escape(repr(k))}$"):
+            RelationSpec(RelationKind.QUASI_K, Fraction(1), k=k)
+
 
 class TestGapQuery:
     def test_positive_budgets_required(self):
@@ -131,39 +149,45 @@ class TestGapQuery:
             GapQuery(b=(Fraction(1),), delta=Fraction(0))
 
     @pytest.mark.parametrize(
-        "b, delta, message",
+        "b, delta, what, bad",
         [
-            ((float("nan"), float("nan")), Fraction(1, 2), "all budget components must be"),
-            ((Fraction(1), float("nan")), Fraction(1, 2), "all budget components must be"),
-            ((Fraction(1), Fraction(1)), float("nan"), "delta must be"),
-            # a Decimal NaN raises InvalidOperation on an ordered comparison
-            ((Decimal("NaN"),), Fraction(1, 2), "all budget components must be"),
-            ((Decimal("sNaN"),), Fraction(1, 2), "all budget components must be"),
-            ((Fraction(1),), Decimal("NaN"), "delta must be"),
+            ((float("nan"), float("nan")), Fraction(1, 2), "all budget components", "nan"),
+            ((Fraction(1), float("nan")), Fraction(1, 2), "all budget components", "nan"),
+            ((Fraction(1), Fraction(1)), float("nan"), "delta", "nan"),
+            ((Decimal("NaN"),), Fraction(1, 2), "all budget components", "Decimal('NaN')"),
+            ((Decimal("sNaN"),), Fraction(1, 2), "all budget components", "Decimal('sNaN')"),
+            ((Fraction(1),), Decimal("NaN"), "delta", "Decimal('NaN')"),
+            ((Fraction(1), 0.5), Fraction(1, 2), "all budget components", "0.5"),
+            ((Decimal("0.5"),), Fraction(1, 2), "all budget components", "Decimal('0.5')"),
+            ((float("inf"),), Fraction(1, 2), "all budget components", "inf"),
+            ((Fraction(1),), 0.5, "delta", "0.5"),
+            ((Fraction(1),), Decimal("0.5"), "delta", "Decimal('0.5')"),
+            ((Fraction(1),), float("inf"), "delta", "inf"),
         ],
     )
-    def test_nan_budget_and_nan_delta_rejected(self, b, delta, message):
-        # NaN compares false both ways, so a check written as v <= 0 would let it through
-        with pytest.raises(ValueError, match=f"^{message} positive$"):
+    def test_nan_budget_and_nan_delta_rejected(self, b, delta, what, bad):
+        # refused for the type, before a NaN or a float could decide a comparison
+        with pytest.raises(ValueError, match=rf"^{what} must be an int or a Fraction, got {re.escape(bad)}$"):
             GapQuery(b=b, delta=delta)
 
 
-NAN = float("nan")
+NOT_EXACT = [float("nan"), 0.5, Decimal("0.5"), float("inf")]
 
 
+@pytest.mark.parametrize("value", NOT_EXACT, ids=repr)
 @pytest.mark.parametrize(
-    "call, message",
+    "call, what",
     [
-        (lambda: RelationSpec(RelationKind.EPSILON, NAN), "eps must be positive"),
-        (lambda: greedy_biobjective_min(gen_random(20, 2, seed=1), NAN), "eps must be positive"),
-        (lambda: dual_restrict_2approx(gen_random(20, 2, seed=1), NAN), "eps must be positive"),
-        (lambda: half_step_delta(NAN), "eps must be positive"),
-        (lambda: cell_coord(Fraction(2), NAN, Fraction(1)), "anchor and eps must be positive"),
-        (lambda: cell_coord(Fraction(2), Fraction(1), NAN), "anchor and eps must be positive"),
-        (lambda: ratio_steps_to_reach(Fraction(2), NAN), "eps must be positive"),
-        (lambda: gen_prop_dominated(NAN), "eps must be positive"),
-        (lambda: gen_prop_one_exact(NAN, 2), "delta must be positive"),
-        (lambda: gen_quasi2_gap(NAN, 2), "eps must be positive"),
+        (lambda v: RelationSpec(RelationKind.EPSILON, v), "eps"),
+        (lambda v: greedy_biobjective_min(gen_random(20, 2, seed=1), v), "eps"),
+        (lambda v: dual_restrict_2approx(gen_random(20, 2, seed=1), v), "eps"),
+        (lambda v: half_step_delta(v), "eps"),
+        (lambda v: cell_coord(Fraction(2), v, Fraction(1)), "anchor"),
+        (lambda v: cell_coord(Fraction(2), Fraction(1), v), "eps"),
+        (lambda v: ratio_steps_to_reach(Fraction(2), v), "eps"),
+        (lambda v: gen_prop_dominated(v), "eps"),
+        (lambda v: gen_prop_one_exact(v, 2), "delta"),
+        (lambda v: gen_quasi2_gap(v, 2), "eps"),
     ],
     ids=[
         "RelationSpec",
@@ -178,10 +202,9 @@ NAN = float("nan")
         "gen_quasi2_gap",
     ],
 )
-def test_a_nan_is_not_positive(call, message):
-    # each guard reads `not x > 0`: a NaN compares false both ways, so `x <= 0` lets it through
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        call()
+def test_a_number_that_is_not_exact_is_refused_for_its_type(call, what, value):
+    with pytest.raises(ValueError, match=rf"^{what} must be an int or a Fraction, got {re.escape(repr(value))}$"):
+        call(value)
 
 
 def reference_derive_value_bound(instance):

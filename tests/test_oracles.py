@@ -153,10 +153,13 @@ class TestGapOracle:
         assert gap_oracle(backward, query).id == "s2"
         assert gap_oracle(forward, query).id == "s1"
 
-    def test_int_and_float_budgets_answer_like_the_scan(self):
-        for b in [(1, 4), (F(1), F(4)), (1.0, 4.0), (2, 2.5), (0.5, 9), (4, 1)]:
+    def test_int_and_fraction_budgets_answer_like_the_scan(self):
+        for b in [(1, 4), (F(1), F(4)), (F(1), 4), (2, F(5, 2)), (F(1, 2), 9), (4, 1)]:
             query = GapQuery(b=b, delta=F(1, 2))
             assert gap_oracle(STAIRCASE, query) is scan_gap_oracle(STAIRCASE, query)
+        for b in [(1.0, 4.0), (2, 2.5), (0.5, 9), (Decimal(2), 4), (1, float("inf"))]:
+            with pytest.raises(ValueError, match="^all budget components must be an int or a Fraction, got "):
+                GapQuery(b=b, delta=F(1, 2))
 
     def test_querying_leaves_equality_hash_and_repr_unchanged(self):
         queried = inst((1, 4), (2, 3), (3, 2), (4, 1))
@@ -195,15 +198,14 @@ def mixed_instances(draw):
     return Instance(p=p, solutions=tuple(Solution(f"s{i}", v) for i, v in enumerate(vectors)))
 
 
+# above every value in MIXED_VALUES, with a denominator coprime to every scale
+ABOVE_EVERY_VALUE = F(10**30 + 1, 7)
+
+
 def mixed_budget(column):
-    """budget_component's budgets, also as a float or a Decimal, or an infinite float."""
+    """budget_component's budgets, or a Fraction far above every value."""
     exact = budget_component(column) if column else st.fractions(F(1, 4), F(4))
-    return st.one_of(
-        exact,
-        exact.map(float),
-        exact.map(lambda b: Decimal(b.numerator) / Decimal(b.denominator)),
-        st.just(float("inf")),
-    )
+    return st.one_of(exact, st.just(ABOVE_EVERY_VALUE))
 
 
 class TestGapOracleOnTheIntegerImage:
@@ -227,17 +229,18 @@ class TestGapOracleOnTheIntegerImage:
                 query = GapQuery(b=data.draw(budgets), delta=data.draw(st.sampled_from([F(1, 2), F(1, 9)])))
                 answer = gap_oracle(instance, query)
                 assert answer is scan_gap_oracle(instance, query)
-                # valid_gap_answer divides b by 1 + delta, which a Decimal does not take from a Fraction
-                exact = GapQuery(tuple(F(v) if isinstance(v, Decimal) else v for v in query.b), query.delta)
-                assert valid_gap_answer(instance, exact, answer)
+                assert valid_gap_answer(instance, query, answer)
 
     def test_a_budget_on_a_value_and_one_unit_below_it(self):
         # 1/3 and 2/7 scale by 21: floor(b * 21) decides b = 1/3 (7) and b just below it (6)
         instance = inst((F(1, 3), F(2, 7)), (F(2, 7), F(1, 3)))
         for b, want in [((F(1, 3), F(1, 3)), "s1"), ((F(1, 3) - F(1, 10**30), F(1, 3)), "s2"),
-                        ((F(2, 7), F(2, 7)), None), ((0.3, Decimal(1)), "s2"), ((Decimal(1), 0.3), "s1")]:
+                        ((F(2, 7), F(2, 7)), None), ((F(3, 10), 1), "s2"), ((1, F(3, 10)), "s1")]:
             answer = gap_oracle(instance, GapQuery(b=b, delta=F(1, 2)))
             assert (answer and answer.id) == want, b
+        for b in [(0.3, Decimal(1)), (Decimal(1), 0.3), (float("inf"), F(1, 3))]:
+            with pytest.raises(ValueError, match="^all budget components must be an int or a Fraction"):
+                GapQuery(b=b, delta=F(1, 2))
 
 
 class TestGapOracleSharesTheDigraphIndex:
@@ -704,6 +707,23 @@ class TestSweepsOnTheIntegerImage:
             assert [scale for scale, _ in instance._image] == [None, 6]
             for eps in SWEEP_EPS:
                 TestMergedSweepMatchesTheOldLoops.assert_both_match(instance, eps)
+
+
+class TestIntParametersStayExact:
+    """An int eps, budget or delta is admitted as it is; no int / int division makes a float."""
+
+    def test_an_int_eps_sweeps_like_its_fraction(self):
+        # b is uncovered after a: 2*10**20 + 2 halved is 10**20 + 1, which a float rounds to 10**20
+        instance = biobjective([(F(1), F(2 * 10**20 + 2)), (F(3), F(10**20))])
+        assert greedy_biobjective_min(instance, 1).members == ("s0", "s1")
+        for sweep in (greedy_biobjective_min, dual_restrict_2approx):
+            assert sweep(instance, 1) == sweep(instance, F(1))
+
+    def test_int_budgets_and_delta_shrink_exactly(self):
+        # (3*10**20 - 1) / 3 lies just below 10**20, and a float rounds it onto 10**20
+        instance = inst((10**20,))
+        assert valid_gap_answer(instance, GapQuery(b=(3 * 10**20 - 1,), delta=2), None)
+        assert not valid_gap_answer(instance, GapQuery(b=(3 * 10**20,), delta=2), None)
 
 
 class TestSweepsCallNoPerPickOracle:
