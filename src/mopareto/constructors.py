@@ -34,7 +34,7 @@ from .model import (
     RelationSpec,
     Solution,
 )
-from .numerics import half_step_delta
+from .numerics import _integer, half_step_delta
 
 __all__ = [
     "UnsupportedRelationError",
@@ -275,9 +275,9 @@ def construct_via_gap(
     GAP_QUERY_LIMIT.  Only the smallest budget vector is validated, once: the
     levels ascend from it, so each query is built unchecked and equals a validated one.
     """
-    if p < 1:
+    if _integer(p, "p") < 1:
         raise ValueError("p must be at least 1")
-    if value_bound < 0:
+    if _integer(value_bound, "value_bound") < 0:
         raise ValueError("value_bound must be nonnegative")
     delta = half_step_delta(eps)
     # top budget must reach (1+delta) * 2**M so every value has a grid

@@ -80,6 +80,7 @@ def _skyline(rows: Sequence[tuple], beats: Callable[[tuple, tuple], bool]) -> li
     two equal rows, the earlier one is kept first.  So a row need only be
     tested against the minimal rows, those no earlier row is weakly below (a
     minimal row is kept): at most n * |minimal| `beats` calls, however many are kept.
+    When `beats` is `_weakly_below`, the first test has answered it: one call per pair.
     """
     front: list[int] = []
     minimal: list[tuple] = []
@@ -88,7 +89,7 @@ def _skyline(rows: Sequence[tuple], beats: Callable[[tuple, tuple], bool]) -> li
         if not any(map(_weakly_below, minimal, repeat(x))):
             front.append(i)
             minimal.append(x)
-        elif not any(map(beats, minimal, repeat(x))):
+        elif beats is not _weakly_below and not any(map(beats, minimal, repeat(x))):
             front.append(i)
     return front
 

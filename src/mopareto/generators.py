@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Literal
 
 from .model import Instance, Solution
-from .numerics import _positive
+from .numerics import _integer, _positive
 
 __all__ = [
     "gen_prop_dominated",
@@ -59,7 +59,7 @@ def gen_prop_one_exact(delta: Fraction, n: int) -> Instance:
     xtil_i = (3i+2, (1+eps)**(n-i) / (1+delta)**i).
     """
     d = Fraction(_positive(delta, "delta"))  # tail / (1+d)**i of an int delta would be a float
-    if n < 1:
+    if _integer(n, "n") < 1:
         raise ValueError("n must be at least 1")
     e = (1 + d) ** (2 * n) - 1
     solutions = [Solution("x0", (Fraction(1), (1 + e) ** n))]
@@ -79,7 +79,7 @@ def gen_quasi2_gap(eps: Fraction, n: int) -> Instance:
     x_j = (1 + (n-j)/n * eps, 1 + (n-j)/n * eps, (1+eps)**(2j+1)) for j = 0..n.
     """
     _positive(eps, "eps")
-    if n < 1:
+    if _integer(n, "n") < 1:
         raise ValueError("n must be at least 1")
     solutions = []
     for j in range(n + 1):
@@ -96,7 +96,7 @@ def gen_duplicated(base: Instance, p: int, mode: DuplicationMode) -> Instance:
     """
     if base.p != 2:
         raise ValueError("duplication lifts biobjective instances only")
-    if p < 3:
+    if _integer(p, "p") < 3:
         raise ValueError("target objective count must be at least 3")
     half_up = -(-p // 2)
     solutions = []
@@ -114,7 +114,7 @@ def gen_duplicated(base: Instance, p: int, mode: DuplicationMode) -> Instance:
 
 def gen_antichain(n: int) -> Instance:
     """n pairwise nondominated biobjective points (i, n+1-i) for i = 1..n."""
-    if n < 1:
+    if _integer(n, "n") < 1:
         raise ValueError("n must be at least 1")
     return Instance(
         p=2,
@@ -127,9 +127,9 @@ def gen_antichain(n: int) -> Instance:
 def gen_random(n: int, p: int, seed: int, value_range: int = 4) -> Instance:
     """Reproducible random instance: values are ratios of integers drawn from
     [1, 2**value_range], hence inside [2**-value_range, 2**value_range]."""
-    if n < 1 or p < 1:
+    if _integer(n, "n") < 1 or _integer(p, "p") < 1:
         raise ValueError("n and p must be at least 1")
-    if value_range < 1:
+    if _integer(value_range, "value_range") < 1:
         raise ValueError("value_range must be at least 1")
     rng = random.Random(seed)
     top = 1 << value_range

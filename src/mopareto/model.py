@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 from math import lcm
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .numerics import _DIGIT_LIMIT, _positive, parse_rational, render_rational
+from .numerics import _DIGIT_LIMIT, _integer, _positive, parse_rational, render_rational
 
 __all__ = [
     "FormatError",
@@ -67,7 +67,7 @@ class Instance:
     _pos: Mapping[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.p < 1:
+        if _integer(self.p, "p") < 1:
             raise ValueError("an instance needs at least one objective")
         pos: dict[str, int] = {}
         for i, sol in enumerate(self.solutions):
@@ -224,9 +224,7 @@ class RelationSpec:
         if self.kind in _KINDS_WITH_K:
             if self.k is None:
                 raise ValueError(f"relation {self.kind.value} requires k")
-            if not isinstance(self.k, int):
-                raise ValueError(f"k must be an int, got {self.k!r}")
-            if self.k < 1:
+            if _integer(self.k, "k") < 1:
                 raise ValueError("k must be at least 1")
         elif self.k is not None:
             raise ValueError(f"relation {self.kind.value} does not take k")
@@ -366,23 +364,31 @@ def _dumps(obj: object, pad: str = "\n") -> str:
         return encode_basestring_ascii(obj)
     if type(obj) is int:
         return repr(obj)
-    inner = pad + "  "
-    if type(obj) is list and obj:
-        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in obj]) + pad + "]"
-    if type(obj) is dict and obj:
-        items = [f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in obj.items()]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    return json.dumps(obj)  # [], {}, true, null, a float
+    if type(obj) is list:
+        return _block([_dumps(v, pad + "  ") for v in obj], pad)
+    if type(obj) is dict:
+        items = [f"{encode_basestring_ascii(k)}: {_dumps(v, pad + '  ')}" for k, v in obj.items()]
+        return _block(items, pad, "{}")
+    return json.dumps(obj)  # true, null, a float
+
+
+def _block(items: list[str], pad: str, ends: str = "[]") -> str:
+    """json.dumps(indent=2)'s list (or object) at pad, of items already written a level deeper."""
+    return f"{ends[0]}{pad}  " + f",{pad}  ".join(items) + pad + ends[1] if items else ends
+
+
+def _file(head: dict, key: str, items: list[str]) -> bytes:
+    """json.dumps(head | {key: items}, indent=2) + "\n" as bytes, the items already written."""
+    return (_dumps(head)[:-2] + f',\n  "{key}": ' + _block(items, "\n  ") + "\n}\n").encode()
 
 
 def save_instance(instance: Instance) -> bytes:
-    payload = {
-        "p": instance.p,
-        "solutions": [
-            {"id": s.id, "f": [render_rational(v) for v in s.f]} for s in instance.solutions
-        ],
-    }
-    return (_dumps(payload) + "\n").encode()
+    entry = '{\n      "id": %s,\n      "f": [\n        "%s"\n      ]\n    }'  # two levels deep
+    solutions = [
+        entry % (encode_basestring_ascii(s.id), '",\n        "'.join(map(render_rational, s.f)))
+        for s in instance.solutions
+    ]
+    return _file({"p": instance.p}, "solutions", solutions)
 
 
 def _relation_to_json(spec: RelationSpec) -> dict:
@@ -442,12 +448,12 @@ def _malformed(item: object) -> bool:
 
 
 def save_set(aset: ApproximationSet) -> bytes:
-    payload = {
-        "relation": _relation_to_json(aset.relation),
-        "members": list(aset.members),
-        "certificate": [
-            {"covered": e.covered, "by": e.by, "exact_indices": list(e.exact_indices)}
-            for e in aset.certificate
-        ],
-    }
-    return (_dumps(payload) + "\n").encode()
+    head = {"relation": _relation_to_json(aset.relation), "members": list(aset.members)}
+    # each distinct exact_indices, at most 2**p of them, is written once
+    indices = {t: _dumps(list(t), "\n      ") for t in {e.exact_indices for e in aset.certificate}}
+    entry = '{\n      "covered": %s,\n      "by": %s,\n      "exact_indices": %s\n    }'
+    entries = [
+        entry % (encode_basestring_ascii(covered), encode_basestring_ascii(by), indices[t])
+        for covered, by, t in aset.certificate
+    ]
+    return _file(head, "certificate", entries)

@@ -1,9 +1,9 @@
 """Exact rational arithmetic for dominance checks and grid placement.
 
-Every objective value, tolerance, budget and grid anchor in this package is
-an `int` or a `fractions.Fraction`, checked once by `_positive`.  Comparisons
-are therefore bit-exact: two distinct values of bounded encoding length differ
-by an observable margin, and no decision anywhere depends on floating point.
+Every objective value, tolerance, budget and grid anchor in this package is an
+`int` or a `fractions.Fraction` (`_positive`), and every count an `int` (`_integer`).
+Comparisons are therefore bit-exact: two distinct values of bounded encoding length
+differ by an observable margin, and no decision anywhere depends on floating point.
 """
 
 from __future__ import annotations
@@ -37,6 +37,13 @@ def _positive(value: object, what: str) -> int | Fraction:
         raise ValueError(f"{what} must be an int or a Fraction, got {value!r}")
     if value <= 0:
         raise ValueError(f"{what} must be positive")
+    return value
+
+
+def _integer(value: object, what: str) -> int:
+    """value, if an int; a float (even 2.0) or a Fraction is a ValueError.  Callers check range."""
+    if not isinstance(value, int):
+        raise ValueError(f"{what} must be an int, got {value!r}")
     return value
 
 

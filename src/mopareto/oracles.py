@@ -29,7 +29,7 @@ from .model import (
     RelationSpec,
     Solution,
 )
-from .numerics import _positive, half_step_delta
+from .numerics import _integer, _positive, half_step_delta
 
 __all__ = [
     "GapQuery",
@@ -112,7 +112,7 @@ class AdversarialPair:
 
 
 def adversarial_pair(l: int) -> AdversarialPair:
-    if l < 1:
+    if _integer(l, "l") < 1:
         raise ValueError("l must be a positive integer")
     x1 = Solution("x1", (1 + Fraction(1, l), 1 + Fraction(1, l)))
     x2 = Solution("x2", (Fraction(1), Fraction(1)))

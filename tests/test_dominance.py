@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, product
 
 import pytest
@@ -18,9 +19,10 @@ from mopareto.dominance import (
     values_r_dominate,
     weakly_efficient_set,
 )
-from mopareto import model
+from mopareto import constructors, dominance, model
 from mopareto.generators import gen_prop_dominated, gen_prop_one_exact, gen_quasi2_gap, gen_random
-from mopareto.model import Instance, RelationKind, RelationSpec, Solution
+from mopareto.model import Instance, RelationKind, RelationSpec, Solution, derive_value_bound
+from mopareto.oracles import gap_oracle
 
 
 def sol(sid, *values):
@@ -530,3 +532,36 @@ class TestSkylineAsksOnlyTheMinimalRows:
         front = _skyline(rows, counting)
         assert sorted(rows[i] for i in front) == sorted(antichain + tied)
         assert calls <= len(rows) * len(antichain)
+
+    @staticmethod
+    def asking_weakly_below(monkeypatch, *modules):
+        """Put a `_weakly_below` that records each (y, x) it is asked, by identity, in
+        the given modules; return it and its record."""
+        asked = []
+
+        def counting(y, x):
+            asked.append((id(y), id(x)))
+            return _weakly_below(y, x)
+
+        for module in modules:
+            monkeypatch.setattr(module, "_weakly_below", counting)
+        return counting, asked
+
+    def test_under_weakly_below_each_pair_is_asked_once(self, monkeypatch):
+        # 15 minimal rows (coordinate sum 4) and 90 beaten ones, in an order no sort gives
+        rows = [r for r in product(range(5), repeat=3) if sum(r) >= 4]
+        rows.sort(key=lambda r: r[::-1])
+        beats, asked = self.asking_weakly_below(monkeypatch, dominance)
+        front = _skyline(rows, beats)
+        assert front == reference_skyline(rows, _weakly_below)
+        assert len(front) == sum(1 for r in rows if sum(r) == 4)
+        assert asked and len(asked) == len(set(asked))
+
+    def test_the_gap_sweeps_prune_asks_each_pair_once(self, monkeypatch):
+        instance = gen_random(100, 3, seed=12, value_range=3)
+        _, asked = self.asking_weakly_below(monkeypatch, dominance, constructors)
+        value_bound = derive_value_bound(instance)
+        oracle = partial(gap_oracle, instance)
+        found = constructors.construct_via_gap(oracle, Fraction(1, 2), value_bound, instance.p)
+        assert len(found) == 15
+        assert asked and len(asked) == len(set(asked))

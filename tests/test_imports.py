@@ -1,11 +1,12 @@
 """Every name a package module imports is used there or re-exported by it, the
 package exports exactly the names its modules declare in `__all__`, only
-`model` imports json, and every public numeric parameter takes only an int or
-a Fraction."""
+`model` imports json, every public numeric parameter takes only an int or
+a Fraction, and every public count parameter only an int."""
 
 import ast
 import importlib
 import inspect
+import re
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -243,3 +244,88 @@ def test_each_numeric_parameter_refuses_a_number_that_is_not_exact(call, value):
 def test_each_pinned_call_accepts_an_exact_value(call):
     call(F(1, 2))
     call(1)
+
+
+# Each public callable with a count parameter (n, p, l, value_range, value_bound),
+# and a call that puts a value in that parameter, every other argument valid.
+INTEGER_PARAMETERS = {
+    "Instance": {"p": lambda v: mopareto.Instance(p=v, solutions=())},
+    "construct_via_gap": {
+        "p": lambda v: mopareto.construct_via_gap(lambda q: None, F(1), 0, v),
+        "value_bound": lambda v: mopareto.construct_via_gap(lambda q: None, F(1), v, 1),
+    },
+    "adversarial_pair": {"l": lambda v: mopareto.adversarial_pair(v)},
+    "gen_prop_one_exact": {"n": lambda v: mopareto.gen_prop_one_exact(F(1), v)},
+    "gen_quasi2_gap": {"n": lambda v: mopareto.gen_quasi2_gap(F(1), v)},
+    "gen_duplicated": {"p": lambda v: mopareto.gen_duplicated(BIOBJECTIVE, v, "one_exact_quasi2")},
+    "gen_antichain": {"n": lambda v: mopareto.gen_antichain(v)},
+    "gen_random": {
+        "n": lambda v: mopareto.gen_random(v, 2, 1),
+        "p": lambda v: mopareto.gen_random(3, v, 1),
+        "value_range": lambda v: mopareto.gen_random(3, 2, 1, v),
+    },
+}
+INTEGER_RECORDS = {"AdversarialPair": {"l"}}  # built by adversarial_pair, which checks l
+
+
+def public_integer_parameters() -> dict[str, set[str]]:
+    """Each public callable's parameters named n, p, l, value_range or value_bound."""
+    found = {}
+    for name, value in vars(mopareto).items():
+        if name.startswith("_") or inspect.ismodule(value) or not callable(value):
+            continue
+        try:
+            parameters = inspect.signature(value).parameters
+        except (TypeError, ValueError):
+            continue
+        if named := {"n", "p", "l", "value_range", "value_bound"} & set(parameters):
+            found[name] = named
+    return found
+
+
+def test_the_integer_parameters_are_pinned():
+    pinned = {name: set(calls) for name, calls in INTEGER_PARAMETERS.items()}
+    assert public_integer_parameters() == pinned | INTEGER_RECORDS
+
+
+each_integer_call = pytest.mark.parametrize(
+    "param, call",
+    [(param, c) for calls in INTEGER_PARAMETERS.values() for param, c in calls.items()],
+    ids=[f"{name}-{param}" for name, calls in INTEGER_PARAMETERS.items() for param in calls],
+)
+
+
+@pytest.mark.parametrize("value", [1.5, 3.0, F(3), F(5, 2), Decimal(3), "3", None], ids=repr)
+@each_integer_call
+def test_each_integer_parameter_refuses_a_value_that_is_no_int(param, call, value):
+    message = rf"^{param} must be an int, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        call(value)
+
+
+@each_integer_call
+def test_each_integer_call_accepts_an_int(param, call):
+    call(3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: mopareto.Instance(p=0, solutions=()), "an instance needs at least one objective"),
+        (lambda: mopareto.construct_via_gap(lambda q: None, F(1), 0, 0), "p must be at least 1"),
+        (lambda: mopareto.construct_via_gap(lambda q: None, F(1), -1, 1),
+         "value_bound must be nonnegative"),
+        (lambda: mopareto.adversarial_pair(0), "l must be a positive integer"),
+        (lambda: mopareto.gen_prop_one_exact(F(1), 0), "n must be at least 1"),
+        (lambda: mopareto.gen_quasi2_gap(F(1), 0), "n must be at least 1"),
+        (lambda: mopareto.gen_duplicated(BIOBJECTIVE, 2, "one_exact_quasi2"),
+         "target objective count must be at least 3"),
+        (lambda: mopareto.gen_antichain(0), "n must be at least 1"),
+        (lambda: mopareto.gen_random(0, 2, 1), "n and p must be at least 1"),
+        (lambda: mopareto.gen_random(3, 0, 1), "n and p must be at least 1"),
+        (lambda: mopareto.gen_random(3, 2, 1, 0), "value_range must be at least 1"),
+    ],
+)
+def test_an_int_out_of_range_keeps_its_message(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -4,12 +4,14 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mopareto import model
+from mopareto.constructors import construct_grid_approx
 from mopareto.generators import (
     gen_prop_dominated,
     gen_prop_one_exact,
@@ -549,6 +551,60 @@ class TestWrittenBytes:
     )
     def test_the_writer_matches_indented_json_dumps(self, value):
         assert model._dumps(value) == json.dumps(value, indent=2)
+
+
+# ids json must escape, one of each kind the Hypothesis ids draw from
+ESCAPED_IDS = ('a"b', "back\\slash", "sl/ash", "\x00\x1f\x7f", "line\nbreak", "\u00e9t\u00e9",
+               "\u2028", "\U0001f600")
+
+
+class TestWrittenBytesAtRealSizes:
+    """The writers against the json.dumps references on files of the sizes commands write."""
+
+    def assert_set_bytes(self, aset):
+        data = save_set(aset)
+        assert data == reference_save_set(aset)
+        assert load_set(data) == aset
+
+    def assert_instance_bytes(self, inst):
+        data = save_instance(inst)
+        assert data == reference_save_instance(inst)
+        assert load_instance(data) == inst
+
+    def test_a_verified_grid_set_of_3000_solutions(self):
+        spec = RelationSpec(RelationKind.EPSILON, Fraction(1, 2))
+        aset = construct_grid_approx(gen_random(3000, 3, seed=1), spec)
+        assert len(aset.certificate) == 3000
+        assert len({e.exact_indices for e in aset.certificate}) > 1
+        self.assert_set_bytes(aset)
+
+    def test_every_exact_indices_subset_at_p_4(self):
+        subsets = [c for size in range(5) for c in combinations(range(1, 5), size)]
+        assert subsets[0] == () and subsets[-1] == (1, 2, 3, 4)
+        entries = tuple(
+            CertificateEntry(f"s{i}", f"s{i % 7}", subsets[i % len(subsets)]) for i in range(200)
+        )
+        spec = RelationSpec(RelationKind.QUASI_K, Fraction(1, 4), 2)
+        self.assert_set_bytes(ApproximationSet(spec, tuple(f"s{i}" for i in range(7)), entries))
+
+    def test_an_empty_certificate(self):
+        aset = ApproximationSet(RelationSpec(RelationKind.ONE_EXACT, Fraction(3)), ("s1", "s2"))
+        self.assert_set_bytes(aset)
+        assert b'"certificate": []\n}\n' in save_set(aset)
+
+    def test_an_instance_of_2000_solutions_at_p_4(self):
+        self.assert_instance_bytes(gen_random(2000, 4, seed=3))
+
+    def test_ids_that_need_escaping(self):
+        values = [(Fraction(k + 1, 3), Fraction(7)) for k in range(len(ESCAPED_IDS))]
+        inst = Instance(p=2, solutions=tuple(map(Solution, ESCAPED_IDS, values)))
+        self.assert_instance_bytes(inst)
+        entries = tuple(
+            CertificateEntry(covered, by, (1,) if k % 2 else ())
+            for k, (covered, by) in enumerate(zip(ESCAPED_IDS, reversed(ESCAPED_IDS)))
+        )
+        spec = RelationSpec(RelationKind.EPSILON, Fraction(1))
+        self.assert_set_bytes(ApproximationSet(spec, ESCAPED_IDS, entries))
 
 
 def reference_load_set(data):
