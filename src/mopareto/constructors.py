@@ -17,7 +17,8 @@ from itertools import accumulate, compress, product, repeat
 from operator import le, mul
 from typing import Callable, Iterable
 
-from .dominance import _skyline, _strictly_below, _weakly_below, exact_components, r_dominates
+from .dominance import _front, _skyline, _strictly_below, _weakly_below
+from .dominance import exact_components, r_dominates
 from .domsets import greedy_tournament_dominating_set, tournament_view
 from .grid import (
     CellIndex,
@@ -232,7 +233,7 @@ def weakly_efficient_lift(
     failure = "input set fails epsilon coverage at solution {!r}"
     inbound = _certified(instance, members, RelationSpec(RelationKind.EPSILON, eps), failure)
     rows, ids = instance._rows, instance.ids
-    front = _skyline(rows, _strictly_below)  # the weakly efficient, least image first
+    front = _front(rows, strict=True)  # the weakly efficient, least image first
     weakly = {ids[k] for k in front}
     # kept members reserve their ids first so replacements never collide with them
     taken = {m for m in inbound.members if m in weakly}

@@ -2,22 +2,25 @@
 
 All relations here are monotonic: componentwise "at least as good" always
 implies relation membership, so in particular every relation is reflexive.
-The efficient filters, the weakly-efficient lift, the grid's cell filter
-(on cell coordinates) and the prune of the gap construction (on the oracle's
-Fraction images) are one presorted skyline: only a lexicographically smaller
-row can beat another, and only a minimal one need be asked.  The digraph is
-stored as one n-bit row per node, the AND of masks from the sorted-column
-index (`model._SortedColumn`).  The filters, the lift and the digraph compare
-the instance's cached integer image (a column past `model._SCALE_BITS` keeps
-its Fractions); the pairwise `values_r_dominate`, on Fractions, is their reference.
+The efficient filters, the weakly-efficient lift and the grid's cell filter
+(on cell coordinates) are one front, `_front`: at p <= 3 a sort-and-sweep
+(Kung, Luccio and Preparata 1975) over a staircase of minimal rows, one sort
+then one `bisect` per row; at p >= 4, and for the prune of the gap
+construction (on the oracle's Fraction images), a presorted skyline that asks
+only the minimal rows.  The digraph is stored as one n-bit row per node, the
+AND of masks from the sorted-column index (`model._SortedColumn`).  The
+filters, the lift and the digraph compare the instance's cached integer image
+(a column past `model._SCALE_BITS` keeps its Fractions); the pairwise
+`values_r_dominate`, on Fractions, is their reference.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import le, lt
+from operator import le, lt, neg
 from typing import Callable, Sequence
 
 from .model import Instance, RelationSpec, Solution
@@ -73,7 +76,8 @@ def exact_components(x: Solution, y: Solution) -> tuple[int, ...]:
 
 
 def _skyline(rows: Sequence[tuple], beats: Callable[[tuple, tuple], bool]) -> list[int]:
-    """Positions of the rows no earlier kept row beats, in a stable sort of the rows.
+    """Positions of the rows no earlier kept row beats, in a stable sort of the rows:
+    `_front` at p >= 4, and the gap construction's prune.
 
     `beats(y, x)` is transitive, implies y weakly below x, and holds when y is
     weakly below some z with beats(z, x), as all three `beats` in use do; of
@@ -100,8 +104,46 @@ def _weakly_below(y: tuple, x: tuple) -> bool:
 
 
 def _strictly_below(y: tuple, x: tuple) -> bool:
-    """Is y strictly below x in every coordinate?  The weakly efficient skyline's `beats`."""
+    """Is y strictly below x in every coordinate?  The weakly efficient front's `beats`."""
     return all(map(lt, y, x))
+
+
+def _front(rows: Sequence[tuple], strict: bool) -> list[int]:
+    """`_skyline(rows, beats)` with `beats` strictly below (`strict`) or below and distinct.
+
+    At p <= 3 a sweep: rows in the skyline's order meet a staircase of the minimal
+    (f2, f3) pairs so far, f2 ascending in `f2s` and f3 descending in `f3s` (a row of
+    p < 3 repeats its last coordinate).  One `bisect` tests a row; a kept one enters
+    by one slice assignment that drops the pairs it is at most.  Image twins take the
+    first twin's verdict; under `strict`, rows tied in f1 are all tested before any enters.
+    """
+    if rows and len(rows[0]) > 3:
+        below = _strictly_below if strict else lambda y, x: y != x and _weakly_below(y, x)
+        return _skyline(rows, below)
+    front: list[int] = []
+    f2s: list = []
+    f3s: list = []
+    waiting: list = []  # kept pairs not yet entered: one row's, or under `strict` one f1's
+    last: tuple = (None,)
+    for i in sorted(range(len(rows)), key=rows.__getitem__):
+        x = rows[i]
+        if x != last:
+            if not strict or x[0] != last[0]:
+                for b, c in waiting:
+                    k = bisect_right(f2s, b)
+                    if not k or f3s[k - 1] > c:  # no pair is at most (b, c): it enters
+                        j = bisect_left(f2s, b, 0, k)
+                        end = bisect_right(f3s, -c, j, key=neg)
+                        f2s[j:end], f3s[j:end] = [b], [c]
+                waiting = []
+            last, b, c = x, x[min(len(x), 2) - 1], x[-1]
+            k = (bisect_left if strict else bisect_right)(f2s, b)
+            kept = not k or (f3s[k - 1] >= c if strict else f3s[k - 1] > c)
+            if kept:
+                waiting.append((b, c))
+        if kept:
+            front.append(i)
+    return front
 
 
 def efficient_set(instance: Instance) -> set[str]:
@@ -111,13 +153,13 @@ def efficient_set(instance: Instance) -> set[str]:
     components is not dominated by it (one strict inequality is required).
     """
     ids = instance.ids
-    return {ids[i] for i in _skyline(instance._rows, lambda y, x: y != x and _weakly_below(y, x))}
+    return {ids[i] for i in _front(instance._rows, strict=False)}
 
 
 def weakly_efficient_set(instance: Instance) -> set[str]:
     """Ids of solutions not strictly dominated by any other solution."""
     ids = instance.ids
-    return {ids[i] for i in _skyline(instance._rows, _strictly_below)}
+    return {ids[i] for i in _front(instance._rows, strict=True)}
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .dominance import _skyline, _strictly_below
+from .dominance import _front
 from .model import Instance
 from .numerics import _positive
 
@@ -109,9 +109,9 @@ def bucket(instance: Instance, eps: Fraction) -> GridBucketing:
 def filter_weakly_nondominated_cells(bucketing: GridBucketing) -> set[CellIndex]:
     """Keep a nonempty cell unless another nonempty cell is strictly below it
     in every coordinate (in which case that cell's points cover it under any
-    monotonic relation): the weakly efficient skyline over the cell coordinates."""
+    monotonic relation): the weakly efficient front over the cell coordinates."""
     cells = list(bucketing.cells)
-    return {cells[i] for i in _skyline(cells, _strictly_below)}
+    return {cells[i] for i in _front(cells, strict=True)}
 
 
 def diagonal_of(cell: CellIndex) -> CellIndex:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, product
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from mopareto.dominance import (
     DominationDigraph,
     _check_dims,
+    _front,
     _skyline,
     _strictly_below,
     _weakly_below,
@@ -20,7 +22,14 @@ from mopareto.dominance import (
     weakly_efficient_set,
 )
 from mopareto import constructors, dominance, model
-from mopareto.generators import gen_prop_dominated, gen_prop_one_exact, gen_quasi2_gap, gen_random
+from mopareto.generators import (
+    gen_antichain,
+    gen_prop_dominated,
+    gen_prop_one_exact,
+    gen_quasi2_gap,
+    gen_random,
+)
+from mopareto.grid import bucket, filter_weakly_nondominated_cells
 from mopareto.model import Instance, RelationKind, RelationSpec, Solution, derive_value_bound
 from mopareto.oracles import gap_oracle
 
@@ -565,3 +574,92 @@ class TestSkylineAsksOnlyTheMinimalRows:
         found = constructors.construct_via_gap(oracle, Fraction(1, 2), value_bound, instance.p)
         assert len(found) == 15
         assert asked and len(asked) == len(set(asked))
+
+
+STRICT = {"strictly-below": True, "below-and-distinct": False}
+# numerators 1..4 over 1, 3 or 7: ties in every column and image twins are common,
+# and the scale limits of SCALE_BITS turn the thirds and sevenths into Fraction columns
+sweep_rows = st.integers(min_value=1, max_value=3).flatmap(
+    lambda p: st.lists(
+        st.tuples(*[st.builds(Fraction, st.integers(1, 4), st.sampled_from([1, 3, 7]))] * p),
+        min_size=1,
+        max_size=40,
+    )
+)
+
+
+class TestFrontSweepMatchesTheSkyline:
+    """`_front` at p <= 3 is a sort-and-sweep; `reference_skyline` is the loop it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sweep_rows, st.sampled_from(SCALE_BITS))
+    def test_same_positions_in_the_same_order(self, rows, scale_bits):
+        with pytest.MonkeyPatch.context() as mp:
+            image = under_scale_bits(mp, scale_bits, inst(*rows))._rows
+        for beats, strict in STRICT.items():
+            expected = reference_skyline(rows, BEATS[beats])
+            assert _front(rows, strict) == expected
+            # the image keeps the order of the Fraction rows, and so their positions
+            assert _front(image, strict) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(sweep_rows, st.randoms(use_true_random=False), st.sampled_from(SCALE_BITS))
+    def test_the_lift_takes_the_same_front_rows(self, rows, rng, scale_bits):
+        # a random subset, plus what it leaves uncovered at eps = 1
+        eps = Fraction(1)
+        spec = RelationSpec(RelationKind.EPSILON, eps)
+        with pytest.MonkeyPatch.context() as mp:
+            instance = under_scale_bits(mp, scale_bits, inst(*rows))
+            subset = [s for s in instance.solutions if rng.random() < 0.5]
+            members = [s.id for s in subset] + [
+                x.id for x in instance.solutions if not any(r_dominates(m, x, spec) for m in subset)
+            ]
+            lifted = constructors.weakly_efficient_lift(instance, members, eps)
+            mp.setattr(
+                constructors,
+                "_front",
+                lambda image, strict: reference_skyline(image, BEATS["strictly-below"]),
+            )
+            assert constructors.weakly_efficient_lift(instance, members, eps) == lifted
+
+
+def product_front(n):
+    """p = 3 antichain: a, b from randint(100, 1000)/100 of a fresh Random(4), c = 1000/(a*b)."""
+    rng = random.Random(4)
+    solutions = []
+    for i in range(n):
+        a, b = Fraction(rng.randint(100, 1000), 100), Fraction(rng.randint(100, 1000), 100)
+        solutions.append(Solution(f"x{i}", (a, b, 1000 / (a * b))))
+    return Instance(3, tuple(solutions))
+
+
+class TestNoQuadraticFront:
+    """At p <= 3 no front falls back to `_skyline`, whose cost is n * |front|."""
+
+    @staticmethod
+    def skyline_calls(monkeypatch, instance):
+        calls = []
+
+        def counting(rows, beats):
+            calls.append(len(rows))
+            return _skyline(rows, beats)
+
+        monkeypatch.setattr(dominance, "_skyline", counting)
+        eps = Fraction(1, 4)
+        efficient_set(instance)
+        weakly_efficient_set(instance)
+        filter_weakly_nondominated_cells(bucket(instance, eps))
+        grid = constructors.construct_grid_approx(instance, RelationSpec(RelationKind.EPSILON, eps))
+        constructors.weakly_efficient_lift(instance, grid.members, eps)
+        return calls
+
+    @pytest.mark.parametrize("make", [gen_antichain, product_front], ids=["p2", "p3"])
+    def test_no_front_calls_the_skyline_at_p_up_to_3(self, make, monkeypatch):
+        instance = make(2000)
+        assert len(efficient_set(instance)) == len(instance.solutions)
+        assert self.skyline_calls(monkeypatch, instance) == []
+
+    def test_every_front_calls_it_at_p_4(self, monkeypatch):
+        instance = gen_random(60, 4, seed=1)
+        # efficient, weakly efficient, the cell filter, the grid's cell filter, the lift
+        assert len(self.skyline_calls(monkeypatch, instance)) == 5
