@@ -17,7 +17,7 @@ from itertools import accumulate, compress, product, repeat
 from operator import le, mul
 from typing import Callable, Iterable
 
-from .dominance import _front, _skyline, _strictly_below, _weakly_below
+from .dominance import _front, _strictly_below
 from .dominance import exact_components, r_dominates
 from .domsets import greedy_tournament_dominating_set, tournament_view
 from .grid import (
@@ -264,11 +264,11 @@ def construct_via_gap(
     Splits the budget into a delta with (1+delta)**2 <= 1+eps, queries every
     point of the geometric budget grid {2**-M * (1+delta)**t} per dimension
     in lexicographic order of budget vectors, and prunes the discovered
-    solutions to a skyline under componentwise "at most" (factor-1 pruning
-    keeps the end-to-end guarantee at (1+delta)**2): the first-discovered
-    solution of each minimal image.  Returns the kept solutions in discovery
-    order; callers verify against the underlying instance where one is
-    available.
+    solutions to their efficient front (`dominance._front`; factor-1 pruning
+    keeps the end-to-end guarantee at (1+delta)**2), image twins first
+    collapsed to the first discovered: one solution per minimal image.  Returns
+    the kept solutions in discovery order; callers verify against the
+    underlying instance where one is available.
 
     The sweep issues exactly levels**p queries.  The levels are counted by
     multiplication, holding only the last, and the count raises
@@ -300,6 +300,6 @@ def construct_via_gap(
         answer = gap(GapQuery._unchecked(budgets, delta))
         if answer is not None:
             discovered.setdefault(answer.id, answer)
-    found = list(discovered.values())
-    keep = _skyline([x.f for x in found], _weakly_below)
-    return [found[i] for i in sorted(keep)]
+    first: dict[tuple, Solution] = {}  # image twins collapse to the first discovered
+    found = [x for x in discovered.values() if first.setdefault(x.f, x) is x]
+    return [found[i] for i in sorted(_front([x.f for x in found], strict=False))]

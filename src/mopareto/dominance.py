@@ -2,16 +2,17 @@
 
 All relations here are monotonic: componentwise "at least as good" always
 implies relation membership, so in particular every relation is reflexive.
-The efficient filters, the weakly-efficient lift and the grid's cell filter
-(on cell coordinates) are one front, `_front`: at p <= 3 a sort-and-sweep
-(Kung, Luccio and Preparata 1975) over a staircase of minimal rows, one sort
-then one `bisect` per row; at p >= 4, and for the prune of the gap
-construction (on the oracle's Fraction images), a presorted skyline that asks
-only the minimal rows.  The digraph is stored as one n-bit row per node, the
-AND of masks from the sorted-column index (`model._SortedColumn`).  The
-filters, the lift and the digraph compare the instance's cached integer image
-(a column past `model._SCALE_BITS` keeps its Fractions); the pairwise
-`values_r_dominate`, on Fractions, is their reference.
+The efficient filters, the weakly-efficient lift, the grid's cell filter
+(on cell coordinates) and the gap construction's prune (on the oracle's
+Fraction images) are one front, `_front`: at p <= 3 a sort-and-sweep (Kung,
+Luccio and Preparata 1975) over a staircase of minimal rows, one sort then one
+`bisect` per row; at p >= 4 a presorted skyline (Chomicki et al. 2003) that
+tests each row against the minimal rows only, n * |minimal| tests.  The
+digraph is stored as one n-bit row per node, the AND of masks from the
+sorted-column index (`model._SortedColumn`).  The filters, the lift and the
+digraph compare the instance's cached integer image (a column past
+`model._SCALE_BITS` keeps its Fractions); the pairwise `values_r_dominate`,
+on Fractions, is their reference.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import le, lt, neg
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .model import Instance, RelationSpec, Solution
 
@@ -75,51 +76,33 @@ def exact_components(x: Solution, y: Solution) -> tuple[int, ...]:
     return tuple(i + 1 for i, (a, b) in enumerate(zip(x.f, y.f)) if a <= b)
 
 
-def _skyline(rows: Sequence[tuple], beats: Callable[[tuple, tuple], bool]) -> list[int]:
-    """Positions of the rows no earlier kept row beats, in a stable sort of the rows:
-    `_front` at p >= 4, and the gap construction's prune.
-
-    `beats(y, x)` is transitive, implies y weakly below x, and holds when y is
-    weakly below some z with beats(z, x), as all three `beats` in use do; of
-    two equal rows, the earlier one is kept first.  So a row need only be
-    tested against the minimal rows, those no earlier row is weakly below (a
-    minimal row is kept): at most n * |minimal| `beats` calls, however many are kept.
-    When `beats` is `_weakly_below`, the first test has answered it: one call per pair.
-    """
-    front: list[int] = []
-    minimal: list[tuple] = []
-    for i in sorted(range(len(rows)), key=rows.__getitem__):
-        x = rows[i]
-        if not any(map(_weakly_below, minimal, repeat(x))):
-            front.append(i)
-            minimal.append(x)
-        elif beats is not _weakly_below and not any(map(beats, minimal, repeat(x))):
-            front.append(i)
-    return front
-
-
 def _weakly_below(y: tuple, x: tuple) -> bool:
     """Is y at most x in every coordinate?"""
     return all(map(le, y, x))
 
 
 def _strictly_below(y: tuple, x: tuple) -> bool:
-    """Is y strictly below x in every coordinate?  The weakly efficient front's `beats`."""
+    """Is y strictly below x in every coordinate?"""
     return all(map(lt, y, x))
 
 
 def _front(rows: Sequence[tuple], strict: bool) -> list[int]:
-    """`_skyline(rows, beats)` with `beats` strictly below (`strict`) or below and distinct.
+    """Positions, in a stable lexicographic sort of the rows, of the rows that no other
+    row is strictly below (`strict`) or at most and distinct from: the Pareto front.
 
-    At p <= 3 a sweep: rows in the skyline's order meet a staircase of the minimal
-    (f2, f3) pairs so far, f2 ascending in `f2s` and f3 descending in `f3s` (a row of
-    p < 3 repeats its last coordinate).  One `bisect` tests a row; a kept one enters
-    by one slice assignment that drops the pairs it is at most.  Image twins take the
-    first twin's verdict; under `strict`, rows tied in f1 are all tested before any enters.
+    Image twins take the first twin's verdict.  At p <= 3 a sweep (Kung, Luccio and
+    Preparata): rows in that order meet a staircase of the minimal (f2, f3) pairs so
+    far, f2 ascending in `f2s` and f3 descending in `f3s` (a row of p < 3 repeats its
+    last coordinate).  One `bisect` tests a row; a kept one enters by one slice
+    assignment that drops the pairs it is at most; under `strict`, rows tied in f1 are
+    all tested before any enters.  At p >= 4 a presorted skyline: a row that no minimal
+    row so far is at most is kept and is minimal at once; another is kept only under
+    `strict`, when no minimal row is strictly below it.  Every earlier row has a minimal
+    row at most it, so the minimal rows answer for all: at most n * |minimal| tests of
+    each of `_weakly_below` and `_strictly_below`.
     """
-    if rows and len(rows[0]) > 3:
-        below = _strictly_below if strict else lambda y, x: y != x and _weakly_below(y, x)
-        return _skyline(rows, below)
+    wide = bool(rows) and len(rows[0]) > 3
+    minimal: list[tuple] = []
     front: list[int] = []
     f2s: list = []
     f3s: list = []
@@ -127,7 +110,14 @@ def _front(rows: Sequence[tuple], strict: bool) -> list[int]:
     last: tuple = (None,)
     for i in sorted(range(len(rows)), key=rows.__getitem__):
         x = rows[i]
-        if x != last:
+        if wide and x != last:
+            last = x
+            kept = not any(map(_weakly_below, minimal, repeat(x)))
+            if kept:
+                minimal.append(x)
+            elif strict:
+                kept = not any(map(_strictly_below, minimal, repeat(x)))
+        elif x != last:
             if not strict or x[0] != last[0]:
                 for b, c in waiting:
                     k = bisect_right(f2s, b)

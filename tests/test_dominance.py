@@ -11,7 +11,6 @@ from mopareto.dominance import (
     DominationDigraph,
     _check_dims,
     _front,
-    _skyline,
     _strictly_below,
     _weakly_below,
     domination_digraph,
@@ -511,9 +510,32 @@ BEATS = {
     "below-and-distinct": lambda y, x: y != x and _weakly_below(y, x),
     "weakly-below": _weakly_below,
 }
+STRICT = {"strictly-below": True, "below-and-distinct": False}
 
 
-class TestSkylineAsksOnlyTheMinimalRows:
+def asking_the_front(monkeypatch):
+    """Make `dominance._weakly_below` and `_strictly_below` record each (helper, y, x)
+    they are asked, rows by identity; return the record."""
+    asked = []
+    for name in ("_weakly_below", "_strictly_below"):
+
+        def counting(y, x, name=name, helper=getattr(dominance, name)):
+            asked.append((name, id(y), id(x)))
+            return helper(y, x)
+
+        monkeypatch.setattr(dominance, name, counting)
+    return asked
+
+
+def beaten_rows():
+    """p = 4: 15 minimal rows (sum 7 in the first three coordinates, 1 in the fourth)
+    and 90 beaten ones, in an order no sort gives."""
+    rows = [r + (1,) for r in product(range(1, 6), repeat=3) if sum(r) >= 7]
+    rows.sort(key=lambda r: r[::-1])
+    return inst(*rows)
+
+
+class TestFrontAsksOnlyTheMinimalRows:
     @settings(max_examples=300, deadline=None)
     @given(
         st.integers(min_value=1, max_value=4).flatmap(
@@ -522,64 +544,63 @@ class TestSkylineAsksOnlyTheMinimalRows:
         st.sampled_from(sorted(BEATS)),
     )
     def test_matches_the_loop_over_every_kept_row(self, rows, beats):
-        assert _skyline(rows, BEATS[beats]) == reference_skyline(rows, BEATS[beats])
-
-    def test_a_large_weakly_efficient_front_costs_calls_per_efficient_row(self):
-        m, ties = 6, 60
-        antichain = [(i, m + 1 - i) for i in range(1, m + 1)]
-        # each ties (1, m) in the first coordinate: weakly efficient, not efficient
-        tied = [(1, m + 1 + j) for j in range(1, ties + 1)]
-        dominated = [(i + 1, m + 2 - i) for i in range(1, m)]
-        rows = tied[::2] + dominated + antichain[::-1] + tied[1::2]
-        calls = 0
-
-        def counting(y, x):
-            nonlocal calls
-            calls += 1
-            return _strictly_below(y, x)
-
-        front = _skyline(rows, counting)
-        assert sorted(rows[i] for i in front) == sorted(antichain + tied)
-        assert calls <= len(rows) * len(antichain)
-
-    @staticmethod
-    def asking_weakly_below(monkeypatch, *modules):
-        """Put a `_weakly_below` that records each (y, x) it is asked, by identity, in
-        the given modules; return it and its record."""
+        if beats in STRICT:
+            assert _front(rows, STRICT[beats]) == reference_skyline(rows, BEATS[beats])
+            return
+        # the gap construction's prune, on a gap that answers the rows in turn
+        pool = [Solution(f"x{i}", tuple(Fraction(v + 1) for v in row)) for i, row in enumerate(rows)]
         asked = []
 
-        def counting(y, x):
-            asked.append((id(y), id(x)))
-            return _weakly_below(y, x)
+        def gap(query):
+            asked.append(query)
+            return pool[len(asked) - 1] if len(asked) <= len(pool) else None
 
-        for module in modules:
-            monkeypatch.setattr(module, "_weakly_below", counting)
-        return counting, asked
+        found = constructors.construct_via_gap(gap, Fraction(1), 2, 2)
+        assert len(asked) >= len(pool)
+        assert found == [pool[i] for i in sorted(reference_skyline(rows, _weakly_below))]
 
-    def test_under_weakly_below_each_pair_is_asked_once(self, monkeypatch):
-        # 15 minimal rows (coordinate sum 4) and 90 beaten ones, in an order no sort gives
-        rows = [r for r in product(range(5), repeat=3) if sum(r) >= 4]
-        rows.sort(key=lambda r: r[::-1])
-        beats, asked = self.asking_weakly_below(monkeypatch, dominance)
-        front = _skyline(rows, beats)
-        assert front == reference_skyline(rows, _weakly_below)
-        assert len(front) == sum(1 for r in rows if sum(r) == 4)
+    def test_a_large_weakly_efficient_front_costs_calls_per_minimal_row(self, monkeypatch):
+        m, ties = 6, 60
+        antichain = [(i, m + 1 - i, 1, 1) for i in range(1, m + 1)]
+        # each ties (1, m, 1, 1) in all but the second coordinate: weakly efficient, not efficient
+        tied = [(1, m + 1 + j, 1, 1) for j in range(1, ties + 1)]
+        dominated = [(i + 1, m + 2 - i, 2, 2) for i in range(1, m)]
+        rows = tied[::2] + dominated + antichain[::-1] + tied[1::2]
+        asked = asking_the_front(monkeypatch)
+        front = _front(rows, strict=True)
+        assert sorted(rows[i] for i in front) == sorted(antichain + tied)
+        for name in ("_weakly_below", "_strictly_below"):
+            assert 0 < sum(1 for a in asked if a[0] == name) <= len(rows) * len(antichain)
+
+    @pytest.mark.parametrize(
+        "make, size",
+        [(beaten_rows, 15), (lambda: gen_random(300, 4, seed=1), 47)],
+        ids=["beaten", "random"],
+    )
+    def test_the_efficient_front_asks_each_pair_once_at_p_4(self, make, size, monkeypatch):
+        instance = make()
+        asked = asking_the_front(monkeypatch)
+        efficient = efficient_set(instance)
+        assert efficient == reference_efficient_set(instance) and len(efficient) == size
+        minimal = {instance.solution(i).f for i in efficient}
         assert asked and len(asked) == len(set(asked))
+        assert {name for name, _, _ in asked} == {"_weakly_below"}
+        assert len(asked) <= len(instance.solutions) * len(minimal)
 
-    def test_the_gap_sweeps_prune_asks_each_pair_once(self, monkeypatch):
+    def test_the_gap_sweeps_prune_at_p_3_asks_no_pair(self, monkeypatch):
         instance = gen_random(100, 3, seed=12, value_range=3)
-        _, asked = self.asking_weakly_below(monkeypatch, dominance, constructors)
+        asked = asking_the_front(monkeypatch)
         value_bound = derive_value_bound(instance)
         oracle = partial(gap_oracle, instance)
         found = constructors.construct_via_gap(oracle, Fraction(1, 2), value_bound, instance.p)
         assert len(found) == 15
-        assert asked and len(asked) == len(set(asked))
+        assert asked == []
+        assert not hasattr(constructors, "_weakly_below")
 
 
-STRICT = {"strictly-below": True, "below-and-distinct": False}
 # numerators 1..4 over 1, 3 or 7: ties in every column and image twins are common,
 # and the scale limits of SCALE_BITS turn the thirds and sevenths into Fraction columns
-sweep_rows = st.integers(min_value=1, max_value=3).flatmap(
+sweep_rows = st.integers(min_value=1, max_value=5).flatmap(
     lambda p: st.lists(
         st.tuples(*[st.builds(Fraction, st.integers(1, 4), st.sampled_from([1, 3, 7]))] * p),
         min_size=1,
@@ -589,7 +610,8 @@ sweep_rows = st.integers(min_value=1, max_value=3).flatmap(
 
 
 class TestFrontSweepMatchesTheSkyline:
-    """`_front` at p <= 3 is a sort-and-sweep; `reference_skyline` is the loop it replaced."""
+    """`_front`, a sort-and-sweep at p <= 3 and a presorted skyline at p >= 4, keeps the
+    positions and order of `reference_skyline`, the loop over every kept row."""
 
     @settings(max_examples=300, deadline=None)
     @given(sweep_rows, st.sampled_from(SCALE_BITS))
@@ -634,32 +656,35 @@ def product_front(n):
 
 
 class TestNoQuadraticFront:
-    """At p <= 3 no front falls back to `_skyline`, whose cost is n * |front|."""
+    """At p <= 3 no front tests a pair of rows, so none costs n * |front|; at p = 4 each does."""
 
     @staticmethod
-    def skyline_calls(monkeypatch, instance):
-        calls = []
+    def pairs_per_caller(monkeypatch, instance):
+        asked = asking_the_front(monkeypatch)
+        counts = []
 
-        def counting(rows, beats):
-            calls.append(len(rows))
-            return _skyline(rows, beats)
+        def counted(call, *args):
+            before = len(asked)
+            result = call(*args)
+            counts.append(len(asked) - before)
+            return result
 
-        monkeypatch.setattr(dominance, "_skyline", counting)
         eps = Fraction(1, 4)
-        efficient_set(instance)
-        weakly_efficient_set(instance)
-        filter_weakly_nondominated_cells(bucket(instance, eps))
-        grid = constructors.construct_grid_approx(instance, RelationSpec(RelationKind.EPSILON, eps))
-        constructors.weakly_efficient_lift(instance, grid.members, eps)
-        return calls
+        counted(efficient_set, instance)
+        counted(weakly_efficient_set, instance)
+        counted(filter_weakly_nondominated_cells, bucket(instance, eps))
+        spec = RelationSpec(RelationKind.EPSILON, eps)
+        grid = counted(constructors.construct_grid_approx, instance, spec)
+        counted(constructors.weakly_efficient_lift, instance, grid.members, eps)
+        return counts
 
     @pytest.mark.parametrize("make", [gen_antichain, product_front], ids=["p2", "p3"])
-    def test_no_front_calls_the_skyline_at_p_up_to_3(self, make, monkeypatch):
+    def test_no_front_tests_a_pair_at_p_up_to_3(self, make, monkeypatch):
         instance = make(2000)
         assert len(efficient_set(instance)) == len(instance.solutions)
-        assert self.skyline_calls(monkeypatch, instance) == []
+        assert self.pairs_per_caller(monkeypatch, instance) == [0] * 5
 
-    def test_every_front_calls_it_at_p_4(self, monkeypatch):
+    def test_every_front_tests_pairs_at_p_4(self, monkeypatch):
         instance = gen_random(60, 4, seed=1)
         # efficient, weakly efficient, the cell filter, the grid's cell filter, the lift
-        assert len(self.skyline_calls(monkeypatch, instance)) == 5
+        assert all(self.pairs_per_caller(monkeypatch, instance))
