@@ -131,22 +131,9 @@ def _node_limit(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    family = args.family
-    if family == "prop-dominated":
-        instance = gen_prop_dominated(args.eps)
-    elif family == "prop-one-exact":
-        instance = gen_prop_one_exact(args.delta, args.n)
-    elif family == "quasi2-gap":
-        instance = gen_quasi2_gap(args.eps, args.n)
-    elif family == "duplicated":
-        base = _read_instance(args.base)
-        instance = gen_duplicated(base, args.p, args.mode.replace("-", "_"))
-    elif family == "antichain":
-        instance = gen_antichain(args.n)
-    else:
-        instance = gen_random(args.n, args.p, args.seed, args.value_range)
+    instance = args.generate(args)  # bound by the family's subparser in build_parser
     _write_payload(args.out, save_instance(instance))
-    _say(f"generated {family}: {len(instance)} solutions, p={instance.p}")
+    _say(f"generated {args.family}: {len(instance)} solutions, p={instance.p}")
     return EXIT_OK
 
 
@@ -283,23 +270,30 @@ def build_parser() -> argparse.ArgumentParser:
     gen_sub = gen.add_subparsers(dest="family", required=True)
     g = gen_sub.add_parser("prop-dominated", help="six-point dominated-cover family")
     g.add_argument("--eps", type=parse_rational, required=True)
+    g.set_defaults(generate=lambda a: gen_prop_dominated(a.eps))
     g = gen_sub.add_parser("prop-one-exact", help="first-component-exact chain family")
     g.add_argument("--delta", type=parse_rational, required=True)
     g.add_argument("--n", type=int, required=True)
+    g.set_defaults(generate=lambda a: gen_prop_one_exact(a.delta, a.n))
     g = gen_sub.add_parser("quasi2-gap", help="three-objective cardinality-gap family")
     g.add_argument("--eps", type=parse_rational, required=True)
     g.add_argument("--n", type=int, required=True)
+    g.set_defaults(generate=lambda a: gen_quasi2_gap(a.eps, a.n))
     g = gen_sub.add_parser("duplicated", help="lift a biobjective instance by duplicating objectives")
     g.add_argument("--base", required=True, help="biobjective instance file")
     g.add_argument("--p", type=int, required=True)
     g.add_argument("--mode", required=True, choices=["one-exact-quasi2", "quasi-k-over-half"])
+    g.set_defaults(generate=lambda a: gen_duplicated(
+        _read_instance(a.base), a.p, a.mode.replace("-", "_")))
     g = gen_sub.add_parser("antichain", help="pairwise nondominated diagonal")
     g.add_argument("--n", type=int, required=True)
+    g.set_defaults(generate=lambda a: gen_antichain(a.n))
     g = gen_sub.add_parser("random", help="seeded random instance")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--p", type=int, required=True)
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--value-range", type=int, default=4, dest="value_range")
+    g.set_defaults(generate=lambda a: gen_random(a.n, a.p, a.seed, a.value_range))
     for g_parser in gen_sub.choices.values():
         g_parser.add_argument("-o", "--out", help="output file (default: stdout)")
     gen.set_defaults(func=_cmd_gen)

@@ -54,8 +54,8 @@ class Solution:
 class Instance:
     """An explicit multiobjective instance: p objectives, ordered solutions.
 
-    Invariants enforced here: ids are unique and nonempty, every objective
-    value is a positive int or Fraction, and all vectors have p components.
+    Invariants enforced here: ids are unique nonempty strs, every objective
+    value is a positive int or Fraction, and all vectors are tuples of p components.
 
     The fast paths compare one cached exact integer image (`_image`, from
     `_scaled`): a positive scale per column keeps every order, equality and
@@ -71,6 +71,10 @@ class Instance:
             raise ValueError("an instance needs at least one objective")
         pos: dict[str, int] = {}
         for i, sol in enumerate(self.solutions):
+            if not isinstance(sol.id, str):
+                raise ValueError(f"solution id {sol.id!r} must be a str")
+            if not isinstance(sol.f, tuple):
+                raise ValueError(f"solution {sol.id!r} must hold its values in a tuple")
             if not sol.id:
                 raise ValueError("solution ids must be nonempty")
             if sol.id in pos:
@@ -358,23 +362,14 @@ def load_instance(data: bytes | str) -> Instance:
         raise FormatError(str(exc)) from None
 
 
-def _dumps(obj: object, pad: str = "\n") -> str:
-    """json.dumps(obj, indent=2) byte for byte, from C-encoded strings (json indents in Python)."""
-    if type(obj) is str:
-        return encode_basestring_ascii(obj)
-    if type(obj) is int:
-        return repr(obj)
-    if type(obj) is list:
-        return _block([_dumps(v, pad + "  ") for v in obj], pad)
-    if type(obj) is dict:
-        items = [f"{encode_basestring_ascii(k)}: {_dumps(v, pad + '  ')}" for k, v in obj.items()]
-        return _block(items, pad, "{}")
-    return json.dumps(obj)  # true, null, a float
+def _dumps(obj: object) -> str:
+    """json.dumps(obj, indent=2); here so that model stays the one module that imports json."""
+    return json.dumps(obj, indent=2)
 
 
-def _block(items: list[str], pad: str, ends: str = "[]") -> str:
-    """json.dumps(indent=2)'s list (or object) at pad, of items already written a level deeper."""
-    return f"{ends[0]}{pad}  " + f",{pad}  ".join(items) + pad + ends[1] if items else ends
+def _block(items: list[str], pad: str) -> str:
+    """json.dumps(indent=2)'s list at pad, of items already written a level deeper."""
+    return f"[{pad}  " + f",{pad}  ".join(items) + pad + "]" if items else "[]"
 
 
 def _file(head: dict, key: str, items: list[str]) -> bytes:
@@ -450,7 +445,8 @@ def _malformed(item: object) -> bool:
 def save_set(aset: ApproximationSet) -> bytes:
     head = {"relation": _relation_to_json(aset.relation), "members": list(aset.members)}
     # each distinct exact_indices, at most 2**p of them, is written once
-    indices = {t: _dumps(list(t), "\n      ") for t in {e.exact_indices for e in aset.certificate}}
+    distinct = {e.exact_indices for e in aset.certificate}
+    indices = {t: _block(list(map(str, t)), "\n      ") for t in distinct}
     entry = '{\n      "covered": %s,\n      "by": %s,\n      "exact_indices": %s\n    }'
     entries = [
         entry % (encode_basestring_ascii(covered), encode_basestring_ascii(by), indices[t])

@@ -41,8 +41,9 @@ def _positive(value: object, what: str) -> int | Fraction:
 
 
 def _integer(value: object, what: str) -> int:
-    """value, if an int; a float (even 2.0) or a Fraction is a ValueError.  Callers check range."""
-    if not isinstance(value, int):
+    """value, if an int; a bool (which JSON writes as true), a float (even 2.0) or a
+    Fraction is a ValueError.  Callers check range."""
+    if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{what} must be an int, got {value!r}")
     return value
 

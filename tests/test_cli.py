@@ -24,7 +24,14 @@ from mopareto.domsets import (
     exact_min_dominating_set,
     greedy_cover_dominating_set,
 )
-from mopareto.generators import gen_antichain, gen_random
+from mopareto.generators import (
+    gen_antichain,
+    gen_duplicated,
+    gen_prop_dominated,
+    gen_prop_one_exact,
+    gen_quasi2_gap,
+    gen_random,
+)
 from mopareto.grid import bucket
 from mopareto.model import (
     RelationKind,
@@ -47,6 +54,20 @@ def dominated_family(tmp_path):
     path = tmp_path / "p1.json"
     assert run("gen", "prop-dominated", "--eps", "1", "-o", str(path)) == 0
     return path
+
+
+# each gen family's flags, and the library call they stand for ("BASE": gen_antichain(3)'s file)
+GEN_CASES = [
+    (["prop-dominated", "--eps", "1/2"], lambda: gen_prop_dominated(Fraction(1, 2))),
+    (["prop-one-exact", "--delta", "1/10", "--n", "2"],
+     lambda: gen_prop_one_exact(Fraction(1, 10), 2)),
+    (["quasi2-gap", "--eps", "1", "--n", "4"], lambda: gen_quasi2_gap(Fraction(1), 4)),
+    (["duplicated", "--base", "BASE", "--p", "4", "--mode", "quasi-k-over-half"],
+     lambda: gen_duplicated(gen_antichain(3), 4, "quasi_k_over_half")),
+    (["antichain", "--n", "5"], lambda: gen_antichain(5)),
+    (["random", "--n", "9", "--p", "3", "--seed", "4", "--value-range", "6"],
+     lambda: gen_random(9, 3, 4, 6)),
+]
 
 
 class TestGen:
@@ -81,6 +102,14 @@ class TestGen:
         assert run("gen", "antichain", "--n", "2") == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["p"] == 2
+
+    @pytest.mark.parametrize("argv, generate", GEN_CASES, ids=[a[0] for a, _ in GEN_CASES])
+    def test_each_family_writes_its_library_generators_bytes(self, tmp_path, argv, generate):
+        base, out = tmp_path / "base.json", tmp_path / "out.json"
+        base.write_bytes(save_instance(gen_antichain(3)))
+        argv = [str(base) if a == "BASE" else a for a in argv]
+        assert run("gen", *argv, "-o", str(out)) == 0
+        assert out.read_bytes() == save_instance(generate())
 
 
 class TestComputeAndVerify:
@@ -335,6 +364,17 @@ class TestStats:
         assert row["grid_members"] is None
         assert row["nonempty_cells"] >= 1
 
+
+    def test_the_json_output_is_indented_json_dumps(self, dominated_family, tmp_path, capsys):
+        argv = ["stats", "-i", str(dominated_family), "--relation", "two-exact", "--exact",
+                "--eps", "1/2", "1"]
+        assert run(*argv) == 0
+        out = capsys.readouterr().out
+        assert '"grid_members": null' in out  # no grid construction for two-exact
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        written = tmp_path / "stats.json"
+        assert run(*argv, "-o", str(written)) == 0
+        assert written.read_text() == out
 
     def test_empty_instance_reports_zero_counts(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"

@@ -295,7 +295,7 @@ each_integer_call = pytest.mark.parametrize(
 )
 
 
-@pytest.mark.parametrize("value", [1.5, 3.0, F(3), F(5, 2), Decimal(3), "3", None], ids=repr)
+@pytest.mark.parametrize("value", [1.5, 3.0, F(3), F(5, 2), Decimal(3), "3", None, True], ids=repr)
 @each_integer_call
 def test_each_integer_parameter_refuses_a_value_that_is_no_int(param, call, value):
     message = rf"^{param} must be an int, got {re.escape(repr(value))}$"
