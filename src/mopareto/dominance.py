@@ -189,17 +189,22 @@ def domination_digraph(instance: Instance, spec: RelationSpec) -> DominationDigr
     slack = 1 + spec.eps
     rows = []
     for x in instance._rows:
-        exact = [c.at_least(v) for c, v in zip(columns, x)] if required or min_exact else []
         mask = -1
         for j, (column, v) in enumerate(zip(columns, x)):  # exact implies within
             if j not in required:
                 v = v / slack if column.scale is None else -(-den * v // (den + num))
             mask &= column.at_least(v)
         if min_exact:
-            count = [-1] + [0] * min_exact  # count[c]: bits exact in >= c columns so far
-            for e in exact:
-                for c in range(min_exact, 0, -1):
-                    count[c] |= count[c - 1] & e
-            mask &= count[min_exact]
+            mask &= _in_at_least([c.at_least(v) for c, v in zip(columns, x)], min_exact)
         rows.append(mask)
     return DominationDigraph(nodes=nodes, rows=tuple(rows))
+
+
+def _in_at_least(masks: Sequence[int], k: int) -> int:
+    """The bits set in at least k of the masks (-1, every bit, at k = 0): the one "at least
+    k of p" count, of the digraph's exact components and of `tournament_view`'s wins."""
+    count = [-1] + [0] * k  # count[c]: bits set in >= c masks so far
+    for mask in masks:
+        for c in range(k, 0, -1):
+            count[c] |= count[c - 1] & mask
+    return count[k]

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .dominance import DominationDigraph
+from .dominance import DominationDigraph, _in_at_least
 from .model import Solution
+from .numerics import _integer
 
 __all__ = [
     "NodeLimitExceeded",
@@ -35,21 +36,23 @@ class NodeLimitExceeded(RuntimeError):
 def tournament_view(points: Sequence[Solution], k: int) -> DominationDigraph:
     """The majority digraph: u -> v iff u outranks v in at least k of the p objectives.
 
-    Ranks ascend by value, ties to list position; 2k - 1 <= p makes it complete.
+    Ranks (stable sorts) ascend by value, ties to list position; 2k - 1 <= p makes it complete.
     """
     if not points:
         raise ValueError("tournament needs at least one point")
     p = len(points[0].f)
-    if 2 * k - 1 > p:
+    if 2 * _integer(k, "k") - 1 > p:
         raise ValueError(f"majority threshold k={k} needs 2k-1 <= p, got p={p}")
-    rows = []
-    for i, a in enumerate(points):
-        row = 1 << i  # a never outranks itself, so only k = 0 would set this bit again
-        for j, b in enumerate(points):
-            if sum(1 for t in range(p) if (a.f[t], i) < (b.f[t], j)) >= k:
-                row |= 1 << j
-        rows.append(row)
-    return DominationDigraph(nodes=tuple(sol.id for sol in points), rows=tuple(rows))
+    wins = []  # wins[t][i]: the points after points[i] in objective t's order
+    for column in zip(*(sol.f for sol in points)):
+        beaten, masks = 0, [0] * len(points)
+        for i in sorted(range(len(points)), key=column.__getitem__)[::-1]:
+            masks[i] = beaten
+            beaten |= 1 << i
+        wins.append(masks)
+    full = (1 << len(points)) - 1  # at k = 0 the count sets every bit, not just the points'
+    rows = tuple(_in_at_least(w, k) & full for w in zip(*wins))
+    return DominationDigraph(nodes=tuple(sol.id for sol in points), rows=rows)
 
 
 def _greedy_cover_indices(cover: Sequence[int]) -> list[int]:

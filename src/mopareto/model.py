@@ -226,9 +226,7 @@ class RelationSpec:
     def __post_init__(self) -> None:
         _positive(self.eps, "eps")
         if self.kind in _KINDS_WITH_K:
-            if self.k is None:
-                raise ValueError(f"relation {self.kind.value} requires k")
-            if _integer(self.k, "k") < 1:
+            if _integer(self.k, "k") < 1:  # a missing k is None, which _integer names
                 raise ValueError("k must be at least 1")
         elif self.k is not None:
             raise ValueError(f"relation {self.kind.value} does not take k")
@@ -263,6 +261,19 @@ class ApproximationSet:
     relation: RelationSpec
     members: tuple[str, ...]
     certificate: tuple[CertificateEntry, ...] = ()
+
+    def __post_init__(self) -> None:  # refuse, naming it, what save_set writes and load_set refuses
+        for member in self.members:
+            if not isinstance(member, str):
+                raise ValueError(f"member id {member!r} must be a str")
+        distinct = {}  # exact_indices -> an entry holding them; each is checked once
+        for covered, by, exact in self.certificate:
+            if not isinstance(covered, str) or not isinstance(by, str) or type(exact) is not tuple:
+                raise ValueError(f"malformed certificate entry: {(covered, by, exact)!r}")
+            distinct[exact] = (covered, by, exact)
+        for exact, entry in distinct.items():  # at most 2**p of them
+            if not all(type(i) is int and i >= 1 for i in exact):  # a bool is no index
+                raise ValueError(f"malformed certificate entry: {entry!r}")
 
 
 @dataclass(frozen=True)

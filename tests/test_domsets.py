@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mopareto.constructors import grid_select
 from mopareto.dominance import DominationDigraph, domination_digraph, r_dominates
 from mopareto.domsets import (
     NodeLimitExceeded,
@@ -14,7 +16,13 @@ from mopareto.domsets import (
     greedy_tournament_dominating_set,
     tournament_view,
 )
-from mopareto.generators import gen_prop_dominated, gen_quasi2_gap, gen_random
+from mopareto.generators import (
+    gen_antichain,
+    gen_duplicated,
+    gen_prop_dominated,
+    gen_quasi2_gap,
+    gen_random,
+)
 from mopareto.model import RelationKind, RelationSpec, Solution
 
 
@@ -292,6 +300,43 @@ class TestTournamentRowsMatchTheSetBasedView:
 
     def test_one_greedy_serves_both_names(self):
         assert greedy_tournament_dominating_set is greedy_cover_dominating_set
+
+
+class CountedInt(int):
+    """An int that counts the `<` comparisons made on it."""
+
+    calls = 0
+
+    def __lt__(self, other):
+        CountedInt.calls += 1
+        return int.__lt__(self, other)
+
+
+class TestTournamentIsBuiltFromPerObjectiveOrders:
+    def test_one_sort_per_objective_not_a_comparison_per_pair(self):
+        m, p = 256, 4
+        rng = random.Random(1)
+        points = sols(*(tuple(rng.randint(1, 100) for _ in range(p)) for _ in range(m)))
+        counted = [Solution(s.id, tuple(map(CountedInt, s.f))) for s in points]
+        CountedInt.calls = 0
+        view = tournament_view(counted, 2)
+        # the pairwise count made about p * m**2 = 262144 comparisons here
+        assert CountedInt.calls <= p * m * math.ceil(math.log2(m))
+        assert view == tournament_view(points, 2)
+
+    def test_every_retained_cell_of_a_lifted_antichain_matches_the_set_based_view(self):
+        # cells of up to 71 points, so the rows pass 64 bits
+        instance = gen_duplicated(gen_antichain(1000), 4, "quasi_k_over_half")
+        bucketing, retained, picks = grid_select(
+            instance, RelationSpec(RelationKind.QUASI_K, Fraction(1, 4), k=2)
+        )
+        assert max(len(bucketing.cells[cell]) for cell in retained) > 64
+        for cell, picked in zip(retained, picks):
+            points = [instance.solution(i) for i in bucketing.cells[cell]]
+            ids = tuple(sol.id for sol in points)
+            out = reference_tournament_out(points, 2)
+            assert tournament_view(points, 2).rows == tuple(reference_closed_masks(ids, out))
+            assert picked == sorted(reference_greedy_tournament(points, 2))
 
 
 def id_set_arcs(nodes, rows):

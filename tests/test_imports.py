@@ -177,6 +177,7 @@ def test_the_reader_check_sees_methods_lambdas_and_nested_functions():
 
 F = Fraction
 BIOBJECTIVE = mopareto.gen_random(6, 2, seed=1)
+FIVE_OBJECTIVES = mopareto.gen_random(4, 5, seed=1)
 
 # Each public callable with a parameter named eps, delta, anchor or b, and a call
 # that puts a value in that parameter, every other argument valid.  A new entry
@@ -246,10 +247,13 @@ def test_each_pinned_call_accepts_an_exact_value(call):
     call(1)
 
 
-# Each public callable with a count parameter (n, p, l, value_range, value_bound),
+# Each public callable with a count parameter (n, p, l, k, value_range, value_bound),
 # and a call that puts a value in that parameter, every other argument valid.
 INTEGER_PARAMETERS = {
     "Instance": {"p": lambda v: mopareto.Instance(p=v, solutions=())},
+    "RelationSpec": {"k": lambda v: mopareto.RelationSpec(mopareto.RelationKind.QUASI_K, F(1), v)},
+    # p = 5, so that the accepted k = 3 meets 2k - 1 <= p
+    "tournament_view": {"k": lambda v: mopareto.tournament_view(FIVE_OBJECTIVES.solutions, v)},
     "construct_via_gap": {
         "p": lambda v: mopareto.construct_via_gap(lambda q: None, F(1), 0, v),
         "value_bound": lambda v: mopareto.construct_via_gap(lambda q: None, F(1), v, 1),
@@ -269,7 +273,7 @@ INTEGER_RECORDS = {"AdversarialPair": {"l"}}  # built by adversarial_pair, which
 
 
 def public_integer_parameters() -> dict[str, set[str]]:
-    """Each public callable's parameters named n, p, l, value_range or value_bound."""
+    """Each public callable's parameters named n, p, l, k, value_range or value_bound."""
     found = {}
     for name, value in vars(mopareto).items():
         if name.startswith("_") or inspect.ismodule(value) or not callable(value):
@@ -278,7 +282,7 @@ def public_integer_parameters() -> dict[str, set[str]]:
             parameters = inspect.signature(value).parameters
         except (TypeError, ValueError):
             continue
-        if named := {"n", "p", "l", "value_range", "value_bound"} & set(parameters):
+        if named := {"n", "p", "l", "k", "value_range", "value_bound"} & set(parameters):
             found[name] = named
     return found
 

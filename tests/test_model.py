@@ -563,6 +563,35 @@ class TestWrittenBytes:
         assert load_set(save_set(aset)) == aset
 
 
+EPSILON_ONE = RelationSpec(RelationKind.EPSILON, Fraction(1))
+
+
+class TestASetIsBuiltOnlyIfItsFileReadsBack:
+    """save_set wrote each of these values as it is, and load_set refused the file."""
+
+    def test_a_member_that_is_no_str_is_refused(self):
+        with pytest.raises(ValueError, match=r"^member id 1 must be a str$"):
+            ApproximationSet(EPSILON_ONE, members=("a", 1))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [(1, "a", (1,)), ("a", None, (1,))]
+        + [("b", "a", bad) for bad in [(0,), (1.5,), (True,), (1, 2, -3), [1], "12"]],
+        ids=repr,
+    )
+    def test_a_certificate_entry_that_would_not_read_back_is_refused(self, entry):
+        # the index True was written True, which is no JSON; 0, 1.5 and -3 were written as they are
+        good = CertificateEntry("a", "a", (1, 2))
+        message = rf"^malformed certificate entry: {re.escape(repr(entry))}$"
+        with pytest.raises(ValueError, match=message):
+            ApproximationSet(EPSILON_ONE, ("a",), (good, CertificateEntry(*entry)))
+
+    def test_a_valid_set_still_reads_back(self):
+        certificate = (CertificateEntry("a", "a", (1, 2)), CertificateEntry("b", "a", ()))
+        aset = ApproximationSet(EPSILON_ONE, ("a",), certificate)
+        assert load_set(save_set(aset)) == aset
+
+
 
 # ids json must escape, one of each kind the Hypothesis ids draw from
 ESCAPED_IDS = ('a"b', "back\\slash", "sl/ash", "\x00\x1f\x7f", "line\nbreak", "\u00e9t\u00e9",
