@@ -64,10 +64,6 @@ EXIT_UNVERIFIED = 4
 EXIT_LIMIT = 5
 
 
-class UsageError(Exception):
-    pass
-
-
 def _say(message: str) -> None:
     print(message, file=sys.stderr)
 
@@ -107,7 +103,7 @@ def _write_payload(out: str | None, payload: bytes) -> None:
     except OSError as exc:
         if tmp.is_file():
             tmp.unlink()
-        raise UsageError(f"cannot write {out}: {exc}") from None
+        raise ValueError(f"cannot write {out}: {exc}") from None
 
 
 def _relation_from_args(args: argparse.Namespace) -> RelationSpec:
@@ -115,18 +111,15 @@ def _relation_from_args(args: argparse.Namespace) -> RelationSpec:
     k = getattr(args, "k", None)
     if kind in _KINDS_WITH_K:
         if k is None:
-            raise UsageError(f"--k is required for --relation {kind.value}")
+            raise ValueError(f"--k is required for --relation {kind.value}")
     elif k is not None:
-        raise UsageError(f"--k is not accepted for --relation {kind.value}")
-    try:
-        return RelationSpec(kind=kind, eps=args.eps, k=k)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise ValueError(f"--k is not accepted for --relation {kind.value}")
+    return RelationSpec(kind=kind, eps=args.eps, k=k)
 
 
 def _node_limit(args: argparse.Namespace) -> int:
     if args.limit < 0:
-        raise UsageError(f"--limit must be a nonnegative integer, got {args.limit}")
+        raise ValueError(f"--limit must be a nonnegative integer, got {args.limit}")
     return args.limit
 
 
@@ -146,7 +139,7 @@ def _compute_members(args: argparse.Namespace, instance: Instance, spec: Relatio
         return greedy_cover_dominating_set(domination_digraph(instance, spec))
     if algo == "gap":
         if spec.kind is not RelationKind.EPSILON:
-            raise UsageError("--algo gap computes plain epsilon approximation sets")
+            raise ValueError("--algo gap computes plain epsilon approximation sets")
         m = derive_value_bound(instance)
         found = construct_via_gap(
             lambda q: gap_oracle(instance, q), spec.eps, m, instance.p
@@ -154,7 +147,7 @@ def _compute_members(args: argparse.Namespace, instance: Instance, spec: Relatio
         return [s.id for s in found]
     # biobjective sweeps
     if instance.p != 2:
-        raise UsageError(f"--algo {algo} requires a biobjective instance")
+        raise ValueError(f"--algo {algo} requires a biobjective instance")
     return _biobjective_sweep(instance, spec.eps, relaxed=algo == "bi-dual2")
 
 
@@ -369,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
     except FormatError as exc:
         _say(f"bad input file: {exc}")
         return EXIT_BAD_INPUT
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         _say(f"usage error: {exc}")
         return EXIT_USAGE
 

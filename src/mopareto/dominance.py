@@ -6,13 +6,13 @@ The efficient filters, the weakly-efficient lift, the grid's cell filter
 (on cell coordinates) and the gap construction's prune (on the oracle's
 Fraction images) are one front, `_front`: at p <= 3 a sort-and-sweep (Kung,
 Luccio and Preparata 1975) over a staircase of minimal rows, one sort then one
-`bisect` per row; at p >= 4 a presorted skyline (Chomicki et al. 2003) that
-tests each row against the minimal rows only, n * |minimal| tests.  The
-digraph is stored as one n-bit row per node, the AND of masks from the
-sorted-column index (`model._SortedColumn`).  The filters, the lift and the
-digraph compare the instance's cached integer image (a column past
-`model._SCALE_BITS` keeps its Fractions); the pairwise `values_r_dominate`,
-on Fractions, is their reference.
+`bisect` per row; at p >= 4, once copied columns are dropped, a presorted
+skyline (Chomicki et al. 2003) that tests each row against the minimal rows
+only, n * |minimal| tests.  The digraph is stored as one n-bit row per node,
+the AND of masks from the sorted-column index (`model._SortedColumn`).  The
+filters, the lift and the digraph compare the instance's cached integer image
+(a column past `model._SCALE_BITS` keeps its Fractions); the pairwise
+`values_r_dominate`, on Fractions, is their reference.
 """
 
 from __future__ import annotations
@@ -95,12 +95,18 @@ def _front(rows: Sequence[tuple], strict: bool) -> list[int]:
     far, f2 ascending in `f2s` and f3 descending in `f3s` (a row of p < 3 repeats its
     last coordinate).  One `bisect` tests a row; a kept one enters by one slice
     assignment that drops the pairs it is at most; under `strict`, rows tied in f1 are
-    all tested before any enters.  At p >= 4 a presorted skyline: a row that no minimal
-    row so far is at most is kept and is minimal at once; another is kept only under
-    `strict`, when no minimal row is strictly below it.  Every earlier row has a minimal
-    row at most it, so the minimal rows answer for all: at most n * |minimal| tests of
-    each of `_weakly_below` and `_strictly_below`.
+    all tested before any enters.  At p >= 4 a column equal to an earlier one changes no
+    order and no verdict, so it is dropped first (a lift by copied columns takes the
+    sweep); then a presorted skyline: a row that no minimal row so far is at most is
+    kept and is minimal at once; another is kept only under `strict`, when no minimal
+    row is strictly below it.  Every earlier row has a minimal row at most it, so the
+    minimal rows answer for all: at most n * |minimal| tests of each of `_weakly_below`
+    and `_strictly_below`.
     """
+    if rows and len(rows[0]) > 3:
+        columns = dict.fromkeys(zip(*rows))  # a copy of an earlier column ties whenever it does
+        if len(columns) < len(rows[0]):
+            rows = list(zip(*columns))
     wide = bool(rows) and len(rows[0]) > 3
     minimal: list[tuple] = []
     front: list[int] = []

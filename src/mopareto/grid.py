@@ -6,14 +6,16 @@ factor strictly below 1 + eps in every component.  Anchors are the
 per-dimension instance minima rather than the global value-range floor:
 identical correctness, far fewer cells.
 
-`bucket` walks each column's sorted values up the rungs anchor * (1+eps)**t,
-jumping by `cell_coord`; boundary values always land in the upper cell.  It
-walks the instance's integer image, whose per-column scale divides out of
-every value-to-anchor ratio; `lower` reports the Fraction anchors.
+`bucket` walks each column's sorted values up the rungs anchor * (1+eps)**t;
+boundary values always land in the upper cell.  Its far jumps, `cell_coord`
+and `ratio_steps_to_reach` count rungs with one helper, `_rungs`.  It walks
+the instance's integer image, whose per-column scale divides out of every
+value-to-anchor ratio; `lower` reports the Fraction anchors.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -44,31 +46,23 @@ class GridBucketing:
     cells: Mapping[CellIndex, tuple[str, ...]]
 
 
-def cell_coord(value: Fraction, anchor: Fraction, eps: Fraction) -> int:
-    """Maximal integer t with anchor * (1+eps)**t <= value, computed exactly.
+def _rungs(q: int | Fraction, ratio: Fraction, side) -> int:
+    """How many t >= 0 have ratio**t <= q (side `bisect_right`) or < q (`bisect_left`):
+    probe ratio**1, **2, **4, ... past q, then `bisect` the last doubling, every power exact."""
+    hi = 1
+    while side((ratio**hi,), q):  # ratio**hi still counts
+        hi *= 2
+    return hi // 2 + side(range(hi // 2, hi), q, key=ratio.__pow__)
 
-    Exponential probing followed by binary search; no floating-point log is
-    ever the final authority, so values sitting exactly on a cell boundary are
-    placed deterministically (they go up).
-    """
+
+def cell_coord(value: Fraction, anchor: Fraction, eps: Fraction) -> int:
+    """Maximal integer t with anchor * (1+eps)**t <= value, computed exactly: no
+    floating-point log decides, so a value on a cell boundary goes up."""
     _positive(anchor, "anchor")
     _positive(eps, "eps")
-    if value < anchor:
+    if _positive(value, "value") < anchor:
         raise ValueError(f"value {value} below anchor {anchor}")
-    ratio = 1 + eps
-    if anchor * ratio > value:
-        return 0
-    lo, hi = 1, 2
-    while anchor * ratio**hi <= value:
-        lo, hi = hi, hi * 2
-    # invariant: anchor * ratio**lo <= value < anchor * ratio**hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if anchor * ratio**mid <= value:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _rungs(Fraction(value, anchor), 1 + eps, bisect_right) - 1
 
 
 def _rung_walk(column: Sequence[int | Fraction], anchor: int | Fraction, eps: Fraction) -> dict:
@@ -82,7 +76,7 @@ def _rung_walk(column: Sequence[int | Fraction], anchor: int | Fraction, eps: Fr
             # num.bit_length() + 2 bits of v/rung put q at most one rung below it
             shift = max(0, (b * rung_num).bit_length() - num.bit_length() - 2)
             q = Fraction(a * rung_den >> shift, -(-b * rung_num >> shift))
-            s = max(1, cell_coord(q, Fraction(1), eps))
+            s = max(1, _rungs(q, 1 + eps, bisect_right) - 1)
             t, rung_num, rung_den = t + s, rung_num * num**s, rung_den * den**s
         coords[v] = t
     return coords
@@ -125,9 +119,7 @@ def diagonal_of(cell: CellIndex) -> CellIndex:
 
 
 def ratio_steps_to_reach(target: Fraction, eps: Fraction) -> int:
-    """Smallest t >= 0 with (1+eps)**t >= target (target >= 1 assumed useful)."""
+    """Smallest t >= 0 with (1+eps)**t >= target."""
+    _positive(target, "target")
     _positive(eps, "eps")
-    if target <= 1:
-        return 0
-    t = cell_coord(target, Fraction(1), eps)
-    return t if (1 + eps) ** t == target else t + 1
+    return _rungs(target, 1 + eps, bisect_left)

@@ -23,6 +23,7 @@ from mopareto.dominance import (
 from mopareto import constructors, dominance, model
 from mopareto.generators import (
     gen_antichain,
+    gen_duplicated,
     gen_prop_dominated,
     gen_prop_one_exact,
     gen_quasi2_gap,
@@ -561,10 +562,11 @@ class TestFrontAsksOnlyTheMinimalRows:
 
     def test_a_large_weakly_efficient_front_costs_calls_per_minimal_row(self, monkeypatch):
         m, ties = 6, 60
-        antichain = [(i, m + 1 - i, 1, 1) for i in range(1, m + 1)]
-        # each ties (1, m, 1, 1) in all but the second coordinate: weakly efficient, not efficient
-        tied = [(1, m + 1 + j, 1, 1) for j in range(1, ties + 1)]
-        dominated = [(i + 1, m + 2 - i, 2, 2) for i in range(1, m)]
+        # the fourth coordinate is not a copy of the third, which `_front` would drop
+        antichain = [(i, m + 1 - i, 1, 2) for i in range(1, m + 1)]
+        # each ties (1, m, 1, 2) in all but the second coordinate: weakly efficient, not efficient
+        tied = [(1, m + 1 + j, 1, 2) for j in range(1, ties + 1)]
+        dominated = [(i + 1, m + 2 - i, 2, 3) for i in range(1, m)]
         rows = tied[::2] + dominated + antichain[::-1] + tied[1::2]
         asked = asking_the_front(monkeypatch)
         front = _front(rows, strict=True)
@@ -645,6 +647,30 @@ class TestFrontSweepMatchesTheSkyline:
             assert constructors.weakly_efficient_lift(instance, members, eps) == lifted
 
 
+@st.composite
+def widened_rows(draw):
+    """sweep_rows with copies of their columns put in at random places: (rows, widened)."""
+    rows = draw(sweep_rows)
+    columns = list(zip(*rows))
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        copy = columns[draw(st.integers(min_value=0, max_value=len(columns) - 1))]
+        columns.insert(draw(st.integers(min_value=0, max_value=len(columns))), copy)
+    return rows, list(zip(*columns))
+
+
+class TestCopiedColumnsAreDropped:
+    """Columns that copy an earlier one change neither `_front`'s positions nor their order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(widened_rows())
+    def test_same_positions_in_the_same_order(self, case):
+        rows, widened = case
+        for beats, strict in STRICT.items():
+            expected = reference_skyline(widened, BEATS[beats])
+            assert _front(widened, strict) == expected
+            assert sorted(expected) == sorted(reference_skyline(rows, BEATS[beats]))
+
+
 def product_front(n):
     """p = 3 antichain: a, b from randint(100, 1000)/100 of a fresh Random(4), c = 1000/(a*b)."""
     rng = random.Random(4)
@@ -682,6 +708,10 @@ class TestNoQuadraticFront:
     def test_no_front_tests_a_pair_at_p_up_to_3(self, make, monkeypatch):
         instance = make(2000)
         assert len(efficient_set(instance)) == len(instance.solutions)
+        assert self.pairs_per_caller(monkeypatch, instance) == [0] * 5
+
+    def test_no_front_tests_a_pair_on_a_lift_by_copied_columns(self, monkeypatch):
+        instance = gen_duplicated(gen_antichain(2000), 4, "quasi_k_over_half")
         assert self.pairs_per_caller(monkeypatch, instance) == [0] * 5
 
     def test_every_front_tests_pairs_at_p_4(self, monkeypatch):

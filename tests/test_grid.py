@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from mopareto.model import (
     Solution,
     derive_value_bound,
 )
+from mopareto.numerics import _positive
 
 
 def inst(*vectors):
@@ -47,7 +49,7 @@ def reference_bucket(instance: Instance, eps: Fraction) -> GridBucketing:
     cells: dict[tuple[int, ...], list[str]] = {}
     for sol in instance.solutions:
         coords = tuple(
-            cell_coord(sol.f[i], anchors[i], eps) for i in range(instance.p)
+            reference_cell_coord(sol.f[i], anchors[i], eps) for i in range(instance.p)
         )
         cells.setdefault(coords, []).append(sol.id)
     return GridBucketing(
@@ -64,6 +66,68 @@ def reference_filter(bucketing: GridBucketing) -> set[tuple[int, ...]]:
             all(d_i < c_i for d_i, c_i in zip(d, c)) for d in cells if d != c
         )
     }
+
+
+# The hand-written probe-and-bisection and its equality fix-up, kept as references
+# for the one rung count that cell_coord, ratio_steps_to_reach and the walk share.
+def reference_cell_coord(value: Fraction, anchor: Fraction, eps: Fraction) -> int:
+    """Maximal integer t with anchor * (1+eps)**t <= value, computed exactly.
+
+    Exponential probing followed by binary search; no floating-point log is
+    ever the final authority, so values sitting exactly on a cell boundary are
+    placed deterministically (they go up).
+    """
+    _positive(anchor, "anchor")
+    _positive(eps, "eps")
+    if value < anchor:
+        raise ValueError(f"value {value} below anchor {anchor}")
+    ratio = 1 + eps
+    if anchor * ratio > value:
+        return 0
+    lo, hi = 1, 2
+    while anchor * ratio**hi <= value:
+        lo, hi = hi, hi * 2
+    # invariant: anchor * ratio**lo <= value < anchor * ratio**hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if anchor * ratio**mid <= value:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def reference_ratio_steps_to_reach(target: Fraction, eps: Fraction) -> int:
+    """Smallest t >= 0 with (1+eps)**t >= target (target >= 1 assumed useful)."""
+    _positive(eps, "eps")
+    if target <= 1:
+        return 0
+    t = reference_cell_coord(target, Fraction(1), eps)
+    return t if (1 + eps) ** t == target else t + 1
+
+
+def exact(draw, x: Fraction) -> int | Fraction:
+    """x, drawn as an int when it is whole and the draw says so."""
+    return int(x) if x.denominator == 1 and draw(st.booleans()) else x
+
+
+@st.composite
+def rung_cases(draw):
+    """(value, anchor, eps): eps from 50 down to 1/10**4, and a value exactly on a rung
+    of the anchor, one unit below one (in the anchor's and the rung's denominators),
+    or far above the anchor, off the rungs."""
+    eps = Fraction(draw(st.integers(1, 50)), draw(st.sampled_from([1, 2, 3, 7, 100, 10**4])))
+    anchor = Fraction(draw(st.integers(1, 1000)), draw(st.sampled_from([1, 1, 2, 9, 1024])))
+    rung = anchor * (1 + eps) ** draw(st.integers(0, 60))
+    kind = draw(st.sampled_from(["on", "below", "far"]))
+    if kind == "on":
+        value = rung
+    elif kind == "below":  # above the anchor, by a multiple of this unit, unless t = 0
+        value = max(anchor, rung - Fraction(1, rung.denominator * anchor.denominator))
+    else:  # at most about 7000 rungs above it at eps = 1/10**4
+        top = 10**6 if eps >= Fraction(1, 100) else 2
+        value = rung * Fraction(draw(st.integers(7, 7 * top)), 7) + Fraction(1, 3)
+    return exact(draw, value), exact(draw, anchor), exact(draw, eps)
 
 
 @st.composite
@@ -99,6 +163,17 @@ def under_scale_bits(mp, scale_bits, instance):
     if scale_bits == 0 and fresh.solutions:
         assert all(scale is None for scale, _ in fresh._image)
     return fresh
+
+
+class TestRungCountMatchesTheReference:
+    @settings(max_examples=500, deadline=None)
+    @given(rung_cases())
+    def test_cell_coord_and_ratio_steps(self, case):
+        value, anchor, eps = case
+        assert cell_coord(value, anchor, eps) == reference_cell_coord(value, anchor, eps)
+        for target in (Fraction(value, anchor), Fraction(anchor, value)):
+            target = target.numerator if target.denominator == 1 else target
+            assert ratio_steps_to_reach(target, eps) == reference_ratio_steps_to_reach(target, eps)
 
 
 class TestCellCoord:
@@ -182,6 +257,17 @@ class TestBucketing:
             assert list(bucket(instance, eps).cells.items()) == list(
                 reference_bucket(instance, eps).cells.items()
             )
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 100), Fraction(1, 2), 1, Fraction(5, 3), 2])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_integer_columns_with_ties_match_reference(self, p, eps):
+        # 200 rows of ints in 1..60: every column ties, and at eps = 1 and 2 values hit rungs
+        rng = random.Random(p)
+        rows = [tuple(rng.randint(1, 60) for _ in range(p)) for _ in range(200)]
+        instance = Instance(p, tuple(Solution(f"s{i}", row) for i, row in enumerate(rows)))
+        assert list(bucket(instance, eps).cells.items()) == list(
+            reference_bucket(instance, eps).cells.items()
+        )
 
     def test_values_many_rungs_apart_jump_exactly_and_fast(self):
         # about 710 rungs between neighbouring values and 56810 in all: a

@@ -179,8 +179,8 @@ F = Fraction
 BIOBJECTIVE = mopareto.gen_random(6, 2, seed=1)
 FIVE_OBJECTIVES = mopareto.gen_random(4, 5, seed=1)
 
-# Each public callable with a parameter named eps, delta, anchor or b, and a call
-# that puts a value in that parameter, every other argument valid.  A new entry
+# Each public callable with a parameter named eps, delta, anchor, b, value or target,
+# and a call that puts a value in that parameter, every other argument valid.  A new entry
 # point with such a parameter joins this list, and so the exact-number rule.
 NUMERIC_PARAMETERS = {
     "RelationSpec": {"eps": lambda v: mopareto.RelationSpec(mopareto.RelationKind.EPSILON, v)},
@@ -190,11 +190,15 @@ NUMERIC_PARAMETERS = {
     },
     "half_step_delta": {"eps": lambda v: mopareto.half_step_delta(v)},
     "cell_coord": {
+        "value": lambda v: mopareto.cell_coord(v, F(1, 2), F(1)),
         "anchor": lambda v: mopareto.cell_coord(F(2), v, F(1)),
         "eps": lambda v: mopareto.cell_coord(F(2), F(1), v),
     },
     "bucket": {"eps": lambda v: mopareto.bucket(BIOBJECTIVE, v)},
-    "ratio_steps_to_reach": {"eps": lambda v: mopareto.ratio_steps_to_reach(F(2), v)},
+    "ratio_steps_to_reach": {
+        "target": lambda v: mopareto.ratio_steps_to_reach(v, F(1)),
+        "eps": lambda v: mopareto.ratio_steps_to_reach(F(2), v),
+    },
     "weakly_efficient_lift": {
         "eps": lambda v: mopareto.weakly_efficient_lift(BIOBJECTIVE, BIOBJECTIVE.ids, v)
     },
@@ -206,19 +210,23 @@ NUMERIC_PARAMETERS = {
     "gen_quasi2_gap": {"eps": lambda v: mopareto.gen_quasi2_gap(v, 2)},
 }
 RESULT_RECORDS = {"GridBucketing": {"eps"}}  # built by the library, not taken from a caller
+NOT_NUMBERS = {"RelationKind"}  # the Enum's `value` is a kind name, not a number
 
 
 def public_numeric_parameters() -> dict[str, set[str]]:
-    """Each public callable's parameters named eps, delta, anchor or b, when it has any."""
+    """Each public callable's parameters named eps, delta, anchor, b, value or target,
+    when it has any."""
     found = {}
     for name, value in vars(mopareto).items():
         if name.startswith("_") or inspect.ismodule(value) or not callable(value):
+            continue
+        if name in NOT_NUMBERS:
             continue
         try:  # exception classes and type aliases have no signature, and no such parameter
             parameters = inspect.signature(value).parameters
         except (TypeError, ValueError):
             continue
-        if named := {"eps", "delta", "anchor", "b"} & set(parameters):
+        if named := {"eps", "delta", "anchor", "b", "value", "target"} & set(parameters):
             found[name] = named
     return found
 
