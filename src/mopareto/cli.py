@@ -14,6 +14,7 @@ import functools
 import io
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from .constructors import (
@@ -54,7 +55,7 @@ from .model import (
     save_instance,
     save_set,
 )
-from .numerics import parse_rational, render_rational
+from .numerics import _positive, parse_rational, render_rational
 from .oracles import _biobjective_sweep, gap_oracle
 
 EXIT_OK = 0
@@ -106,15 +107,14 @@ def _write_payload(out: str | None, payload: bytes) -> None:
         raise ValueError(f"cannot write {out}: {exc}") from None
 
 
-def _relation_from_args(args: argparse.Namespace) -> RelationSpec:
-    kind = RelationKind(args.relation)
-    k = getattr(args, "k", None)
+def _relation(kind_name: str, eps: Fraction, k: int | None) -> RelationSpec:
+    kind = RelationKind(kind_name)
     if kind in _KINDS_WITH_K:
         if k is None:
             raise ValueError(f"--k is required for --relation {kind.value}")
     elif k is not None:
         raise ValueError(f"--k is not accepted for --relation {kind.value}")
-    return RelationSpec(kind=kind, eps=args.eps, k=k)
+    return RelationSpec(kind=kind, eps=eps, k=k)
 
 
 def _node_limit(args: argparse.Namespace) -> int:
@@ -152,7 +152,7 @@ def _compute_members(args: argparse.Namespace, instance: Instance, spec: Relatio
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    spec = _relation_from_args(args)
+    spec = _relation(args.relation, args.eps, args.k)
     instance = _read_instance(args.instance)
     failure = f"computed set fails {spec.kind.value} verification at solution {{!r}}"
     aset = _certified(instance, _compute_members(args, instance, spec), spec, failure)
@@ -162,7 +162,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    spec = _relation_from_args(args)
+    spec = _relation(args.relation, args.eps, args.k)
     instance = _read_instance(args.instance)
     members = _read_set(args.set, instance)
     certified = _certified(instance, members, spec, "NOT a valid set: solution {!r} is uncovered")
@@ -172,7 +172,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_min(args: argparse.Namespace) -> int:
-    spec = _relation_from_args(args)
+    spec = _relation(args.relation, args.eps, args.k)
     limit = _node_limit(args)
     instance = _read_instance(args.instance)
     members = exact_min_dominating_set(domination_digraph(instance, spec), node_limit=limit)
@@ -183,7 +183,7 @@ def _cmd_min(args: argparse.Namespace) -> int:
 
 
 def _cmd_lift(args: argparse.Namespace) -> int:
-    eps = _relation_from_args(args).eps  # --relation is fixed to epsilon below
+    eps = _positive(args.eps, "eps")  # as RelationSpec checks it, before any input is read
     instance = _read_instance(args.instance)
     lifted = weakly_efficient_lift(instance, _read_set(args.set, instance), eps)
     _write_payload(args.out, save_set(lifted))
@@ -213,10 +213,7 @@ def _stats_row(instance: Instance, spec: RelationSpec, limit: int | None) -> dic
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     # each eps is checked as compute would check it alone, before any input is read
-    specs = [
-        _relation_from_args(argparse.Namespace(relation=args.relation, eps=eps, k=args.k))
-        for eps in args.eps
-    ]
+    specs = [_relation(args.relation, eps, args.k) for eps in args.eps]
     limit = _node_limit(args)  # checked as min checks it, used only under --exact
     instance = _read_instance(args.instance)
     if instance.solutions:  # the relation must be valid at this p, as min checks it
@@ -321,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     lift.add_argument("-i", "--instance", required=True)
     lift.add_argument("--set", required=True, dest="set")
     lift.add_argument("-o", "--out", help="output set file (default: stdout)")
-    lift.set_defaults(func=_cmd_lift, relation=RelationKind.EPSILON.value)
+    lift.set_defaults(func=_cmd_lift)
 
     stats = sub.add_parser("stats", help="grid, efficiency, and cardinality statistics")
     stats.add_argument("--eps", type=parse_rational, required=True, nargs="+")

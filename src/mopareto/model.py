@@ -54,8 +54,8 @@ class Solution:
 class Instance:
     """An explicit multiobjective instance: p objectives, ordered solutions.
 
-    Invariants enforced here: ids are unique nonempty strs, every objective
-    value is a positive int or Fraction, and all vectors are tuples of p components.
+    Invariants enforced here: ids are unique nonempty strs, every objective value
+    is a positive int or Fraction by exact type, and all vectors are tuples of p components.
 
     The fast paths compare one cached exact integer image (`_image`, from
     `_scaled`): a positive scale per column keeps every order, equality and
@@ -83,13 +83,11 @@ class Instance:
                 raise ValueError(
                     f"solution {sol.id!r} has {len(sol.f)} objective values, expected {self.p}"
                 )
-            try:  # a Fraction's denominator is positive
-                if any(v.numerator <= 0 for v in sol.f):
-                    raise ValueError(f"nonpositive objective value in solution {sol.id!r}")
-            except AttributeError:  # no numerator: no int and no Fraction, which the check names
-                for v in sol.f:
+            if any(type(v) is not Fraction or v.numerator <= 0 for v in sol.f):
+                for v in sol.f:  # a caller's int gets here too; the first bad value is named
+                    if type(v) in (int, Fraction) and v <= 0:
+                        raise ValueError(f"nonpositive objective value in solution {sol.id!r}")
                     _positive(v, f"an objective value of solution {sol.id!r}")
-                raise
             pos[sol.id] = i
         object.__setattr__(self, "_pos", pos)
 

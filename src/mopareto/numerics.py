@@ -1,9 +1,10 @@
 """Exact rational arithmetic for dominance checks and grid placement.
 
 Every objective value, tolerance, budget and grid anchor in this package is an
-`int` or a `fractions.Fraction` (`_positive`), and every count an `int` (`_integer`).
-Comparisons are therefore bit-exact: two distinct values of bounded encoding length
-differ by an observable margin, and no decision anywhere depends on floating point.
+`int` or a `fractions.Fraction` (`_positive`), and every count an `int` (`_integer`),
+by exact type: a bool, a subclass or a look-alike is no number.  Comparisons are
+therefore bit-exact: two distinct values of bounded encoding length differ by an
+observable margin, and no decision anywhere depends on floating point.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ _DIGIT_LIMIT = "a number has more than {} digits, the interpreter's int/str conv
 
 
 def _positive(value: object, what: str) -> int | Fraction:
-    """value, if a positive int or Fraction; a float (even 1.0), a Decimal, a NaN,
-    an infinity, a str or None is a ValueError before any comparison decides with it."""
-    if not isinstance(value, (int, Fraction)):
+    """value, if a positive int or Fraction; a bool or subclass, a float (even 1.0), a
+    Decimal, a NaN, an infinity, a str or None is a ValueError before any comparison."""
+    if type(value) not in (int, Fraction):
         raise ValueError(f"{what} must be an int or a Fraction, got {value!r}")
     if value <= 0:
         raise ValueError(f"{what} must be positive")
@@ -41,9 +42,9 @@ def _positive(value: object, what: str) -> int | Fraction:
 
 
 def _integer(value: object, what: str) -> int:
-    """value, if an int; a bool (which JSON writes as true), a float (even 2.0) or a
-    Fraction is a ValueError.  Callers check range."""
-    if not isinstance(value, int) or isinstance(value, bool):
+    """value, if an int; a bool (which JSON writes as true), an IntEnum member, a float
+    (even 2.0) or a Fraction is a ValueError.  Callers check range."""
+    if type(value) is not int:
         raise ValueError(f"{what} must be an int, got {value!r}")
     return value
 
@@ -68,10 +69,10 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(_DIGIT_LIMIT.format(sys.get_int_max_str_digits())) from None
 
 
-def render_rational(r: Fraction) -> str:
-    """Canonical text form: "num" when the denominator is 1, else "num/den"."""
+def render_rational(r: int | Fraction) -> str:
+    """Canonical text form, str(r): "num" when the denominator is 1, else "num/den"."""
     try:
-        return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
+        return str(r)
     except ValueError:
         raise ValueError(_DIGIT_LIMIT.format(sys.get_int_max_str_digits())) from None
 

@@ -77,6 +77,10 @@ class TestTournament:
         view = tournament_view(points, k=2)
         assert greedy_tournament_dominating_set(view) == {"s1"}
 
+    def test_no_points_is_no_tournament(self):
+        with pytest.raises(ValueError, match=r"^tournament needs at least one point$"):
+            tournament_view([], 1)
+
     def test_majority_threshold_needs_enough_objectives(self):
         with pytest.raises(ValueError, match="2k-1"):
             tournament_view(sols((1, 2), (2, 1)), k=2)

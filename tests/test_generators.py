@@ -157,6 +157,10 @@ class TestDuplication:
         with pytest.raises(ValueError, match="biobjective"):
             gen_duplicated(gen_quasi2_gap(F(1), 1), 4, "one_exact_quasi2")
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match=r"^unknown duplication mode: 'quasi-k-over-half'$"):
+            gen_duplicated(gen_antichain(2), 4, "quasi-k-over-half")  # the CLI spelling
+
     def test_lifted_antichain_needs_every_point_when_first_exact_plus_one(self):
         lifted = gen_duplicated(gen_antichain(5), 3, "one_exact_quasi2")
         spec = RelationSpec(RelationKind.ONE_EXACT_QUASI_K, F(1), k=2)

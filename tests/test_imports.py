@@ -8,6 +8,7 @@ import importlib
 import inspect
 import re
 from decimal import Decimal
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
@@ -242,7 +243,15 @@ each_pinned_call = pytest.mark.parametrize(
 )
 
 
-@pytest.mark.parametrize("value", [0.5, Decimal("0.5"), float("nan"), Decimal("NaN"), float("inf")], ids=repr)
+class Three(IntEnum):  # an int subclass: exact type decides, so no number here
+    THREE = 3
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0.5, Decimal("0.5"), float("nan"), Decimal("NaN"), float("inf"), True, Three.THREE],
+    ids=repr,
+)
 @each_pinned_call
 def test_each_numeric_parameter_refuses_a_number_that_is_not_exact(call, value):
     with pytest.raises(ValueError, match=" must be an int or a Fraction, got "):
@@ -307,7 +316,9 @@ each_integer_call = pytest.mark.parametrize(
 )
 
 
-@pytest.mark.parametrize("value", [1.5, 3.0, F(3), F(5, 2), Decimal(3), "3", None, True], ids=repr)
+@pytest.mark.parametrize(
+    "value", [1.5, 3.0, F(3), F(5, 2), Decimal(3), "3", None, True, Three.THREE], ids=repr
+)
 @each_integer_call
 def test_each_integer_parameter_refuses_a_value_that_is_no_int(param, call, value):
     message = rf"^{param} must be an int, got {re.escape(repr(value))}$"

@@ -4,6 +4,7 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from enum import IntEnum
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mopareto import model
+from mopareto.cli import main
 from mopareto.constructors import construct_grid_approx
 from mopareto.generators import (
     gen_prop_dominated,
@@ -48,6 +50,23 @@ def _inst(*vectors):
     )
 
 
+class Three(IntEnum):
+    THREE = 3
+
+
+class FractionSubclass(Fraction):
+    pass
+
+
+class LooksLikeThree:
+    """Duck-types the positive rational 3: a numerator and a denominator, and no more."""
+
+    numerator, denominator = 3, 1
+
+    def __repr__(self):
+        return "LooksLikeThree()"
+
+
 class TestInstanceInvariants:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -77,7 +96,12 @@ class TestInstanceInvariants:
         with pytest.raises(ValueError, match=r"^nonpositive objective value in solution 'b'$"):
             Instance(p=2, solutions=solutions)
 
-    @pytest.mark.parametrize("bad", [0.5, 2.0, float("nan"), Decimal("1.5"), "3/2", None], ids=repr)
+    @pytest.mark.parametrize(
+        "bad",
+        [0.5, 2.0, float("nan"), Decimal("1.5"), "3/2", None,
+         True, False, Three.THREE, FractionSubclass(3, 2), LooksLikeThree()],
+        ids=repr,
+    )
     def test_a_value_that_is_no_int_or_fraction_names_its_solution(self, bad):
         solutions = (Solution("a", (Fraction(1), 2)), Solution("b", (Fraction(5), bad)))
         message = rf"^an objective value of solution 'b' must be an int or a Fraction, got {re.escape(repr(bad))}$"
@@ -413,6 +437,27 @@ class TestSetFiles:
         payload = b'{"relation": {"kind": "quasi-k", "eps": "1", "k": true}, "members": []}'
         with pytest.raises(FormatError, match='"k" must be an integer'):
             load_set(payload)
+
+    @pytest.mark.parametrize(
+        "relation, message",
+        [
+            ({"kind": "quasi-k", "eps": "1"}, "k must be an int, got None"),
+            ({"kind": "epsilon", "eps": "0"}, "eps must be positive"),
+            ({"kind": "epsilon", "eps": "1", "k": 2}, "relation epsilon does not take k"),
+        ],
+    )
+    def test_a_relation_that_relation_spec_refuses_is_a_bad_set_file(
+        self, relation, message, tmp_path, capsys
+    ):
+        payload = json.dumps({"relation": relation, "members": []})
+        with pytest.raises(FormatError, match=rf"^{message}$"):
+            load_set(payload)
+        instance, set_file = tmp_path / "i.json", tmp_path / "s.json"
+        instance.write_bytes(save_instance(gen_prop_dominated(Fraction(1))))
+        set_file.write_text(payload)
+        argv = ["verify", "--relation", "epsilon", "--eps", "1", "-i", str(instance)]
+        assert main([*argv, "--set", str(set_file)]) == 3
+        assert capsys.readouterr().err == f"bad input file: {message}\n"
 
     @pytest.mark.parametrize("flag", [b"true", b"false"])
     def test_boolean_exact_index_rejected(self, flag):

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mopareto.cli import main
+from mopareto.generators import gen_random
+from mopareto.model import save_instance
 from mopareto.numerics import (
     _DIGIT_LIMIT,
     exact_sqrt,
@@ -152,6 +155,29 @@ def test_parse_render_round_trip(r):
     assert parse_rational(render_rational(r)) == r
 
 
+def reference_render_rational(r):
+    """render_rational as it was before it wrote str(r): the reference for the test below."""
+    try:
+        return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
+    except ValueError:
+        raise ValueError(_DIGIT_LIMIT.format(sys.get_int_max_str_digits())) from None
+
+
+# Values are built inside the test: repr refuses a number past the digit limit, so
+# Hypothesis could not show such a drawn value.
+@settings(max_examples=300)
+@given(st.integers() | st.fractions(), st.sampled_from([0, _LIMIT - 1, _LIMIT]), st.booleans())
+@example(1, _LIMIT - 1, True)  # _LIMIT digits, the most the interpreter writes
+@example(-10, _LIMIT - 1, True)  # one digit more
+@example(Fraction(3), _LIMIT - 1, True)  # a Fraction of denominator 1
+@example(1, _LIMIT, False)
+@example(1, 0, False)
+def test_render_matches_the_reference_formatter(base, shift, up):
+    """r = base * 10**shift, an int when base is one, or base / 10**shift, a Fraction."""
+    r = base * 10**shift if up else Fraction(base, 10**shift)
+    assert _outcome(render_rational, r) == _outcome(reference_render_rational, r)
+
+
 def test_exact_sqrt():
     assert exact_sqrt(Fraction(9, 4)) == Fraction(3, 2)
     assert exact_sqrt(Fraction(2)) is None
@@ -169,6 +195,27 @@ def test_half_step_delta_square_stays_within_budget(eps):
 def test_half_step_delta_exact_when_square():
     # 1 + 5/4 = 9/4 = (3/2)^2
     assert half_step_delta(Fraction(5, 4)) == Fraction(1, 2)
+
+
+_BELOW_THE_LADDER = "eps=1/549755813888 is too small for the dyadic delta ladder"
+
+
+def test_half_step_delta_ends_at_the_finest_dyadic_rung():
+    # the ladder's rungs are multiples of 2**-40, and (1 + 2**-40)**2 > 1 + 2**-39
+    assert half_step_delta(Fraction(1, 2**38)) == Fraction(1, 2**40)
+    with pytest.raises(ValueError, match=rf"^{_BELOW_THE_LADDER}$"):
+        half_step_delta(Fraction(1, 2**39))
+
+
+@pytest.mark.parametrize("algo", ["gap", "bi-dual2"])
+def test_an_eps_below_the_ladder_is_a_usage_error(algo, tmp_path, capsys):
+    instance = tmp_path / "i.json"
+    instance.write_bytes(save_instance(gen_random(6, 2, 1)))
+    argv = ["compute", "--algo", algo, "--relation", "epsilon", "--eps", f"1/{2**39}"]
+    assert main([*argv, "-i", str(instance)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {_BELOW_THE_LADDER}\n"
 
 
 @given(

@@ -292,6 +292,11 @@ class TestAdversary:
         assert consistent_gap_answer(pair, query) is None
         assert valid_gap_answer(pair.i2, query, None)
 
+    def test_a_query_of_three_budgets_is_refused(self):
+        query = GapQuery(b=(F(2), F(2), F(2)), delta=F(1, 10))
+        with pytest.raises(ValueError, match=r"^adversarial queries are biobjective$"):
+            consistent_gap_answer(adversarial_pair(10), query)
+
     def test_excess_precision_rejected(self):
         pair = adversarial_pair(10)
         with pytest.raises(AdversaryPrecisionError, match="adversary regime"):
