@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from math import lcm
+from operator import attrgetter
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .numerics import _DIGIT_LIMIT, _integer, _positive, parse_rational, render_rational
@@ -69,26 +71,42 @@ class Instance:
     def __post_init__(self) -> None:
         if _integer(self.p, "p") < 1:
             raise ValueError("an instance needs at least one objective")
-        pos: dict[str, int] = {}
-        for i, sol in enumerate(self.solutions):
-            if not isinstance(sol.id, str):
-                raise ValueError(f"solution id {sol.id!r} must be a str")
-            if not isinstance(sol.f, tuple):
-                raise ValueError(f"solution {sol.id!r} must hold its values in a tuple")
-            if not sol.id:
-                raise ValueError("solution ids must be nonempty")
-            if sol.id in pos:
-                raise ValueError(f"duplicate solution id: {sol.id!r}")
-            if len(sol.f) != self.p:
-                raise ValueError(
-                    f"solution {sol.id!r} has {len(sol.f)} objective values, expected {self.p}"
-                )
-            if any(type(v) is not Fraction or v.numerator <= 0 for v in sol.f):
-                for v in sol.f:  # a caller's int gets here too; the first bad value is named
-                    if type(v) in (int, Fraction) and v <= 0:
-                        raise ValueError(f"nonpositive objective value in solution {sol.id!r}")
-                    _positive(v, f"an objective value of solution {sol.id!r}")
-            pos[sol.id] = i
+        # Whole-list passes by exact type, each safe on what the passes before it vetted.
+        # If one fails, the per-solution walk below runs: it raises for the first bad
+        # solution, or accepts what only it accepts (a str or tuple subclass, a look-alike).
+        pos: dict[str, int] | None = None
+        if set(map(type, self.solutions)) <= {Solution}:
+            ids = [s.id for s in self.solutions]
+            vectors = [s.f for s in self.solutions]
+            if (
+                set(map(type, ids)) <= {str}
+                and set(map(type, vectors)) <= {tuple}
+                and set(map(len, vectors)) <= {self.p}
+                and set(map(type, chain.from_iterable(vectors))) <= {int, Fraction}
+                and min(map(attrgetter("numerator"), chain.from_iterable(vectors)), default=1) > 0
+            ):
+                pos = dict(zip(ids, range(len(ids))))
+        if pos is None or len(pos) < len(self.solutions) or "" in pos:
+            pos = {}
+            for i, sol in enumerate(self.solutions):
+                if not isinstance(sol.id, str):
+                    raise ValueError(f"solution id {sol.id!r} must be a str")
+                if not isinstance(sol.f, tuple):
+                    raise ValueError(f"solution {sol.id!r} must hold its values in a tuple")
+                if not sol.id:
+                    raise ValueError("solution ids must be nonempty")
+                if sol.id in pos:
+                    raise ValueError(f"duplicate solution id: {sol.id!r}")
+                if len(sol.f) != self.p:
+                    raise ValueError(
+                        f"solution {sol.id!r} has {len(sol.f)} objective values, expected {self.p}"
+                    )
+                if any(type(v) is not Fraction or v.numerator <= 0 for v in sol.f):
+                    for v in sol.f:  # a caller's int gets here too; the first bad value is named
+                        if type(v) in (int, Fraction) and v <= 0:
+                            raise ValueError(f"nonpositive objective value in solution {sol.id!r}")
+                        _positive(v, f"an objective value of solution {sol.id!r}")
+                pos[sol.id] = i
         object.__setattr__(self, "_pos", pos)
 
     def __len__(self) -> int:
@@ -261,9 +279,25 @@ class ApproximationSet:
     certificate: tuple[CertificateEntry, ...] = ()
 
     def __post_init__(self) -> None:  # refuse, naming it, what save_set writes and load_set refuses
-        for member in self.members:
-            if not isinstance(member, str):
-                raise ValueError(f"member id {member!r} must be a str")
+        # Whole-list passes by exact type, as in Instance; if one fails, a walk below
+        # raises for the first bad member or entry, or accepts what only it accepts.
+        if not set(map(type, self.members)) <= {str}:
+            for member in self.members:
+                if not isinstance(member, str):
+                    raise ValueError(f"member id {member!r} must be a str")
+        if set(map(type, self.certificate)) <= {CertificateEntry}:
+            covered, by, exacts = list(zip(*self.certificate)) or [(), (), ()]
+            if set(map(type, covered + by)) <= {str} and set(map(type, exacts)) <= {tuple}:
+                try:  # the walk's distinct keys: equal tuples keep the first, as in its dict
+                    keys = set(exacts)
+                except TypeError:  # an unhashable index; the walk names its entry
+                    keys = None
+                if (
+                    keys is not None
+                    and set(map(type, chain.from_iterable(keys))) <= {int}  # a bool is no index
+                    and min(chain.from_iterable(keys), default=1) >= 1
+                ):
+                    return
         distinct = {}  # exact_indices -> an entry holding them; each is checked once
         for covered, by, exact in self.certificate:
             if not isinstance(covered, str) or not isinstance(by, str) or type(exact) is not tuple:
@@ -348,27 +382,54 @@ def load_instance(data: bytes | str) -> Instance:
     entries = raw["solutions"]
     if not isinstance(entries, list):
         raise FormatError('"solutions" must be a list')
-    solutions = []
-    parsed: dict[str, Fraction] = {}  # literal -> value; a Fraction is immutable, so shared
-    for entry in entries:
-        if not isinstance(entry, dict) or "id" not in entry or "f" not in entry:
-            raise FormatError(f'solution entries need "id" and "f": {entry!r}')
-        sol_id = entry["id"]
-        if not isinstance(sol_id, str):
-            raise FormatError(f"solution id must be a string: {sol_id!r}")
-        values = entry["f"]
-        if not isinstance(values, list):
-            raise FormatError(f"solution {sol_id!r}: \"f\" must be a list")
-        try:
-            vec = tuple(map(parsed.__getitem__, values))
-        except (KeyError, TypeError):  # a literal not seen yet, or a value that is no string
-            vec = tuple(_parse_value(v, f"solution {sol_id!r}") for v in values)
-            parsed.update(zip(values, vec))
-        solutions.append(Solution(id=sol_id, f=vec))
+    solutions = _bulk_solutions(entries, p)
+    if solutions is None:  # the loop names the first bad entry, and Instance a ragged one
+        solutions = []
+        parsed: dict[str, Fraction] = {}  # literal -> value; a Fraction is immutable, so shared
+        for entry in entries:
+            if not isinstance(entry, dict) or "id" not in entry or "f" not in entry:
+                raise FormatError(f'solution entries need "id" and "f": {entry!r}')
+            sol_id = entry["id"]
+            if not isinstance(sol_id, str):
+                raise FormatError(f"solution id must be a string: {sol_id!r}")
+            values = entry["f"]
+            if not isinstance(values, list):
+                raise FormatError(f"solution {sol_id!r}: \"f\" must be a list")
+            try:
+                vec = tuple(map(parsed.__getitem__, values))
+            except (KeyError, TypeError):  # a literal not seen yet, or a value that is no string
+                vec = tuple(_parse_value(v, f"solution {sol_id!r}") for v in values)
+                parsed.update(zip(values, vec))
+            solutions.append(Solution(id=sol_id, f=vec))
     try:
         return Instance(p=p, solutions=tuple(solutions))
     except ValueError as exc:
         raise FormatError(str(exc)) from None
+
+
+def _bulk_solutions(entries: list, p: int) -> list[Solution] | None:
+    """The Solutions of well-formed entries of p values each, checked in whole-list passes,
+    each safe on what the passes before it vetted; None if any entry is bad or ragged.
+    Each distinct literal is parsed once, and its Fraction is shared."""
+    try:
+        ids = [e["id"] for e in entries]  # KeyError or TypeError: no "id", or no object
+        vectors = [e["f"] for e in entries]
+    except (KeyError, TypeError):
+        return None
+    if not (set(map(type, ids)) <= {str} and set(map(type, vectors)) <= {list}):
+        return None
+    try:
+        literals = set(chain.from_iterable(vectors))  # TypeError: a list or object value
+    except TypeError:
+        return None
+    if not (set(map(type, literals)) <= {str} and set(map(len, vectors)) <= {p}):
+        return None
+    try:
+        parsed = dict(zip(literals, map(parse_rational, literals)))
+    except ValueError:  # a malformed literal, or one past the digit limit
+        return None
+    values = map(parsed.__getitem__, chain.from_iterable(vectors))
+    return list(map(Solution, ids, zip(*[values] * p)))  # p values at a time, in order
 
 
 def _dumps(obj: object) -> str:
@@ -426,17 +487,36 @@ def load_set(data: bytes | str) -> ApproximationSet:
         raise FormatError('set file must be an object with "relation" and "members"')
     relation = _relation_from_json(raw["relation"])
     members = raw["members"]
-    if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
+    if not isinstance(members, list) or not set(map(type, members)) <= {str}:
         raise FormatError('"members" must be a list of id strings')
     items = raw.get("certificate", [])
     if not isinstance(items, list):
         raise FormatError('"certificate" must be a list of entries')
-    entries = []
-    for e in items:
-        if _malformed(e):
-            raise FormatError(f"malformed certificate entry: {e!r}")
-        entries.append(CertificateEntry(e["covered"], e["by"], tuple(e["exact_indices"])))
+    entries = _bulk_entries(items)
+    if entries is None:  # the passes refuse only what _malformed refuses: name the first
+        raise FormatError(f"malformed certificate entry: {next(filter(_malformed, items))!r}")
     return ApproximationSet(relation=relation, members=tuple(members), certificate=tuple(entries))
+
+
+def _bulk_entries(items: list) -> list[CertificateEntry] | None:
+    """The CertificateEntries of well-formed items, checked in whole-list passes, each
+    safe on what the passes before it vetted; None if any item is malformed."""
+    try:
+        covered = [e["covered"] for e in items]  # KeyError or TypeError: no key, or no object
+        by = [e["by"] for e in items]
+        indices = [e["exact_indices"] for e in items]
+    except (KeyError, TypeError):
+        return None
+    if (
+        set(map(type, chain(covered, by))) <= {str}
+        and set(map(type, indices)) <= {list}
+        and set(map(type, chain.from_iterable(indices))) <= {int}  # JSON true/false load as bool
+        and min(chain.from_iterable(indices), default=1) >= 1
+    ):
+        # CertificateEntry._make of each (covered, by, indices) without a Python call per entry
+        entries = zip(covered, by, map(tuple, indices))
+        return list(map(tuple.__new__, repeat(CertificateEntry), entries))
+    return None
 
 
 def _malformed(item: object) -> bool:

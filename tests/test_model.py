@@ -6,6 +6,7 @@ from decimal import Decimal
 from fractions import Fraction
 from enum import IntEnum
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,7 +37,7 @@ from mopareto.model import (
     save_instance,
     save_set,
 )
-from mopareto.numerics import half_step_delta, render_rational
+from mopareto.numerics import _integer, _positive, half_step_delta, render_rational
 from mopareto.oracles import dual_restrict_2approx, greedy_biobjective_min
 
 
@@ -809,4 +810,266 @@ class TestCertificatesLoadInOnePass:
         assert str(info.value) == (
             "malformed certificate entry: {'covered': 'b', 'by': 'a', 'exact_indices': [0]}"
         )
+
+
+
+def reference_instance_positions(p, solutions):
+    """Instance.__post_init__ as it was before its whole-list passes, verbatim: the walk
+    over the solutions, returning the id -> position map it built."""
+    if _integer(p, "p") < 1:
+        raise ValueError("an instance needs at least one objective")
+    pos = {}
+    for i, sol in enumerate(solutions):
+        if not isinstance(sol.id, str):
+            raise ValueError(f"solution id {sol.id!r} must be a str")
+        if not isinstance(sol.f, tuple):
+            raise ValueError(f"solution {sol.id!r} must hold its values in a tuple")
+        if not sol.id:
+            raise ValueError("solution ids must be nonempty")
+        if sol.id in pos:
+            raise ValueError(f"duplicate solution id: {sol.id!r}")
+        if len(sol.f) != p:
+            raise ValueError(
+                f"solution {sol.id!r} has {len(sol.f)} objective values, expected {p}"
+            )
+        if any(type(v) is not Fraction or v.numerator <= 0 for v in sol.f):
+            for v in sol.f:  # a caller's int gets here too; the first bad value is named
+                if type(v) in (int, Fraction) and v <= 0:
+                    raise ValueError(f"nonpositive objective value in solution {sol.id!r}")
+                _positive(v, f"an objective value of solution {sol.id!r}")
+        pos[sol.id] = i
+    return pos
+
+
+def reference_instance(p, solutions):
+    """Instance(p, solutions) and its positions, checked by the walk above."""
+    pos = reference_instance_positions(p, solutions)
+    return Instance(p=p, solutions=solutions), pos
+
+
+def reference_load_instance(data):
+    """load_instance as it was before its whole-list passes, verbatim, with the walk above
+    in place of Instance's own checks: the instance and its positions."""
+    raw = model._load_json(data)
+    if not isinstance(raw, dict) or "p" not in raw or "solutions" not in raw:
+        raise FormatError('instance file must be an object with "p" and "solutions"')
+    p = raw["p"]
+    if type(p) is not int or p < 1:
+        raise FormatError(f'"p" must be a positive integer, got {p!r}')
+    entries = raw["solutions"]
+    if not isinstance(entries, list):
+        raise FormatError('"solutions" must be a list')
+    solutions = []
+    parsed = {}
+    for entry in entries:
+        if not isinstance(entry, dict) or "id" not in entry or "f" not in entry:
+            raise FormatError(f'solution entries need "id" and "f": {entry!r}')
+        sol_id = entry["id"]
+        if not isinstance(sol_id, str):
+            raise FormatError(f"solution id must be a string: {sol_id!r}")
+        values = entry["f"]
+        if not isinstance(values, list):
+            raise FormatError(f"solution {sol_id!r}: \"f\" must be a list")
+        try:
+            vec = tuple(map(parsed.__getitem__, values))
+        except (KeyError, TypeError):
+            vec = tuple(model._parse_value(v, f"solution {sol_id!r}") for v in values)
+            parsed.update(zip(values, vec))
+        solutions.append(Solution(id=sol_id, f=vec))
+    try:
+        return reference_instance(p, tuple(solutions))
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+
+
+def _with_positions(instance):
+    return instance, instance._pos
+
+
+_LITERALS = (
+    st.sampled_from(["1", "3/2", "1.25", " 7", "+2", "10/4"]) | st.integers(1, 10**6).map(str)
+)
+_BAD_LITERALS = st.sampled_from(
+    ["0", "-1", "-3/2", "0/5", "0.0", "x", "1e5", "1/0", "",
+     "7" * (sys.get_int_max_str_digits() + 1)]
+)
+_ENTRY_IDS = st.sampled_from(["s1", "s2", "s3", "s4"]) | _IDS  # a small pool, so ids repeat
+_NO_STR = st.sampled_from([7, None, True, 1.5, ["a"], {"a": 1}, ["1"], {"id": "a"}])
+
+
+@st.composite
+def instance_entries(draw, p):
+    """A solution entry of an instance file with p objectives: well formed, or with a key
+    missing, a bad id, "f" or value, a wrong length, an extra key, or no object."""
+    vector = draw(st.lists(_LITERALS, min_size=p, max_size=p))
+    entry = {"id": draw(_ENTRY_IDS), "f": vector}
+    how = draw(st.sampled_from(
+        ["good"] * 6
+        + ["drop", "id", "empty id", "f", "value", "literal", "length", "extra", "no object"]
+    ))
+    if how == "drop":
+        del entry[draw(st.sampled_from(["id", "f"]))]
+    elif how == "id":
+        entry["id"] = draw(_NO_STR)
+    elif how == "empty id":
+        entry["id"] = ""
+    elif how == "f":
+        no_list = _NO_STR.filter(lambda v: not isinstance(v, list))
+        entry["f"] = draw(no_list | st.sampled_from(["12", {}]))
+    elif how == "value":
+        vector[draw(st.integers(0, p - 1))] = draw(_NO_STR)
+    elif how == "literal":
+        vector[draw(st.integers(0, p - 1))] = draw(_BAD_LITERALS)
+    elif how == "length":
+        entry["f"] = draw(st.sampled_from([vector[:-1], vector + ["1"]]))
+    elif how == "extra":
+        entry["note"] = draw(_JUNK)
+    elif how == "no object":
+        return draw(_JUNK)
+    return entry
+
+
+@st.composite
+def instance_payloads(draw):
+    p = draw(st.integers(1, 3))
+    return json.dumps({"p": p, "solutions": draw(st.lists(instance_entries(p), max_size=6))})
+
+
+class StrId(str):
+    pass
+
+
+class Vector(tuple):
+    pass
+
+
+_GOOD_VALUES = st.integers(1, 10**20) | _POSITIVE
+_BAD_VALUES = st.sampled_from(
+    [0, -2, Fraction(0), Fraction(-1, 3), True, False, Three.THREE, FractionSubclass(3, 2),
+     FractionSubclass(-1), LooksLikeThree(), 0.5, None, "3"]
+)
+
+
+@st.composite
+def direct_solutions(draw, p):
+    """A Solution for Instance(p, ...): exact types, or a value, vector, length or id that the
+    walk refuses, or a str id or tuple subclass, or a look-alike solution, that it accepts."""
+    values = draw(st.lists(st.one_of(_GOOD_VALUES, _GOOD_VALUES, _GOOD_VALUES, _BAD_VALUES),
+                           min_size=p, max_size=p))
+    if draw(st.integers(0, 5)) == 0:
+        values = draw(st.sampled_from([values[:-1], values + [1]]))
+    vector = draw(st.sampled_from([tuple] * 4 + [list, Vector]))(values)
+    sol_id = draw(st.sampled_from(["a", "b", "c", "d", "", 7, ["a"], StrId("a"), StrId("e")]))
+    make = draw(st.sampled_from([Solution] * 5 + [SimpleNamespace]))
+    return make(id=sol_id, f=vector)
+
+
+class TestInstancesMatchThePerSolutionWalk:
+    """load_instance and Instance check in whole-list passes; what they return or raise
+    (type and message) must be what the per-entry loop and the walk returned or raised."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(instance_payloads())
+    # a zero before a malformed literal; an unhashable id; a duplicate id before a list value;
+    # a ragged entry before an "f" that is a string
+    @example(_instance_file(["1", "0"], ["x", "1"]))
+    @example(json.dumps({"p": 1, "solutions": [{"id": "a", "f": ["1"]}, {"id": ["a"], "f": ["1"]}]}))
+    @example(json.dumps({"p": 1, "solutions": [{"id": "a", "f": ["1"]}, {"id": "a", "f": [[1]]}]}))
+    @example(json.dumps({"p": 2, "solutions": [{"id": "a", "f": ["1"]}, {"id": "b", "f": "12"}]}))
+    def test_load_instance_matches_the_per_entry_loop(self, data):
+        loaded = _outcome(lambda d: _with_positions(load_instance(d)), data)
+        assert loaded == _outcome(reference_load_instance, data)
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.integers(1, 3).flatmap(
+        lambda p: st.tuples(st.just(p), st.lists(direct_solutions(p), max_size=5).map(tuple))
+    ))
+    @example((2, (Solution("a", (1, 2)), Solution("b", [1, 2]))))
+    @example((1, (Solution("a", (1,)), Solution(["a"], (1,)))))
+    @example((1, (Solution("a", (1,)), Solution("b", (True,)))))
+    @example((1, (Solution(StrId("a"), Vector((1,))), Solution("b", (Fraction(1, 2),)))))
+    def test_instance_matches_the_walk(self, case):
+        p, solutions = case
+        built = _outcome(lambda s: _with_positions(Instance(p, s)), solutions)
+        assert built == _outcome(lambda s: reference_instance(p, s), solutions)
+
+
+def reference_approximation_set(relation, members, certificate):
+    """ApproximationSet(...) checked first by its __post_init__ as it was before its
+    whole-list passes, verbatim."""
+    for member in members:
+        if not isinstance(member, str):
+            raise ValueError(f"member id {member!r} must be a str")
+    distinct = {}
+    for covered, by, exact in certificate:
+        if not isinstance(covered, str) or not isinstance(by, str) or type(exact) is not tuple:
+            raise ValueError(f"malformed certificate entry: {(covered, by, exact)!r}")
+        distinct[exact] = (covered, by, exact)
+    for exact, entry in distinct.items():
+        if not all(type(i) is int and i >= 1 for i in exact):
+            raise ValueError(f"malformed certificate entry: {entry!r}")
+    return ApproximationSet(relation, members, certificate)
+
+
+_SET_IDS = st.sampled_from(["a", "b", StrId("c")]) | _NO_STR
+_EXACT = st.lists(st.integers(1, 5) | st.sampled_from([0, -1, True, 1.0, [1]]), max_size=3)
+
+
+@st.composite
+def direct_certificate_entries(draw):
+    """A certificate entry for ApproximationSet: good, or with a field of the wrong type, or
+    a plain tuple in place of a CertificateEntry."""
+    exact = draw(_EXACT)
+    fields = [draw(st.sampled_from(["a", "b"])), draw(st.sampled_from(["a", "b"])), tuple(exact)]
+    how = draw(st.sampled_from(["good"] * 3 + ["covered", "by", "exact", "plain"]))
+    if how in ("covered", "by"):
+        fields[how == "by"] = draw(_SET_IDS)
+    elif how == "exact":
+        fields[2] = draw(st.sampled_from([exact, "12", None, {}]))
+    return tuple(fields) if how == "plain" else CertificateEntry(*fields)
+
+
+class TestApproximationSetsMatchTheWalk:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_SET_IDS, max_size=3).map(tuple),
+           st.lists(direct_certificate_entries(), max_size=5).map(tuple))
+    @example(("a",), (CertificateEntry("a", "a", (1,)), CertificateEntry("b", "a", (True,))))
+    @example(("a",), (CertificateEntry("a", "a", (True,)), CertificateEntry("b", "a", (1,))))
+    @example(("a",), (CertificateEntry("a", "a", (1,)), CertificateEntry("b", "a", ([1],))))
+    def test_matches_the_per_entry_walk(self, members, certificate):
+        args = (EPSILON_ONE, members, certificate)
+        assert _outcome(lambda a: ApproximationSet(*a), args) == _outcome(
+            lambda a: reference_approximation_set(*a), args
+        )
+
+
+class TestTheOneBadEntryIsNamedWhenItIsTheLast:
+    """After 3000 good entries, the whole-list passes fail and the walk names the last one."""
+
+    def instance_payload(self):
+        return json.loads(save_instance(gen_random(3000, 3, seed=1)))
+
+    def test_a_last_value_of_zero(self):
+        payload = self.instance_payload()
+        payload["solutions"][-1]["f"][-1] = "0"
+        with pytest.raises(FormatError) as info:
+            load_instance(json.dumps(payload))
+        assert str(info.value) == "nonpositive objective value in solution 's3000'"
+
+    def test_a_last_id_that_repeats_the_first(self):
+        payload = self.instance_payload()
+        payload["solutions"][-1]["id"] = payload["solutions"][0]["id"]
+        with pytest.raises(FormatError) as info:
+            load_instance(json.dumps(payload))
+        assert str(info.value) == "duplicate solution id: 's1'"
+
+    def test_a_last_exact_indices_of_zero(self):
+        spec = RelationSpec(RelationKind.EPSILON, Fraction(1, 2))
+        aset = construct_grid_approx(gen_random(3000, 3, seed=1), spec)
+        payload = json.loads(save_set(aset))
+        assert len(payload["certificate"]) == 3000
+        payload["certificate"][-1]["exact_indices"] = [0]
+        with pytest.raises(FormatError) as info:
+            load_set(json.dumps(payload))
+        assert str(info.value) == f"malformed certificate entry: {payload['certificate'][-1]!r}"
 
