@@ -279,25 +279,9 @@ class ApproximationSet:
     certificate: tuple[CertificateEntry, ...] = ()
 
     def __post_init__(self) -> None:  # refuse, naming it, what save_set writes and load_set refuses
-        # Whole-list passes by exact type, as in Instance; if one fails, a walk below
-        # raises for the first bad member or entry, or accepts what only it accepts.
-        if not set(map(type, self.members)) <= {str}:
-            for member in self.members:
-                if not isinstance(member, str):
-                    raise ValueError(f"member id {member!r} must be a str")
-        if set(map(type, self.certificate)) <= {CertificateEntry}:
-            covered, by, exacts = list(zip(*self.certificate)) or [(), (), ()]
-            if set(map(type, covered + by)) <= {str} and set(map(type, exacts)) <= {tuple}:
-                try:  # the walk's distinct keys: equal tuples keep the first, as in its dict
-                    keys = set(exacts)
-                except TypeError:  # an unhashable index; the walk names its entry
-                    keys = None
-                if (
-                    keys is not None
-                    and set(map(type, chain.from_iterable(keys))) <= {int}  # a bool is no index
-                    and min(chain.from_iterable(keys), default=1) >= 1
-                ):
-                    return
+        for member in self.members:
+            if not isinstance(member, str):
+                raise ValueError(f"member id {member!r} must be a str")
         distinct = {}  # exact_indices -> an entry holding them; each is checked once
         for covered, by, exact in self.certificate:
             if not isinstance(covered, str) or not isinstance(by, str) or type(exact) is not tuple:
@@ -411,6 +395,8 @@ def _bulk_solutions(entries: list, p: int) -> list[Solution] | None:
     """The Solutions of well-formed entries of p values each, checked in whole-list passes,
     each safe on what the passes before it vetted; None if any entry is bad or ragged.
     Each distinct literal is parsed once, and its Fraction is shared."""
+    if not entries:  # p may be any positive int: cut no values by it
+        return []
     try:
         ids = [e["id"] for e in entries]  # KeyError or TypeError: no "id", or no object
         vectors = [e["f"] for e in entries]
@@ -493,8 +479,12 @@ def load_set(data: bytes | str) -> ApproximationSet:
     if not isinstance(items, list):
         raise FormatError('"certificate" must be a list of entries')
     entries = _bulk_entries(items)
-    if entries is None:  # the passes refuse only what _malformed refuses: name the first
-        raise FormatError(f"malformed certificate entry: {next(filter(_malformed, items))!r}")
+    if entries is None:  # the loop names the first malformed entry
+        entries = []
+        for e in items:
+            if _malformed(e):
+                raise FormatError(f"malformed certificate entry: {e!r}")
+            entries.append(CertificateEntry(e["covered"], e["by"], tuple(e["exact_indices"])))
     return ApproximationSet(relation=relation, members=tuple(members), certificate=tuple(entries))
 
 

@@ -931,8 +931,10 @@ def instance_entries(draw, p):
 
 @st.composite
 def instance_payloads(draw):
+    """An instance file of p = 1..3 objectives, or with a p far past its entries' lengths."""
     p = draw(st.integers(1, 3))
-    return json.dumps({"p": p, "solutions": draw(st.lists(instance_entries(p), max_size=6))})
+    declared = draw(st.sampled_from([p] * 6 + [2**31, 10**20]))
+    return json.dumps({"p": declared, "solutions": draw(st.lists(instance_entries(p), max_size=6))})
 
 
 class StrId(str):
@@ -980,6 +982,13 @@ class TestInstancesMatchThePerSolutionWalk:
         loaded = _outcome(lambda d: _with_positions(load_instance(d)), data)
         assert loaded == _outcome(reference_load_instance, data)
 
+    @pytest.mark.parametrize("p", [2**31, 10**20])
+    def test_a_huge_p_with_no_solutions_loads(self, p):
+        data = json.dumps({"p": p, "solutions": []})
+        loaded = load_instance(data)
+        assert (loaded.p, loaded.solutions, loaded._pos) == (p, (), {})
+        assert _outcome(reference_load_instance, data) == (loaded, {})
+
     @settings(max_examples=600, deadline=None)
     @given(st.integers(1, 3).flatmap(
         lambda p: st.tuples(st.just(p), st.lists(direct_solutions(p), max_size=5).map(tuple))
@@ -994,53 +1003,14 @@ class TestInstancesMatchThePerSolutionWalk:
         assert built == _outcome(lambda s: reference_instance(p, s), solutions)
 
 
-def reference_approximation_set(relation, members, certificate):
-    """ApproximationSet(...) checked first by its __post_init__ as it was before its
-    whole-list passes, verbatim."""
-    for member in members:
-        if not isinstance(member, str):
-            raise ValueError(f"member id {member!r} must be a str")
-    distinct = {}
-    for covered, by, exact in certificate:
-        if not isinstance(covered, str) or not isinstance(by, str) or type(exact) is not tuple:
-            raise ValueError(f"malformed certificate entry: {(covered, by, exact)!r}")
-        distinct[exact] = (covered, by, exact)
-    for exact, entry in distinct.items():
-        if not all(type(i) is int and i >= 1 for i in exact):
-            raise ValueError(f"malformed certificate entry: {entry!r}")
-    return ApproximationSet(relation, members, certificate)
-
-
-_SET_IDS = st.sampled_from(["a", "b", StrId("c")]) | _NO_STR
-_EXACT = st.lists(st.integers(1, 5) | st.sampled_from([0, -1, True, 1.0, [1]]), max_size=3)
-
-
-@st.composite
-def direct_certificate_entries(draw):
-    """A certificate entry for ApproximationSet: good, or with a field of the wrong type, or
-    a plain tuple in place of a CertificateEntry."""
-    exact = draw(_EXACT)
-    fields = [draw(st.sampled_from(["a", "b"])), draw(st.sampled_from(["a", "b"])), tuple(exact)]
-    how = draw(st.sampled_from(["good"] * 3 + ["covered", "by", "exact", "plain"]))
-    if how in ("covered", "by"):
-        fields[how == "by"] = draw(_SET_IDS)
-    elif how == "exact":
-        fields[2] = draw(st.sampled_from([exact, "12", None, {}]))
-    return tuple(fields) if how == "plain" else CertificateEntry(*fields)
-
-
-class TestApproximationSetsMatchTheWalk:
-    @settings(max_examples=400, deadline=None)
-    @given(st.lists(_SET_IDS, max_size=3).map(tuple),
-           st.lists(direct_certificate_entries(), max_size=5).map(tuple))
-    @example(("a",), (CertificateEntry("a", "a", (1,)), CertificateEntry("b", "a", (True,))))
-    @example(("a",), (CertificateEntry("a", "a", (True,)), CertificateEntry("b", "a", (1,))))
-    @example(("a",), (CertificateEntry("a", "a", (1,)), CertificateEntry("b", "a", ([1],))))
-    def test_matches_the_per_entry_walk(self, members, certificate):
-        args = (EPSILON_ONE, members, certificate)
-        assert _outcome(lambda a: ApproximationSet(*a), args) == _outcome(
-            lambda a: reference_approximation_set(*a), args
-        )
+@settings(max_examples=400, deadline=None)
+@given(st.lists(certificate_items(), max_size=6))
+@example([{"covered": "a", "by": "a", "exact_indices": [1]}, {"covered": "b", "by": "a", "exact_indices": [True]}])
+def test_the_certificate_passes_refuse_what_malformed_refuses(items):
+    """load_set walks the items only when model._bulk_entries refuses them; it must refuse
+    exactly the lists that hold an item model._malformed refuses."""
+    items = json.loads(json.dumps(items))  # the items as load_set gets them
+    assert (model._bulk_entries(items) is None) == any(map(model._malformed, items))
 
 
 class TestTheOneBadEntryIsNamedWhenItIsTheLast:
