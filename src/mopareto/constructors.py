@@ -11,6 +11,7 @@ solution from the definitions, on the instance's cached integer image
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, product, repeat
@@ -34,6 +35,7 @@ from .model import (
     RelationKind,
     RelationSpec,
     Solution,
+    _unchecked,
 )
 from .numerics import _integer, half_step_delta
 
@@ -115,7 +117,8 @@ def verify_approximation(
                     break
         else:
             return VerifyResult(approximation=None, counterexample=target.id)
-    approx = ApproximationSet(relation=spec, members=tuple(ordered), certificate=tuple(entries))
+    approx = _unchecked(ApproximationSet, relation=spec, members=tuple(ordered),
+                        certificate=tuple(entries))  # instance ids, positions: every rule holds
     return VerifyResult(approximation=approx, counterexample=None)
 
 
@@ -285,19 +288,22 @@ def construct_via_gap(
     # threshold at most a factor (1+delta) above its (1+delta)-scaled image
     ratio = 1 + delta
     floor, top = Fraction(1, 1 << value_bound), ratio * (1 << value_bound)
+    cap = GAP_QUERY_LIMIT.bit_length()  # 2**cap passes the limit, so a p past it is refused alike
     count, level = 1, floor
     while level < top:
-        count, level = count + 1, level * ratio
-        if count**p > GAP_QUERY_LIMIT:
+        count, level = count + 1, level * ratio  # count >= 2 at every check, so 2 past the cap
+        if count ** min(p, cap) > GAP_QUERY_LIMIT:
+            digits = p <= cap or p < (10 ** sys.get_int_max_str_digits()).bit_length()
+            queries = count**p if digits else f"{count}**{p}"  # digits where str() takes 2**p
             raise QueryLimitExceeded(
-                f"{count**p} or more budget queries ({count} or more levels, p={p}) "
+                f"{queries} or more budget queries ({count} or more levels, p={p}) "
                 f"exceed the gap-query limit {GAP_QUERY_LIMIT}"
             )
     levels = accumulate(repeat(ratio, count - 1), mul, initial=floor)
     GapQuery(b=(floor,) * p, delta=delta)  # the least budgets; later queries only have larger ones
     discovered: dict[str, Solution] = {}
     for budgets in product(levels, repeat=p):
-        answer = gap(GapQuery._unchecked(budgets, delta))
+        answer = gap(_unchecked(GapQuery, b=budgets, delta=delta))
         if answer is not None:
             discovered.setdefault(answer.id, answer)
     first: dict[tuple, Solution] = {}  # image twins collapse to the first discovered

@@ -98,18 +98,11 @@ def gen_duplicated(base: Instance, p: int, mode: DuplicationMode) -> Instance:
         raise ValueError("duplication lifts biobjective instances only")
     if _integer(p, "p") < 3:
         raise ValueError("target objective count must be at least 3")
-    half_up = -(-p // 2)
-    solutions = []
-    for sol in base.solutions:
-        g1, g2 = sol.f
-        if mode == "one_exact_quasi2":
-            vec = (g1,) + (g2,) * (p - 1)
-        elif mode == "quasi_k_over_half":
-            vec = (g1,) * half_up + (g2,) * (p - half_up)
-        else:
-            raise ValueError(f"unknown duplication mode: {mode!r}")
-        solutions.append(Solution(sol.id, vec))
-    return Instance(p=p, solutions=tuple(solutions))
+    if mode not in ("one_exact_quasi2", "quasi_k_over_half"):
+        raise ValueError(f"unknown duplication mode: {mode!r}")
+    ones = 1 if mode == "one_exact_quasi2" else -(-p // 2)  # copies of g1; g2 fills the rest
+    return Instance(p=p, solutions=tuple(
+        Solution(s.id, (s.f[0],) * ones + (s.f[1],) * (p - ones)) for s in base.solutions))
 
 
 def gen_antichain(n: int) -> Instance:

@@ -86,8 +86,6 @@ def bucket(instance: Instance, eps: Fraction) -> GridBucketing:
     """Assign every solution to its grid cell; anchors are per-dimension minima
     (an empty instance has no anchors and no cells)."""
     _positive(eps, "eps")
-    if not instance.solutions:
-        return GridBucketing(eps=eps, lower=(), cells={})
     image = instance._image
     lows = [min(values) for _, values in image]
     coords = [_rung_walk(values, low, eps) for (_, values), low in zip(image, lows)]

@@ -101,11 +101,10 @@ class Instance:
                     raise ValueError(
                         f"solution {sol.id!r} has {len(sol.f)} objective values, expected {self.p}"
                     )
-                if any(type(v) is not Fraction or v.numerator <= 0 for v in sol.f):
-                    for v in sol.f:  # a caller's int gets here too; the first bad value is named
-                        if type(v) in (int, Fraction) and v <= 0:
-                            raise ValueError(f"nonpositive objective value in solution {sol.id!r}")
-                        _positive(v, f"an objective value of solution {sol.id!r}")
+                for v in sol.f:  # the first bad value is named
+                    if type(v) in (int, Fraction) and v <= 0:
+                        raise ValueError(f"nonpositive objective value in solution {sol.id!r}")
+                    _positive(v, f"an objective value of solution {sol.id!r}")
                 pos[sol.id] = i
         object.__setattr__(self, "_pos", pos)
 
@@ -133,8 +132,8 @@ class Instance:
     # take no part in ==, hash or repr.
     @cached_property
     def _image(self) -> tuple[tuple[int | None, Sequence[int | Fraction]], ...]:
-        """Each objective column as `_scaled` gives it: (scale, values in instance order)."""
-        return tuple(map(_scaled, list(zip(*(s.f for s in self.solutions))) or [()] * self.p))
+        """Each column as `_scaled` gives it, (scale, values in instance order); none if empty."""
+        return tuple(map(_scaled, zip(*(s.f for s in self.solutions))))
 
     @cached_property
     def _rows(self) -> tuple[tuple[int | Fraction, ...], ...]:
@@ -282,14 +281,19 @@ class ApproximationSet:
         for member in self.members:
             if not isinstance(member, str):
                 raise ValueError(f"member id {member!r} must be a str")
-        distinct = {}  # exact_indices -> an entry holding them; each is checked once
-        for covered, by, exact in self.certificate:
-            if not isinstance(covered, str) or not isinstance(by, str) or type(exact) is not tuple:
+        for covered, by, exact in self.certificate:  # each index of each entry, by exact type
+            if not (isinstance(covered, str) and isinstance(by, str)
+                    and _positive_indices([exact], tuple)):
                 raise ValueError(f"malformed certificate entry: {(covered, by, exact)!r}")
-            distinct[exact] = (covered, by, exact)
-        for exact, entry in distinct.items():  # at most 2**p of them
-            if not all(type(i) is int and i >= 1 for i in exact):  # a bool is no index
-                raise ValueError(f"malformed certificate entry: {entry!r}")
+
+
+def _positive_indices(indices: list, kind: type) -> bool:
+    """Is each of these a `kind` of positive ints, by exact type (a bool is no index)?"""
+    return (
+        set(map(type, indices)) <= {kind}
+        and set(map(type, chain.from_iterable(indices))) <= {int}
+        and min(chain.from_iterable(indices), default=1) >= 1
+    )
 
 
 @dataclass(frozen=True)
@@ -304,12 +308,12 @@ class GapQuery:
             _positive(bound, "all budget components")
         _positive(self.delta, "delta")
 
-    @classmethod
-    def _unchecked(cls, b: tuple[Fraction, ...], delta: Fraction) -> GapQuery:
-        """The same query without __post_init__; the caller has checked b and delta."""
-        query = object.__new__(cls)
-        query.__dict__.update(b=b, delta=delta)
-        return query
+
+def _unchecked(cls: type, **fields: object):
+    """An instance of a frozen dataclass without __post_init__; the caller has checked fields."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def derive_value_bound(instance: Instance) -> int:
@@ -323,7 +327,7 @@ def derive_value_bound(instance: Instance) -> int:
     denominators.  The least such M comes from bit lengths.
     """
     m = 0
-    for scale, values in instance._image if instance.solutions else ():
+    for scale, values in instance._image:
         high_num, high_den = max(values).as_integer_ratio()
         low_num, low_den = min(values).as_integer_ratio()
         s = scale or 1
@@ -479,13 +483,10 @@ def load_set(data: bytes | str) -> ApproximationSet:
     if not isinstance(items, list):
         raise FormatError('"certificate" must be a list of entries')
     entries = _bulk_entries(items)
-    if entries is None:  # the loop names the first malformed entry
-        entries = []
-        for e in items:
-            if _malformed(e):
-                raise FormatError(f"malformed certificate entry: {e!r}")
-            entries.append(CertificateEntry(e["covered"], e["by"], tuple(e["exact_indices"])))
-    return ApproximationSet(relation=relation, members=tuple(members), certificate=tuple(entries))
+    if entries is None:  # name the first malformed item
+        raise FormatError(f"malformed certificate entry: {next(filter(_malformed, items))!r}")
+    return _unchecked(ApproximationSet, relation=relation, members=tuple(members),
+                      certificate=tuple(entries))  # the passes held every rule it checks
 
 
 def _bulk_entries(items: list) -> list[CertificateEntry] | None:
@@ -497,12 +498,7 @@ def _bulk_entries(items: list) -> list[CertificateEntry] | None:
         indices = [e["exact_indices"] for e in items]
     except (KeyError, TypeError):
         return None
-    if (
-        set(map(type, chain(covered, by))) <= {str}
-        and set(map(type, indices)) <= {list}
-        and set(map(type, chain.from_iterable(indices))) <= {int}  # JSON true/false load as bool
-        and min(chain.from_iterable(indices), default=1) >= 1
-    ):
+    if set(map(type, chain(covered, by))) <= {str} and _positive_indices(indices, list):
         # CertificateEntry._make of each (covered, by, indices) without a Python call per entry
         entries = zip(covered, by, map(tuple, indices))
         return list(map(tuple.__new__, repeat(CertificateEntry), entries))
@@ -510,15 +506,8 @@ def _bulk_entries(items: list) -> list[CertificateEntry] | None:
 
 
 def _malformed(item: object) -> bool:
-    """Is this no certificate entry: an object with "covered" and "by" strings and an
-    "exact_indices" list of positive ints (not bools, which JSON true/false load as)?"""
-    return (
-        not isinstance(item, dict)
-        or not isinstance(item.get("covered"), str)
-        or not isinstance(item.get("by"), str)
-        or not isinstance(item.get("exact_indices"), list)
-        or not all(type(i) is int and i >= 1 for i in item["exact_indices"])
-    )
+    """Is this no certificate entry?  `_bulk_entries` on it alone decides, so the two agree."""
+    return _bulk_entries([item]) is None
 
 
 def save_set(aset: ApproximationSet) -> bytes:

@@ -28,6 +28,7 @@ from .model import (
     RelationKind,
     RelationSpec,
     Solution,
+    _SortedColumn,
 )
 from .numerics import _integer, _positive, half_step_delta
 
@@ -67,7 +68,10 @@ def gap_oracle(instance: Instance, query: GapQuery) -> Solution | None:
         fits &= column.within(bound)
         if not fits:
             return None
-    return instance.solutions[(fits & -fits).bit_length() - 1]
+    try:
+        return instance.solutions[(fits & -fits).bit_length() - 1]
+    except IndexError:  # an empty instance has no columns: fits is still -1
+        return None
 
 
 def valid_gap_answer(
@@ -162,7 +166,7 @@ def _biobjective_sweep(instance: Instance, eps: Fraction, relaxed: bool) -> list
     """
     _positive(eps, "eps")  # first: a bound below t would never shrink the uncovered prefix
     ratio = 1 + (half_step_delta(eps) if relaxed else eps)
-    f1, f2 = instance._sorted_columns
+    f1, f2 = instance._sorted_columns or [_SortedColumn([], 1)] * 2  # an empty instance has none
     rows = instance._rows
     # prefix minima: t over the f2 order; the pick, least f2 and then earliest, over the f1 order,
     # which is least (f2, f1, position) since f1 ties keep instance order

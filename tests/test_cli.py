@@ -1,6 +1,8 @@
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -954,6 +956,60 @@ class TestDigitLimit:
         err = capsys.readouterr().err
         assert err == "bad input file: " + self.MESSAGE
         assert "set_int_max_str_digits" not in err
+
+
+def run_fresh(*argv, cwd):
+    """main(argv) in a new interpreter, killed (failing the test) after 60 s: (code, stderr)."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = "import sys; from mopareto.cli import main; sys.exit(main())"
+    done = subprocess.run([sys.executable, "-c", script, *argv], cwd=cwd, capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+    return done.returncode, done.stderr
+
+
+EPS_HALF = ["--relation", "epsilon", "--eps", "1/2"]
+
+
+class TestAnyPWithoutSolutions:
+    """{"p": 10**20, "solutions": []} is a valid instance file: every command finishes on it
+    with its documented exit code, each run in its own process under a timeout."""
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        (tmp_path / "i.json").write_text(json.dumps({"p": 10**20, "solutions": []}))
+        (tmp_path / "s.json").write_text(json.dumps(
+            {"relation": {"kind": "epsilon", "eps": "1/2"}, "members": []}))
+        return tmp_path
+
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--eps", "1/2"],
+        ["verify", *EPS_HALF, "--set", "s.json"],
+        ["compute", *EPS_HALF, "--algo", "grid"],
+        ["compute", *EPS_HALF, "--algo", "greedy-cover"],
+        ["min", *EPS_HALF],
+        ["lift", "--eps", "1/2", "--set", "s.json"],
+    ], ids=" ".join)
+    def test_each_command_exits_0(self, files, argv):
+        code, err = run_fresh(*argv, "-i", "i.json", cwd=files)
+        assert code == 0, err
+
+    def test_the_gap_sweep_exits_5(self, files):
+        code, err = run_fresh("compute", *EPS_HALF, "--algo", "gap", "-i", "i.json", cwd=files)
+        assert (code, err) == (5, (
+            f"gap-query limit: 2**{10**20} or more budget queries (2 or more levels, p={10**20}) "
+            "exceed the gap-query limit 1000000\n"
+        ))
+
+    def test_a_count_past_the_digit_limit_exits_5(self, tmp_path):
+        # 2**15000 has 4516 digits, more than CPython's default limit of 4300
+        (tmp_path / "i.json").write_text(json.dumps({"p": 15000, "solutions": [
+            {"id": "a", "f": ["1"] * 15000}, {"id": "b", "f": ["2"] * 15000}]}))
+        code, err = run_fresh("compute", *EPS_HALF, "--algo", "gap", "-i", "i.json", cwd=tmp_path)
+        assert (code, err) == (5, (
+            "gap-query limit: 2**15000 or more budget queries (2 or more levels, p=15000) "
+            "exceed the gap-query limit 1000000\n"
+        ))
 
 
 def readme_cli_lines():

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -655,6 +656,33 @@ class TestGapConstruction:
             "exceed the gap-query limit 1000000"
         )
         assert (levels - 1) ** p <= constructors.GAP_QUERY_LIMIT < levels**p
+
+    def test_the_decision_caps_p_and_stays_exact(self, monkeypatch):
+        # eps=1/2, M=0: two levels, so the sweep would issue 2**p queries
+        def refusing_oracle(query: GapQuery):
+            raise AssertionError("no query may be issued over the limit")
+
+        monkeypatch.setattr(constructors, "GAP_QUERY_LIMIT", 49)  # six bits
+        for p in range(1, 6):
+            assert construct_via_gap(lambda q: None, F(1, 2), 0, p) == []
+        with pytest.raises(QueryLimitExceeded, match=r"^64 or more budget queries \(2 or more"):
+            construct_via_gap(refusing_oracle, F(1, 2), 0, 6)
+        # past the cap the count is still written in digits while str() can write them
+        with pytest.raises(QueryLimitExceeded, match=r"^128 or more budget queries \(2 or more"):
+            construct_via_gap(refusing_oracle, F(1, 2), 0, 7)
+        monkeypatch.undo()
+        # 2**p has at most the int/str digit limit's digits exactly while 2**p < 10**limit
+        last = (10 ** sys.get_int_max_str_digits()).bit_length() - 1
+        with pytest.raises(QueryLimitExceeded, match=rf"^{2**last} or more budget queries"):
+            construct_via_gap(refusing_oracle, F(1, 2), 0, last)
+        with pytest.raises(QueryLimitExceeded, match=rf"^2\*\*{last + 1} or more budget queries"):
+            construct_via_gap(refusing_oracle, F(1, 2), 0, last + 1)
+        with pytest.raises(QueryLimitExceeded) as info:
+            construct_via_gap(refusing_oracle, F(1, 2), 0, 10**20)
+        assert str(info.value) == (
+            f"2**{10**20} or more budget queries (2 or more levels, p={10**20}) "
+            "exceed the gap-query limit 1000000"
+        )
 
 
 class TestGapSweepValidatesOnce:

@@ -17,7 +17,7 @@ from mopareto.generators import (
     gen_quasi2_gap,
     gen_random,
 )
-from mopareto.model import RelationKind, RelationSpec, Solution
+from mopareto.model import Instance, RelationKind, RelationSpec, Solution
 from mopareto.constructors import verify_approximation
 
 F = Fraction
@@ -160,6 +160,10 @@ class TestDuplication:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match=r"^unknown duplication mode: 'quasi-k-over-half'$"):
             gen_duplicated(gen_antichain(2), 4, "quasi-k-over-half")  # the CLI spelling
+
+    def test_the_mode_is_checked_before_any_solution(self):
+        with pytest.raises(ValueError, match=r"^unknown duplication mode: 'bogus'$"):
+            gen_duplicated(Instance(2, ()), 3, "bogus")
 
     def test_lifted_antichain_needs_every_point_when_first_exact_plus_one(self):
         lifted = gen_duplicated(gen_antichain(5), 3, "one_exact_quasi2")

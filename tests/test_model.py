@@ -637,6 +637,25 @@ class TestASetIsBuiltOnlyIfItsFileReadsBack:
         aset = ApproximationSet(EPSILON_ONE, ("a",), certificate)
         assert load_set(save_set(aset)) == aset
 
+    @pytest.mark.parametrize("index", [True, 1.0], ids=repr)
+    def test_an_index_equal_to_an_earlier_good_one_is_refused(self, index):
+        # (True,) and (1.0,) equal (1,), which the entry before holds; each index is checked
+        good = CertificateEntry("a", "a", (1,))
+        with pytest.raises(ValueError) as info:
+            ApproximationSet(EPSILON_ONE, ("a",), (good, CertificateEntry("b", "a", (index,))))
+        assert str(info.value) == f"malformed certificate entry: {('b', 'a', (index,))!r}"
+
+    def test_the_first_of_two_entries_holding_one_bad_tuple_is_named(self):
+        certificate = (CertificateEntry("a", "a", (0,)), CertificateEntry("b", "a", (0,)))
+        with pytest.raises(ValueError) as info:
+            ApproximationSet(EPSILON_ONE, ("a",), certificate)
+        assert str(info.value) == "malformed certificate entry: ('a', 'a', (0,))"
+
+    def test_a_str_subclass_id_is_accepted_by_the_walk(self):
+        entry = CertificateEntry(StrId("a"), StrId("a"), (1,))
+        aset = ApproximationSet(EPSILON_ONE, (StrId("a"),), (entry,))
+        assert load_set(save_set(aset)) == aset
+
 
 
 # ids json must escape, one of each kind the Hypothesis ids draw from
