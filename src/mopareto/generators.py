@@ -124,7 +124,7 @@ def gen_random(n: int, p: int, seed: int, value_range: int = 4) -> Instance:
         raise ValueError("n and p must be at least 1")
     if _integer(value_range, "value_range") < 1:
         raise ValueError("value_range must be at least 1")
-    rng = random.Random(seed)
+    rng = random.Random(_integer(seed, "seed"))
     top = 1 << value_range
     solutions = tuple(
         Solution(

@@ -56,8 +56,9 @@ class Solution:
 class Instance:
     """An explicit multiobjective instance: p objectives, ordered solutions.
 
-    Invariants enforced here: ids are unique nonempty strs, every objective value
-    is a positive int or Fraction by exact type, and all vectors are tuples of p components.
+    One walk enforces, naming the first bad solution: a tuple of solutions with unique
+    nonempty str ids and tuples of p values, each a positive int or Fraction by exact type.
+    `load_instance` checks the same rules in whole-list passes and skips the walk if they hold.
 
     The fast paths compare one cached exact integer image (`_image`, from
     `_scaled`): a positive scale per column keeps every order, equality and
@@ -71,41 +72,28 @@ class Instance:
     def __post_init__(self) -> None:
         if _integer(self.p, "p") < 1:
             raise ValueError("an instance needs at least one objective")
-        # Whole-list passes by exact type, each safe on what the passes before it vetted.
-        # If one fails, the per-solution walk below runs: it raises for the first bad
-        # solution, or accepts what only it accepts (a str or tuple subclass, a look-alike).
-        pos: dict[str, int] | None = None
-        if set(map(type, self.solutions)) <= {Solution}:
-            ids = [s.id for s in self.solutions]
-            vectors = [s.f for s in self.solutions]
-            if (
-                set(map(type, ids)) <= {str}
-                and set(map(type, vectors)) <= {tuple}
-                and set(map(len, vectors)) <= {self.p}
-                and set(map(type, chain.from_iterable(vectors))) <= {int, Fraction}
-                and min(map(attrgetter("numerator"), chain.from_iterable(vectors)), default=1) > 0
-            ):
-                pos = dict(zip(ids, range(len(ids))))
-        if pos is None or len(pos) < len(self.solutions) or "" in pos:
-            pos = {}
-            for i, sol in enumerate(self.solutions):
-                if not isinstance(sol.id, str):
-                    raise ValueError(f"solution id {sol.id!r} must be a str")
-                if not isinstance(sol.f, tuple):
-                    raise ValueError(f"solution {sol.id!r} must hold its values in a tuple")
-                if not sol.id:
-                    raise ValueError("solution ids must be nonempty")
-                if sol.id in pos:
-                    raise ValueError(f"duplicate solution id: {sol.id!r}")
-                if len(sol.f) != self.p:
-                    raise ValueError(
-                        f"solution {sol.id!r} has {len(sol.f)} objective values, expected {self.p}"
-                    )
-                for v in sol.f:  # the first bad value is named
-                    if type(v) in (int, Fraction) and v <= 0:
-                        raise ValueError(f"nonpositive objective value in solution {sol.id!r}")
+        if not isinstance(self.solutions, tuple):
+            raise ValueError(f"solutions must be a tuple, got {type(self.solutions).__name__}")
+        pos: dict[str, int] = {}
+        for i, sol in enumerate(self.solutions):
+            if not isinstance(sol.id, str):
+                raise ValueError(f"solution id {sol.id!r} must be a str")
+            if not isinstance(sol.f, tuple):
+                raise ValueError(f"solution {sol.id!r} must hold its values in a tuple")
+            if not sol.id:
+                raise ValueError("solution ids must be nonempty")
+            if sol.id in pos:
+                raise ValueError(f"duplicate solution id: {sol.id!r}")
+            if len(sol.f) != self.p:
+                raise ValueError(
+                    f"solution {sol.id!r} has {len(sol.f)} objective values, expected {self.p}"
+                )
+            for v in sol.f:  # the first bad value is named
+                if type(v) not in (int, Fraction):  # _positive raises, naming it
                     _positive(v, f"an objective value of solution {sol.id!r}")
-                pos[sol.id] = i
+                if v.numerator <= 0:
+                    raise ValueError(f"nonpositive objective value in solution {sol.id!r}")
+            pos[sol.id] = i
         object.__setattr__(self, "_pos", pos)
 
     def __len__(self) -> int:
@@ -239,6 +227,8 @@ class RelationSpec:
     k: int | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, RelationKind):
+            raise ValueError(f"relation kind must be a RelationKind, got {self.kind!r}")
         _positive(self.eps, "eps")
         if self.kind in _KINDS_WITH_K:
             if _integer(self.k, "k") < 1:  # a missing k is None, which _integer names
@@ -370,37 +360,38 @@ def load_instance(data: bytes | str) -> Instance:
     entries = raw["solutions"]
     if not isinstance(entries, list):
         raise FormatError('"solutions" must be a list')
-    solutions = _bulk_solutions(entries, p)
-    if solutions is None:  # the loop names the first bad entry, and Instance a ragged one
-        solutions = []
-        parsed: dict[str, Fraction] = {}  # literal -> value; a Fraction is immutable, so shared
-        for entry in entries:
-            if not isinstance(entry, dict) or "id" not in entry or "f" not in entry:
-                raise FormatError(f'solution entries need "id" and "f": {entry!r}')
-            sol_id = entry["id"]
-            if not isinstance(sol_id, str):
-                raise FormatError(f"solution id must be a string: {sol_id!r}")
-            values = entry["f"]
-            if not isinstance(values, list):
-                raise FormatError(f"solution {sol_id!r}: \"f\" must be a list")
-            try:
-                vec = tuple(map(parsed.__getitem__, values))
-            except (KeyError, TypeError):  # a literal not seen yet, or a value that is no string
-                vec = tuple(_parse_value(v, f"solution {sol_id!r}") for v in values)
-                parsed.update(zip(values, vec))
-            solutions.append(Solution(id=sol_id, f=vec))
+    instance = _bulk_instance(entries, p)
+    if instance is not None:
+        return instance
+    solutions = []  # the loop names the first bad entry, and Instance any other
+    parsed: dict[str, Fraction] = {}  # literal -> value; a Fraction is immutable, so shared
+    for entry in entries:
+        if not isinstance(entry, dict) or "id" not in entry or "f" not in entry:
+            raise FormatError(f'solution entries need "id" and "f": {entry!r}')
+        sol_id = entry["id"]
+        if not isinstance(sol_id, str):
+            raise FormatError(f"solution id must be a string: {sol_id!r}")
+        values = entry["f"]
+        if not isinstance(values, list):
+            raise FormatError(f"solution {sol_id!r}: \"f\" must be a list")
+        try:
+            vec = tuple(map(parsed.__getitem__, values))
+        except (KeyError, TypeError):  # a literal not seen yet, or a value that is no string
+            vec = tuple(_parse_value(v, f"solution {sol_id!r}") for v in values)
+            parsed.update(zip(values, vec))
+        solutions.append(Solution(id=sol_id, f=vec))
     try:
         return Instance(p=p, solutions=tuple(solutions))
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 
 
-def _bulk_solutions(entries: list, p: int) -> list[Solution] | None:
-    """The Solutions of well-formed entries of p values each, checked in whole-list passes,
-    each safe on what the passes before it vetted; None if any entry is bad or ragged.
-    Each distinct literal is parsed once, and its Fraction is shared."""
+def _bulk_instance(entries: list, p: int) -> Instance | None:
+    """The Instance of well-formed entries, checked in whole-list passes by each rule of
+    Instance's walk (each pass safe on what the passes before it vetted) and built without
+    it; None if any entry is bad.  Each distinct literal is parsed once, its Fraction shared."""
     if not entries:  # p may be any positive int: cut no values by it
-        return []
+        return _unchecked(Instance, p=p, solutions=(), _pos={})
     try:
         ids = [e["id"] for e in entries]  # KeyError or TypeError: no "id", or no object
         vectors = [e["f"] for e in entries]
@@ -418,8 +409,12 @@ def _bulk_solutions(entries: list, p: int) -> list[Solution] | None:
         parsed = dict(zip(literals, map(parse_rational, literals)))
     except ValueError:  # a malformed literal, or one past the digit limit
         return None
+    pos = dict(zip(ids, range(len(ids))))
+    if min(map(attrgetter("numerator"), parsed.values())) <= 0 or len(pos) < len(ids) or "" in pos:
+        return None
     values = map(parsed.__getitem__, chain.from_iterable(vectors))
-    return list(map(Solution, ids, zip(*[values] * p)))  # p values at a time, in order
+    solutions = tuple(map(Solution, ids, zip(*[values] * p)))  # p values at a time, in order
+    return _unchecked(Instance, p=p, solutions=solutions, _pos=pos)
 
 
 def _dumps(obj: object) -> str:

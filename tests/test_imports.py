@@ -283,6 +283,7 @@ INTEGER_PARAMETERS = {
     "gen_random": {
         "n": lambda v: mopareto.gen_random(v, 2, 1),
         "p": lambda v: mopareto.gen_random(3, v, 1),
+        "seed": lambda v: mopareto.gen_random(3, 2, v),
         "value_range": lambda v: mopareto.gen_random(3, 2, 1, v),
     },
 }
@@ -290,7 +291,7 @@ INTEGER_RECORDS = {"AdversarialPair": {"l"}}  # built by adversarial_pair, which
 
 
 def public_integer_parameters() -> dict[str, set[str]]:
-    """Each public callable's parameters named n, p, l, k, value_range or value_bound."""
+    """Each public callable's parameters named n, p, l, k, seed, value_range or value_bound."""
     found = {}
     for name, value in vars(mopareto).items():
         if name.startswith("_") or inspect.ismodule(value) or not callable(value):
@@ -299,7 +300,7 @@ def public_integer_parameters() -> dict[str, set[str]]:
             parameters = inspect.signature(value).parameters
         except (TypeError, ValueError):
             continue
-        if named := {"n", "p", "l", "k", "value_range", "value_bound"} & set(parameters):
+        if named := {"n", "p", "l", "k", "seed", "value_range", "value_bound"} & set(parameters):
             found[name] = named
     return found
 

@@ -1062,3 +1062,108 @@ class TestTheOneBadEntryIsNamedWhenItIsTheLast:
             load_set(json.dumps(payload))
         assert str(info.value) == f"malformed certificate entry: {payload['certificate'][-1]!r}"
 
+
+def _counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call's arguments; the record."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestLoadInstanceWalksOnlyABadFile:
+    """load_instance builds a file's Instance unchecked when its whole-list passes hold;
+    Instance's walk runs only to name the bad entry of a file that fails them."""
+
+    def payload(self):
+        return json.loads(save_instance(gen_random(300, 3, seed=1)))
+
+    def test_a_well_formed_file_is_not_walked(self, monkeypatch):
+        data = save_instance(gen_random(300, 3, seed=1))
+        walks = _counting(monkeypatch, Instance, "__post_init__")
+        loaded = load_instance(data)
+        assert walks == []
+        monkeypatch.undo()
+        checked = Instance(loaded.p, loaded.solutions)
+        assert type(loaded) is Instance
+        assert loaded == checked and hash(loaded) == hash(checked)
+        assert repr(loaded) == repr(checked)
+        assert loaded._pos == checked._pos
+        assert save_instance(loaded) == data
+
+    def test_a_huge_p_with_no_solutions_is_not_walked(self, monkeypatch):
+        walks = _counting(monkeypatch, Instance, "__post_init__")
+        loaded = load_instance(json.dumps({"p": 10**20, "solutions": []}))
+        assert walks == []
+        monkeypatch.undo()
+        checked = Instance(10**20, ())
+        assert (loaded, hash(loaded), repr(loaded)) == (checked, hash(checked), repr(checked))
+        assert loaded._pos == checked._pos == {}
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda last: last["f"].__setitem__(-1, "0"),
+             "nonpositive objective value in solution 's300'"),
+            (lambda last: last.__setitem__("id", "s1"), "duplicate solution id: 's1'"),
+            (lambda last: last.__setitem__("id", ""), "solution ids must be nonempty"),
+            (lambda last: last["f"].pop(), "solution 's300' has 2 objective values, expected 3"),
+        ],
+        ids=["zero value", "repeated id", "empty id", "short vector"],
+    )
+    def test_a_bad_last_entry_is_walked_once_and_named(self, spoil, message, monkeypatch):
+        payload = self.payload()
+        spoil(payload["solutions"][-1])
+        walks = _counting(monkeypatch, Instance, "__post_init__")
+        with pytest.raises(FormatError) as info:
+            load_instance(json.dumps(payload))
+        assert str(info.value) == message
+        assert len(walks) == 1
+
+
+class TestTheWalkFormatsNoMessageForAGoodValue:
+    def test_look_alike_solutions_with_good_values_call_positive_never(self, monkeypatch):
+        solutions = tuple(
+            SimpleNamespace(id=f"s{i}", f=(i, Fraction(1, i), Fraction(i, 7))) for i in range(1, 51)
+        )
+        calls = _counting(monkeypatch, model, "_positive")
+        assert len(Instance(3, solutions)) == 50
+        assert calls == []
+
+    def test_a_value_of_the_wrong_type_calls_positive_once_to_name_it(self, monkeypatch):
+        solutions = (SimpleNamespace(id="a", f=(1, 2)), SimpleNamespace(id="b", f=(3, 0.5)))
+        calls = _counting(monkeypatch, model, "_positive")
+        with pytest.raises(ValueError) as info:
+            Instance(2, solutions)
+        assert str(info.value) == (
+            "an objective value of solution 'b' must be an int or a Fraction, got 0.5"
+        )
+        assert calls == [(0.5, "an objective value of solution 'b'")]
+
+
+class TestRecordsRefuseTheWrongContainerOrKind:
+    A, B = Solution("a", (Fraction(1), Fraction(2))), Solution("b", (Fraction(2), Fraction(1)))
+
+    @pytest.mark.parametrize(
+        "solutions, name",
+        [([A, B], "list"), ((s for s in (A, B)), "generator"), ({A, B}, "set"), (None, "NoneType")],
+        ids=["list", "generator", "set", "None"],
+    )
+    def test_an_instance_refuses_solutions_that_are_no_tuple(self, solutions, name):
+        with pytest.raises(ValueError) as info:
+            Instance(2, solutions)
+        assert str(info.value) == f"solutions must be a tuple, got {name}"
+
+    def test_an_instance_accepts_a_tuple_subclass_of_solutions(self):
+        assert Instance(2, Vector((self.A, self.B))) == Instance(2, (self.A, self.B))
+
+    @pytest.mark.parametrize("kind", ["epsilon", "bogus", None, 1], ids=repr)
+    def test_a_relation_spec_refuses_a_kind_that_is_no_relation_kind(self, kind):
+        with pytest.raises(ValueError) as info:
+            RelationSpec(kind, Fraction(1))
+        assert str(info.value) == f"relation kind must be a RelationKind, got {kind!r}"
