@@ -11,7 +11,6 @@ solution from the definitions, on the instance's cached integer image
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, product, repeat
@@ -129,7 +128,7 @@ def _certified(
     result = verify_approximation(instance, members, spec)
     if result.approximation is None:
         cx = result.counterexample
-        raise VerificationFailed(cx or "?", failure.format(cx) if failure else None)
+        raise VerificationFailed(cx, failure.format(cx) if failure else None)
     return result.approximation
 
 
@@ -190,7 +189,7 @@ def grid_select(
     picks = []
     for cell in retained:
         ids = bucketing.cells[cell]
-        if spec.kind is RelationKind.QUASI_K and spec.k is not None:
+        if spec.kind is RelationKind.QUASI_K:
             view = tournament_view([instance.solution(i) for i in ids], spec.k)
             picks.append(sorted(greedy_tournament_dominating_set(view)))
         else:  # the lex-min image attains the cell's minimum f1, so it serves one-exact
@@ -276,8 +275,9 @@ def construct_via_gap(
     The sweep issues exactly levels**p queries.  The levels are counted by
     multiplication, holding only the last, and the count raises
     QueryLimitExceeded before the first query once levels**p passes
-    GAP_QUERY_LIMIT.  Only the smallest budget vector is validated, once: the
-    levels ascend from it, so each query is built unchecked and equals a validated one.
+    GAP_QUERY_LIMIT, its message giving the count in digits up to p =
+    GAP_QUERY_LIMIT.bit_length() and as `2**p` past it.  Only the smallest budget vector is validated, once:
+    the levels ascend from it, so each query is built unchecked and equals a validated one.
     """
     if _integer(p, "p") < 1:
         raise ValueError("p must be at least 1")
@@ -293,8 +293,7 @@ def construct_via_gap(
     while level < top:
         count, level = count + 1, level * ratio  # count >= 2 at every check, so 2 past the cap
         if count ** min(p, cap) > GAP_QUERY_LIMIT:
-            digits = p <= cap or p < (10 ** sys.get_int_max_str_digits()).bit_length()
-            queries = count**p if digits else f"{count}**{p}"  # digits where str() takes 2**p
+            queries = count**p if p <= cap else f"{count}**{p}"  # past the cap, count is 2
             raise QueryLimitExceeded(
                 f"{queries} or more budget queries ({count} or more levels, p={p}) "
                 f"exceed the gap-query limit {GAP_QUERY_LIMIT}"

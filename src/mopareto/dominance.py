@@ -24,7 +24,7 @@ from itertools import repeat
 from operator import le, lt, neg
 from typing import Sequence
 
-from .model import Instance, RelationSpec, Solution
+from .model import Instance, RelationSpec, Solution, _tuple
 
 __all__ = [
     "r_dominates",
@@ -172,7 +172,8 @@ class DominationDigraph:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.rows) != len(self.nodes) or any(r >> len(self.rows) for r in self.rows):
+        n = len(_tuple(self.nodes, "nodes"))
+        if len(self.rows) != n or any(r >> n for r in self.rows):
             raise ValueError("a digraph needs one row per node, with bits for its nodes only")
         closed = tuple(r if r >> i & 1 else r | 1 << i for i, r in enumerate(self.rows))
         object.__setattr__(self, "rows", closed)

@@ -91,9 +91,7 @@ def exact_min_dominating_set(
     than node_limit.
     """
     n = len(graph.nodes)
-    if n == 0:
-        return set()
-    if n > node_limit:
+    if n > _integer(node_limit, "node_limit"):
         raise NodeLimitExceeded(f"{n} nodes exceeds the exact-solver limit {node_limit}")
     cover = graph.rows
     best = _greedy_cover_indices(cover)

@@ -72,10 +72,8 @@ class Instance:
     def __post_init__(self) -> None:
         if _integer(self.p, "p") < 1:
             raise ValueError("an instance needs at least one objective")
-        if not isinstance(self.solutions, tuple):
-            raise ValueError(f"solutions must be a tuple, got {type(self.solutions).__name__}")
         pos: dict[str, int] = {}
-        for i, sol in enumerate(self.solutions):
+        for i, sol in enumerate(_tuple(self.solutions, "solutions")):
             if not isinstance(sol.id, str):
                 raise ValueError(f"solution id {sol.id!r} must be a str")
             if not isinstance(sol.f, tuple):
@@ -268,10 +266,10 @@ class ApproximationSet:
     certificate: tuple[CertificateEntry, ...] = ()
 
     def __post_init__(self) -> None:  # refuse, naming it, what save_set writes and load_set refuses
-        for member in self.members:
+        for member in _tuple(self.members, "members"):
             if not isinstance(member, str):
                 raise ValueError(f"member id {member!r} must be a str")
-        for covered, by, exact in self.certificate:  # each index of each entry, by exact type
+        for covered, by, exact in _tuple(self.certificate, "certificate"):  # every index, by type
             if not (isinstance(covered, str) and isinstance(by, str)
                     and _positive_indices([exact], tuple)):
                 raise ValueError(f"malformed certificate entry: {(covered, by, exact)!r}")
@@ -294,9 +292,16 @@ class GapQuery:
     delta: int | Fraction
 
     def __post_init__(self) -> None:
-        for bound in self.b:
+        for bound in _tuple(self.b, "b"):
             _positive(bound, "all budget components")
         _positive(self.delta, "delta")
+
+
+def _tuple(value: object, what: str) -> tuple:
+    """value, if a tuple (a subclass too); a list, a str or a generator is a ValueError."""
+    if not isinstance(value, tuple):
+        raise ValueError(f"{what} must be a tuple, got {type(value).__name__}")
+    return value
 
 
 def _unchecked(cls: type, **fields: object):
@@ -395,19 +400,14 @@ def _bulk_instance(entries: list, p: int) -> Instance | None:
     try:
         ids = [e["id"] for e in entries]  # KeyError or TypeError: no "id", or no object
         vectors = [e["f"] for e in entries]
-    except (KeyError, TypeError):
-        return None
-    if not (set(map(type, ids)) <= {str} and set(map(type, vectors)) <= {list}):
-        return None
-    try:
+        if not (set(map(type, ids)) <= {str} and set(map(type, vectors)) <= {list}):
+            return None
         literals = set(chain.from_iterable(vectors))  # TypeError: a list or object value
-    except TypeError:
-        return None
-    if not (set(map(type, literals)) <= {str} and set(map(len, vectors)) <= {p}):
-        return None
-    try:
+        if not (set(map(type, literals)) <= {str} and set(map(len, vectors)) <= {p}):
+            return None
+        # ValueError: a malformed literal, or one past the digit limit
         parsed = dict(zip(literals, map(parse_rational, literals)))
-    except ValueError:  # a malformed literal, or one past the digit limit
+    except (KeyError, TypeError, ValueError):
         return None
     pos = dict(zip(ids, range(len(ids))))
     if min(map(attrgetter("numerator"), parsed.values())) <= 0 or len(pos) < len(ids) or "" in pos:

@@ -28,7 +28,6 @@ from .model import (
     RelationKind,
     RelationSpec,
     Solution,
-    _SortedColumn,
 )
 from .numerics import _integer, _positive, half_step_delta
 
@@ -63,15 +62,14 @@ def gap_oracle(instance: Instance, query: GapQuery) -> Solution | None:
     """
     if len(query.b) != instance.p:
         raise ValueError("query dimension does not match the instance")
+    if not instance.solutions:
+        return None
     fits = -1  # every bit set
     for column, bound in zip(instance._sorted_columns, query.b):
         fits &= column.within(bound)
         if not fits:
             return None
-    try:
-        return instance.solutions[(fits & -fits).bit_length() - 1]
-    except IndexError:  # an empty instance has no columns: fits is still -1
-        return None
+    return instance.solutions[(fits & -fits).bit_length() - 1]
 
 
 def valid_gap_answer(
@@ -165,8 +163,10 @@ def _biobjective_sweep(instance: Instance, eps: Fraction, relaxed: bool) -> list
     column's scale drops out and a Fraction fallback column takes the same code.
     """
     _positive(eps, "eps")  # first: a bound below t would never shrink the uncovered prefix
+    if not instance.solutions:
+        return []
     ratio = 1 + (half_step_delta(eps) if relaxed else eps)
-    f1, f2 = instance._sorted_columns or [_SortedColumn([], 1)] * 2  # an empty instance has none
+    f1, f2 = instance._sorted_columns
     rows = instance._rows
     # prefix minima: t over the f2 order; the pick, least f2 and then earliest, over the f1 order,
     # which is least (f2, f1, position) since f1 ties keep instance order

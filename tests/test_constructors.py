@@ -667,20 +667,38 @@ class TestGapConstruction:
             assert construct_via_gap(lambda q: None, F(1, 2), 0, p) == []
         with pytest.raises(QueryLimitExceeded, match=r"^64 or more budget queries \(2 or more"):
             construct_via_gap(refusing_oracle, F(1, 2), 0, 6)
-        # past the cap the count is still written in digits while str() can write them
-        with pytest.raises(QueryLimitExceeded, match=r"^128 or more budget queries \(2 or more"):
+        # past the cap the count is written as a power
+        with pytest.raises(QueryLimitExceeded, match=r"^2\*\*7 or more budget queries \(2 or more"):
             construct_via_gap(refusing_oracle, F(1, 2), 0, 7)
         monkeypatch.undo()
-        # 2**p has at most the int/str digit limit's digits exactly while 2**p < 10**limit
-        last = (10 ** sys.get_int_max_str_digits()).bit_length() - 1
-        with pytest.raises(QueryLimitExceeded, match=rf"^{2**last} or more budget queries"):
-            construct_via_gap(refusing_oracle, F(1, 2), 0, last)
-        with pytest.raises(QueryLimitExceeded, match=rf"^2\*\*{last + 1} or more budget queries"):
-            construct_via_gap(refusing_oracle, F(1, 2), 0, last + 1)
+        p = (10 ** sys.get_int_max_str_digits()).bit_length()  # 2**p would pass str()'s limit
+        with pytest.raises(QueryLimitExceeded, match=rf"^2\*\*{p} or more budget queries"):
+            construct_via_gap(refusing_oracle, F(1, 2), 0, p)
         with pytest.raises(QueryLimitExceeded) as info:
             construct_via_gap(refusing_oracle, F(1, 2), 0, 10**20)
         assert str(info.value) == (
             f"2**{10**20} or more budget queries (2 or more levels, p={10**20}) "
+            "exceed the gap-query limit 1000000"
+        )
+
+
+class TestTheRefusalIsWrittenByPAlone:
+    """A refused count is written in digits up to the cap and as 2**p past it, whatever the
+    interpreter's int/str digit limit."""
+
+    @pytest.mark.parametrize("limit", [None, 0, 640], ids=["default", "off", "640"])
+    @pytest.mark.parametrize("p, queries", [(20, "1048576"), (21, "2**21"), (1000, "2**1000")])
+    def test_the_text_depends_on_p_only(self, p, queries, limit):
+        default = sys.get_int_max_str_digits()
+        try:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+            with pytest.raises(QueryLimitExceeded) as info:
+                construct_via_gap(lambda q: None, F(1, 2), 0, p)
+        finally:
+            sys.set_int_max_str_digits(default)
+        assert str(info.value) == (
+            f"{queries} or more budget queries (2 or more levels, p={p}) "
             "exceed the gap-query limit 1000000"
         )
 

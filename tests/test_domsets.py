@@ -143,6 +143,13 @@ class TestGreedyCover:
 
 
 class TestExactMinimum:
+    def test_no_nodes_take_the_general_path(self):
+        # the greedy bound and the search return the empty set; a limit below 0 nodes refuses
+        none = DominationDigraph(nodes=(), rows=())
+        assert exact_min_dominating_set(none, 0) == set()
+        with pytest.raises(NodeLimitExceeded, match="^0 nodes exceeds the exact-solver limit -1$"):
+            exact_min_dominating_set(none, -1)
+
     def test_self_loops_only(self):
         graph = digraph_of({"a": set(), "b": set(), "c": set()})
         assert exact_min_dominating_set(graph) == {"a", "b", "c"}

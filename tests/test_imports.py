@@ -264,8 +264,8 @@ def test_each_pinned_call_accepts_an_exact_value(call):
     call(1)
 
 
-# Each public callable with a count parameter (n, p, l, k, value_range, value_bound),
-# and a call that puts a value in that parameter, every other argument valid.
+# Each public callable with a count parameter (n, p, l, k, seed, value_range, value_bound,
+# node_limit), and a call that puts a value in that parameter, every other argument valid.
 INTEGER_PARAMETERS = {
     "Instance": {"p": lambda v: mopareto.Instance(p=v, solutions=())},
     "RelationSpec": {"k": lambda v: mopareto.RelationSpec(mopareto.RelationKind.QUASI_K, F(1), v)},
@@ -276,6 +276,11 @@ INTEGER_PARAMETERS = {
         "value_bound": lambda v: mopareto.construct_via_gap(lambda q: None, F(1), v, 1),
     },
     "adversarial_pair": {"l": lambda v: mopareto.adversarial_pair(v)},
+    "exact_min_dominating_set": {
+        "node_limit": lambda v: mopareto.exact_min_dominating_set(
+            mopareto.DominationDigraph(nodes=("a",), rows=(1,)), v
+        ),
+    },
     "gen_prop_one_exact": {"n": lambda v: mopareto.gen_prop_one_exact(F(1), v)},
     "gen_quasi2_gap": {"n": lambda v: mopareto.gen_quasi2_gap(F(1), v)},
     "gen_duplicated": {"p": lambda v: mopareto.gen_duplicated(BIOBJECTIVE, v, "one_exact_quasi2")},
@@ -291,7 +296,8 @@ INTEGER_RECORDS = {"AdversarialPair": {"l"}}  # built by adversarial_pair, which
 
 
 def public_integer_parameters() -> dict[str, set[str]]:
-    """Each public callable's parameters named n, p, l, k, seed, value_range or value_bound."""
+    """Each public callable's parameters named n, p, l, k, seed, value_range, value_bound or
+    node_limit."""
     found = {}
     for name, value in vars(mopareto).items():
         if name.startswith("_") or inspect.ismodule(value) or not callable(value):
@@ -300,7 +306,8 @@ def public_integer_parameters() -> dict[str, set[str]]:
             parameters = inspect.signature(value).parameters
         except (TypeError, ValueError):
             continue
-        if named := {"n", "p", "l", "k", "seed", "value_range", "value_bound"} & set(parameters):
+        counts = {"n", "p", "l", "k", "seed", "value_range", "value_bound", "node_limit"}
+        if named := counts & set(parameters):
             found[name] = named
     return found
 

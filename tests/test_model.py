@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from mopareto import model
 from mopareto.cli import main
 from mopareto.constructors import construct_grid_approx
+from mopareto.dominance import DominationDigraph
 from mopareto.generators import (
     gen_prop_dominated,
     gen_prop_one_exact,
@@ -1032,6 +1033,24 @@ def test_the_certificate_passes_refuse_what_malformed_refuses(items):
     assert (model._bulk_entries(items) is None) == any(map(model._malformed, items))
 
 
+@settings(max_examples=600, deadline=None)
+@given(instance_payloads())
+@example(json.dumps({"p": 2, "solutions": [
+    {"id": "a", "f": [" 7", "+2"], "note": None}, {"id": "b", "f": ["10/4", "1.25"]}]}))
+@example(json.dumps({"p": 1, "solutions": [{"id": "a", "f": ["1"]}, {"id": "b", "f": [{}]}]}))
+@example(json.dumps({"p": 1, "solutions": [{"id": "a", "f": ["x"]}, {"id": "b", "f": [[1]]}]}))
+def test_the_instance_passes_take_exactly_the_files_the_loop_loads(data):
+    """load_instance walks the entries only when model._bulk_instance refuses them; it must
+    refuse exactly the files the per-entry loop refuses, and build what the loop builds."""
+    raw = json.loads(data)  # the entries as load_instance gets them
+    built = model._bulk_instance(raw["solutions"], raw["p"])
+    reference = _outcome(reference_load_instance, data)
+    if built is None:
+        assert reference[0] is FormatError
+    else:
+        assert _with_positions(built) == reference
+
+
 class TestTheOneBadEntryIsNamedWhenItIsTheLast:
     """After 3000 good entries, the whole-list passes fail and the walk names the last one."""
 
@@ -1146,6 +1165,9 @@ class TestTheWalkFormatsNoMessageForAGoodValue:
         assert calls == [(0.5, "an objective value of solution 'b'")]
 
 
+_SPEC, _ENTRY = RelationSpec(RelationKind.EPSILON, Fraction(1)), CertificateEntry("s1", "s1", (1,))
+
+
 class TestRecordsRefuseTheWrongContainerOrKind:
     A, B = Solution("a", (Fraction(1), Fraction(2))), Solution("b", (Fraction(2), Fraction(1)))
 
@@ -1161,6 +1183,34 @@ class TestRecordsRefuseTheWrongContainerOrKind:
 
     def test_an_instance_accepts_a_tuple_subclass_of_solutions(self):
         assert Instance(2, Vector((self.A, self.B))) == Instance(2, (self.A, self.B))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ApproximationSet(_SPEC, "s12"), "members must be a tuple, got str"),
+            (lambda: ApproximationSet(_SPEC, ["s1"]), "members must be a tuple, got list"),
+            (lambda: ApproximationSet(_SPEC, ("s1",), [_ENTRY]),
+             "certificate must be a tuple, got list"),
+            (lambda: ApproximationSet(_SPEC, ("s1",), None),
+             "certificate must be a tuple, got NoneType"),
+            (lambda: DominationDigraph(nodes="ab", rows=(1, 2)), "nodes must be a tuple, got str"),
+            (lambda: DominationDigraph(nodes=["a"], rows=(1,)), "nodes must be a tuple, got list"),
+            (lambda: GapQuery(b=[1], delta=1), "b must be a tuple, got list"),
+            (lambda: GapQuery(b=(x for x in (1,)), delta=1), "b must be a tuple, got generator"),
+        ],
+        ids=["members-str", "members-list", "certificate-list", "certificate-None", "nodes-str",
+             "nodes-list", "b-list", "b-generator"],
+    )
+    def test_a_record_refuses_a_sequence_field_that_is_no_tuple(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_a_record_accepts_a_tuple_subclass(self):
+        aset = ApproximationSet(_SPEC, Vector(("s1",)), Vector((_ENTRY,)))
+        assert aset == ApproximationSet(_SPEC, ("s1",), (_ENTRY,))
+        assert GapQuery(b=Vector((1,)), delta=1) == GapQuery(b=(1,), delta=1)
+        assert DominationDigraph(Vector(("a",)), (1,)) == DominationDigraph(("a",), (1,))
 
     @pytest.mark.parametrize("kind", ["epsilon", "bogus", None, 1], ids=repr)
     def test_a_relation_spec_refuses_a_kind_that_is_no_relation_kind(self, kind):

@@ -18,7 +18,14 @@ from mopareto.dominance import (
 )
 from mopareto.domsets import exact_min_dominating_set
 from mopareto.generators import gen_antichain, gen_prop_dominated, gen_random
-from mopareto.model import GapQuery, Instance, RelationKind, RelationSpec, Solution
+from mopareto.model import (
+    ApproximationSet,
+    GapQuery,
+    Instance,
+    RelationKind,
+    RelationSpec,
+    Solution,
+)
 from mopareto.numerics import half_step_delta
 from mopareto.oracles import (
     AdversaryPrecisionError,
@@ -771,3 +778,27 @@ class TestSweepsCallNoPerPickOracle:
         assert verified == [quasi1] and not verifier_calls
 
 
+class TestAnInstanceWithoutSolutionsIsDecidedByItsLength:
+    """An empty instance is answered before its sorted-column index is built."""
+
+    @pytest.mark.parametrize("cover", [greedy_biobjective_min, dual_restrict_2approx])
+    def test_the_sweeps_certify_an_empty_set(self, cover):
+        empty = Instance(p=2, solutions=())
+        aset = cover(empty, F(1, 2))
+        assert aset == ApproximationSet(RelationSpec(RelationKind.QUASI_K, F(1, 2), k=1), ())
+        assert "_sorted_columns" not in vars(empty)
+
+    @pytest.mark.parametrize("cover", [greedy_biobjective_min, dual_restrict_2approx])
+    @pytest.mark.parametrize("eps", [0, F(0), F(-1, 2), 0.5, None], ids=repr)
+    def test_the_sweeps_still_refuse_a_bad_eps_first(self, cover, eps):
+        with pytest.raises(ValueError, match="^eps must be "):
+            cover(Instance(p=2, solutions=()), eps)
+
+    def test_the_gap_oracle_answers_no(self):
+        empty = Instance(p=2, solutions=())
+        query = GapQuery(b=(F(1), F(1)), delta=F(1))
+        assert gap_oracle(empty, query) is None
+        assert valid_gap_answer(empty, query, None)
+        assert "_sorted_columns" not in vars(empty)
+        with pytest.raises(ValueError, match="^query dimension does not match the instance$"):
+            gap_oracle(empty, GapQuery(b=(F(1),), delta=F(1)))
