@@ -97,6 +97,8 @@ def verify_approximation(
     with eps = num/den, "within 1 + eps" is den*a <= (den+num)*b, "exact" a <= b.
     The relation's rule is read only once some pair is compared.
     """
+    if isinstance(members, str):  # its characters would be read as one-letter ids
+        raise ValueError(f"members must be a collection of ids, got {type(members).__name__}")
     # sorted computes the keys in first-occurrence order: the first unknown id raises KeyError
     ordered = sorted(dict.fromkeys(members), key=instance.position)
     rows = instance._rows

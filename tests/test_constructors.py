@@ -60,6 +60,14 @@ def inst(*vectors):
 
 
 STAIRCASE = inst((1, 4), (2, 3), (3, 2), (4, 1))
+AB = Instance(p=2, solutions=(Solution("a", (F(1), F(2))), Solution("b", (F(2), F(1)))))
+EPS_ONE = RelationSpec(RelationKind.EPSILON, F(1))
+AB_CALLS = {  # the two entry points that take members, each returning its certified set
+    "verify": lambda m: verify_approximation(AB, m, EPS_ONE).approximation,
+    "lift": lambda m: weakly_efficient_lift(AB, m, F(1)),
+}
+
+
 LIFT_FRACTIONS = [F(3, 2), F(5, 7), F(9, 11), F(12, 13), F(17, 64), F(65, 64)]
 
 
@@ -112,6 +120,21 @@ class TestVerify:
         for verify in (verify_approximation, reference_verify):
             with pytest.raises(KeyError, match="^\"unknown solution id: 'zz'\"$"):
                 verify(STAIRCASE, members, spec)
+
+    @pytest.mark.parametrize("members", ["ab", "abc", ""])
+    @pytest.mark.parametrize("call", sorted(AB_CALLS))
+    def test_a_str_of_ids_is_refused(self, call, members):
+        # read as one-letter ids, "ab" was certified as ('a', 'b') and "abc" raised a KeyError
+        with pytest.raises(ValueError, match="^members must be a collection of ids, got str$"):
+            AB_CALLS[call](members)
+
+    @pytest.mark.parametrize(
+        "members", [("a", "b"), ["b", "a"], {"a", "b"}], ids=["tuple", "list", "set"]
+    )
+    @pytest.mark.parametrize("call", sorted(AB_CALLS))
+    def test_a_collection_of_the_same_ids_still_certifies(self, call, members):
+        aset = AB_CALLS[call](members)
+        assert aset.members == ("a", "b") and certificate_is_valid(AB, aset)
 
     def test_tampered_certificates_fail_recheck(self):
         instance = gen_prop_dominated(F(1))

@@ -426,10 +426,13 @@ def under_scale_bits(mp, scale_bits, instance):
     return fresh
 
 
-class TestIndexedDigraphMatchesThePairwiseBuilder:
+class TestIndexAndImageFiltersMatchThePairwiseReferences:
+    """domination_digraph on the sorted-column index, and efficient_set and
+    weakly_efficient_set on image rows, under each scale limit."""
+
     @settings(max_examples=400, deadline=None)
     @given(digraph_cases(), st.sampled_from(SCALE_BITS))
-    def test_same_digraph_or_error(self, case, scale_bits):
+    def test_same_digraph_or_error_and_same_efficient_sets(self, case, scale_bits):
         spec, instance = case
         with pytest.MonkeyPatch.context() as mp:
             instance = under_scale_bits(mp, scale_bits, instance)
@@ -438,6 +441,8 @@ class TestIndexedDigraphMatchesThePairwiseBuilder:
                 assert _digraph_outcome(domination_digraph, instance, relation) == _digraph_outcome(
                     reference_domination_digraph, instance, relation
                 )
+            assert efficient_set(instance) == reference_efficient_set(instance)
+            assert weakly_efficient_set(instance) == reference_weakly_efficient_set(instance)
 
     @pytest.mark.parametrize("p", range(1, 6))
     def test_every_kind_and_k_on_a_random_instance(self, p):
@@ -476,21 +481,8 @@ class TestIndexedDigraphMatchesThePairwiseBuilder:
         domination_digraph(i, RelationSpec(RelationKind.QUASI_K, Fraction(1, 2), k=2))
         assert (i == gen_random(12, 3, seed=4), hash(i), repr(i)) == before
 
-
-class TestImageFiltersMatchThePairwiseReferences:
-    """efficient_set and weakly_efficient_set on image rows, under each scale limit."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(digraph_cases(), st.sampled_from(SCALE_BITS))
-    def test_coprime_denominators_twins_and_boundaries(self, case, scale_bits):
-        _, instance = case
-        with pytest.MonkeyPatch.context() as mp:
-            instance = under_scale_bits(mp, scale_bits, instance)
-            assert efficient_set(instance) == reference_efficient_set(instance)
-            assert weakly_efficient_set(instance) == reference_weakly_efficient_set(instance)
-
     @pytest.mark.parametrize("scale_bits", SCALE_BITS)
-    def test_empty_instance(self, scale_bits, monkeypatch):
+    def test_the_filters_on_an_empty_instance(self, scale_bits, monkeypatch):
         for p in (1, 3):
             empty = under_scale_bits(monkeypatch, scale_bits, Instance(p=p, solutions=()))
             assert efficient_set(empty) == weakly_efficient_set(empty) == set()
@@ -616,24 +608,19 @@ class TestFrontSweepMatchesTheSkyline:
     positions and order of `reference_skyline`, the loop over every kept row."""
 
     @settings(max_examples=300, deadline=None)
-    @given(sweep_rows, st.sampled_from(SCALE_BITS))
-    def test_same_positions_in_the_same_order(self, rows, scale_bits):
-        with pytest.MonkeyPatch.context() as mp:
-            image = under_scale_bits(mp, scale_bits, inst(*rows))._rows
-        for beats, strict in STRICT.items():
-            expected = reference_skyline(rows, BEATS[beats])
-            assert _front(rows, strict) == expected
-            # the image keeps the order of the Fraction rows, and so their positions
-            assert _front(image, strict) == expected
-
-    @settings(max_examples=150, deadline=None)
     @given(sweep_rows, st.randoms(use_true_random=False), st.sampled_from(SCALE_BITS))
-    def test_the_lift_takes_the_same_front_rows(self, rows, rng, scale_bits):
-        # a random subset, plus what it leaves uncovered at eps = 1
+    def test_same_positions_in_the_same_order_and_the_same_lift(self, rows, rng, scale_bits):
         eps = Fraction(1)
         spec = RelationSpec(RelationKind.EPSILON, eps)
         with pytest.MonkeyPatch.context() as mp:
             instance = under_scale_bits(mp, scale_bits, inst(*rows))
+            for beats, strict in STRICT.items():
+                expected = reference_skyline(rows, BEATS[beats])
+                assert _front(rows, strict) == expected
+                # the image keeps the order of the Fraction rows, and so their positions
+                assert _front(instance._rows, strict) == expected
+            # the lift takes the same front rows: a random subset, plus what it leaves
+            # uncovered at eps = 1, lifted through `_front` and then through the reference
             subset = [s for s in instance.solutions if rng.random() < 0.5]
             members = [s.id for s in subset] + [
                 x.id for x in instance.solutions if not any(r_dominates(m, x, spec) for m in subset)

@@ -664,6 +664,16 @@ ESCAPED_IDS = ('a"b', "back\\slash", "sl/ash", "\x00\x1f\x7f", "line\nbreak", "\
                "\u2028", "\U0001f600")
 
 
+@pytest.fixture(scope="module")
+def random_3000():
+    """gen_random(3000, 3, seed=1) and its verified eps = 1/2 grid set, built once per module:
+    the instance file, the set and the set file. A test that spoils a payload spoils its own
+    json.loads of the bytes."""
+    instance = gen_random(3000, 3, seed=1)
+    aset = construct_grid_approx(instance, RelationSpec(RelationKind.EPSILON, Fraction(1, 2)))
+    return SimpleNamespace(instance_file=save_instance(instance), set_file=save_set(aset), aset=aset)
+
+
 class TestWrittenBytesAtRealSizes:
     """The writers against the json.dumps references on files of the sizes commands write."""
 
@@ -677,9 +687,8 @@ class TestWrittenBytesAtRealSizes:
         assert data == reference_save_instance(inst)
         assert load_instance(data) == inst
 
-    def test_a_verified_grid_set_of_3000_solutions(self):
-        spec = RelationSpec(RelationKind.EPSILON, Fraction(1, 2))
-        aset = construct_grid_approx(gen_random(3000, 3, seed=1), spec)
+    def test_a_verified_grid_set_of_3000_solutions(self, random_3000):
+        aset = random_3000.aset
         assert len(aset.certificate) == 3000
         assert len({e.exact_indices for e in aset.certificate}) > 1
         self.assert_set_bytes(aset)
@@ -798,9 +807,17 @@ class TestCertificatesLoadInOnePass:
     @example([{"covered": "a", "by": "a", "exact_indices": ""}])
     @example([{"covered": "a", "by": "a", "exact_indices": [1]},
               {"covered": "b", "by": "a", "exact_indices": "12"}])
+    # a bool is no index, after a good entry
+    @example([{"covered": "a", "by": "a", "exact_indices": [1]},
+              {"covered": "b", "by": "a", "exact_indices": [True]}])
     def test_matches_the_per_entry_loop(self, certificate):
         data = _set_file(certificate)
         assert _outcome(load_set, data) == _outcome(reference_load_set, data)
+        if certificate is not ABSENT:
+            # load_set walks the items only when model._bulk_entries refuses them: it must
+            # refuse exactly the lists that hold an item model._malformed refuses
+            items = json.loads(data)["certificate"]  # the items as load_set gets them
+            assert (model._bulk_entries(items) is None) == any(map(model._malformed, items))
 
     @settings(max_examples=200)
     @given(
@@ -998,9 +1015,23 @@ class TestInstancesMatchThePerSolutionWalk:
     @example(json.dumps({"p": 1, "solutions": [{"id": "a", "f": ["1"]}, {"id": ["a"], "f": ["1"]}]}))
     @example(json.dumps({"p": 1, "solutions": [{"id": "a", "f": ["1"]}, {"id": "a", "f": [[1]]}]}))
     @example(json.dumps({"p": 2, "solutions": [{"id": "a", "f": ["1"]}, {"id": "b", "f": "12"}]}))
+    # padded, signed and reducible literals and an extra key in a good file; an object for a
+    # value; a malformed literal before a list value
+    @example(json.dumps({"p": 2, "solutions": [
+        {"id": "a", "f": [" 7", "+2"], "note": None}, {"id": "b", "f": ["10/4", "1.25"]}]}))
+    @example(json.dumps({"p": 1, "solutions": [{"id": "a", "f": ["1"]}, {"id": "b", "f": [{}]}]}))
+    @example(json.dumps({"p": 1, "solutions": [{"id": "a", "f": ["x"]}, {"id": "b", "f": [[1]]}]}))
     def test_load_instance_matches_the_per_entry_loop(self, data):
-        loaded = _outcome(lambda d: _with_positions(load_instance(d)), data)
-        assert loaded == _outcome(reference_load_instance, data)
+        reference = _outcome(reference_load_instance, data)
+        assert _outcome(lambda d: _with_positions(load_instance(d)), data) == reference
+        # load_instance walks the entries only when model._bulk_instance refuses them: the
+        # passes must refuse exactly the files the loop refuses, and build what it builds
+        raw = json.loads(data)  # the entries as load_instance gets them
+        built = model._bulk_instance(raw["solutions"], raw["p"])
+        if built is None:
+            assert reference[0] is FormatError
+        else:
+            assert _with_positions(built) == reference
 
     @pytest.mark.parametrize("p", [2**31, 10**20])
     def test_a_huge_p_with_no_solutions_loads(self, p):
@@ -1023,58 +1054,25 @@ class TestInstancesMatchThePerSolutionWalk:
         assert built == _outcome(lambda s: reference_instance(p, s), solutions)
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.lists(certificate_items(), max_size=6))
-@example([{"covered": "a", "by": "a", "exact_indices": [1]}, {"covered": "b", "by": "a", "exact_indices": [True]}])
-def test_the_certificate_passes_refuse_what_malformed_refuses(items):
-    """load_set walks the items only when model._bulk_entries refuses them; it must refuse
-    exactly the lists that hold an item model._malformed refuses."""
-    items = json.loads(json.dumps(items))  # the items as load_set gets them
-    assert (model._bulk_entries(items) is None) == any(map(model._malformed, items))
-
-
-@settings(max_examples=600, deadline=None)
-@given(instance_payloads())
-@example(json.dumps({"p": 2, "solutions": [
-    {"id": "a", "f": [" 7", "+2"], "note": None}, {"id": "b", "f": ["10/4", "1.25"]}]}))
-@example(json.dumps({"p": 1, "solutions": [{"id": "a", "f": ["1"]}, {"id": "b", "f": [{}]}]}))
-@example(json.dumps({"p": 1, "solutions": [{"id": "a", "f": ["x"]}, {"id": "b", "f": [[1]]}]}))
-def test_the_instance_passes_take_exactly_the_files_the_loop_loads(data):
-    """load_instance walks the entries only when model._bulk_instance refuses them; it must
-    refuse exactly the files the per-entry loop refuses, and build what the loop builds."""
-    raw = json.loads(data)  # the entries as load_instance gets them
-    built = model._bulk_instance(raw["solutions"], raw["p"])
-    reference = _outcome(reference_load_instance, data)
-    if built is None:
-        assert reference[0] is FormatError
-    else:
-        assert _with_positions(built) == reference
-
-
 class TestTheOneBadEntryIsNamedWhenItIsTheLast:
     """After 3000 good entries, the whole-list passes fail and the walk names the last one."""
 
-    def instance_payload(self):
-        return json.loads(save_instance(gen_random(3000, 3, seed=1)))
-
-    def test_a_last_value_of_zero(self):
-        payload = self.instance_payload()
+    def test_a_last_value_of_zero(self, random_3000):
+        payload = json.loads(random_3000.instance_file)
         payload["solutions"][-1]["f"][-1] = "0"
         with pytest.raises(FormatError) as info:
             load_instance(json.dumps(payload))
         assert str(info.value) == "nonpositive objective value in solution 's3000'"
 
-    def test_a_last_id_that_repeats_the_first(self):
-        payload = self.instance_payload()
+    def test_a_last_id_that_repeats_the_first(self, random_3000):
+        payload = json.loads(random_3000.instance_file)
         payload["solutions"][-1]["id"] = payload["solutions"][0]["id"]
         with pytest.raises(FormatError) as info:
             load_instance(json.dumps(payload))
         assert str(info.value) == "duplicate solution id: 's1'"
 
-    def test_a_last_exact_indices_of_zero(self):
-        spec = RelationSpec(RelationKind.EPSILON, Fraction(1, 2))
-        aset = construct_grid_approx(gen_random(3000, 3, seed=1), spec)
-        payload = json.loads(save_set(aset))
+    def test_a_last_exact_indices_of_zero(self, random_3000):
+        payload = json.loads(random_3000.set_file)
         assert len(payload["certificate"]) == 3000
         payload["certificate"][-1]["exact_indices"] = [0]
         with pytest.raises(FormatError) as info:

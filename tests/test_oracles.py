@@ -136,21 +136,16 @@ class TestGapOracle:
 
     @settings(max_examples=100, deadline=None)
     @given(instances_with_duplicates(), st.data())
-    def test_index_matches_the_scan(self, instance, data):
+    def test_index_matches_the_scan_and_its_cache_does_not_leak(self, instance, data):
         # many queries against one instance, so later ones hit the cache
-        for query in draw_queries(data, instance, 25) * 2:
+        queries = draw_queries(data, instance, 25)
+        for query in queries * 2:
             expected = scan_gap_oracle(instance, query)
             assert gap_oracle(instance, query) is expected
-
-    @settings(max_examples=100, deadline=None)
-    @given(instances_with_duplicates(), st.data())
-    def test_cache_does_not_leak_into_the_reversed_instance(self, instance, data):
+        # the same points reversed: the forward instance's cache must not answer for them
         reversed_instance = Instance(p=instance.p, solutions=instance.solutions[::-1])
-        for query in draw_queries(data, instance, 10):
-            answer = gap_oracle(instance, query)
-            assert answer is scan_gap_oracle(instance, query)
-            reversed_answer = gap_oracle(reversed_instance, query)
-            assert reversed_answer is scan_gap_oracle(reversed_instance, query)
+        for query in queries:
+            assert gap_oracle(reversed_instance, query) is scan_gap_oracle(reversed_instance, query)
 
     def test_same_points_reversed_give_the_other_first_answer(self):
         forward = inst((1, 2), (2, 1))
@@ -489,19 +484,6 @@ class TestBiobjectiveGreedy:
         with pytest.raises(ValueError, match="eps must be positive"):
             greedy_biobjective_min(inst((1, 1)), eps)
 
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.integers(min_value=0, max_value=10_000),
-        st.sampled_from([F(1, 2), F(1), F(3)]),
-    )
-    def test_greedy_is_exactly_minimum(self, seed, eps):
-        instance = gen_random(12, 2, seed=seed)
-        result = greedy_biobjective_min(instance, eps)
-        graph = domination_digraph(instance, RelationSpec(RelationKind.EPSILON, eps))
-        assert len(result.members) == len(exact_min_dominating_set(graph))
-        weakly = weakly_efficient_set(instance)
-        assert all(m in weakly for m in result.members)
-
 
 class TestDualRestrictSweep:
     def test_single_solution(self):
@@ -517,18 +499,21 @@ class TestDualRestrictSweep:
         result = dual_restrict_2approx(STAIRCASE, F(1))
         assert len(result.members) <= 4
 
+
+class TestBothSweepsAgainstTheExactMinimum:
     @settings(max_examples=50, deadline=None)
     @given(
         st.integers(min_value=0, max_value=10_000),
         st.sampled_from([F(1, 2), F(1), F(3)]),
     )
-    def test_within_twice_minimum_and_efficient(self, seed, eps):
+    def test_greedy_is_exactly_minimum_and_dual_restrict_within_twice(self, seed, eps):
         instance = gen_random(12, 2, seed=seed)
-        result = dual_restrict_2approx(instance, eps)
         graph = domination_digraph(instance, RelationSpec(RelationKind.EPSILON, eps))
-        assert len(result.members) <= 2 * len(exact_min_dominating_set(graph))
-        eff = efficient_set(instance)
-        assert all(m in eff for m in result.members)
+        minimum = len(exact_min_dominating_set(graph))
+        greedy = greedy_biobjective_min(instance, eps).members
+        assert len(greedy) == minimum and set(greedy) <= weakly_efficient_set(instance)
+        dual = dual_restrict_2approx(instance, eps).members
+        assert len(dual) <= 2 * minimum and set(dual) <= efficient_set(instance)
 
 
 SWEEP_EPS = [F(1, 100), F(1, 8), F(1), F(3)]
