@@ -141,9 +141,7 @@ def _compute_members(args: argparse.Namespace, instance: Instance, spec: Relatio
         if spec.kind is not RelationKind.EPSILON:
             raise ValueError("--algo gap computes plain epsilon approximation sets")
         m = derive_value_bound(instance)
-        found = construct_via_gap(
-            lambda q: gap_oracle(instance, q), spec.eps, m, instance.p
-        )
+        found = construct_via_gap(functools.partial(gap_oracle, instance), spec.eps, m, instance.p)
         return [s.id for s in found]
     # biobjective sweeps
     if instance.p != 2:

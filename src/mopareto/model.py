@@ -152,7 +152,10 @@ class _SortedColumn:
 
     Bit k stands for solutions[k]; the values are ints, or Fractions when
     `scale` is None.  `within(b)` (values <= b, the gap oracle's budgets, as
-    floor(b * scale)) is one bisect per distinct floor, cached.  `at_least(t)`
+    floor(b * scale)) is one bisect per distinct floor, cached, and one floor
+    per budget object: `_memo` maps id(b) to (b, mask), the `copy.deepcopy`
+    memo idiom (a hit must hold b itself, and holding b keeps its id from
+    being reused), cleared once past n + 1 entries.  `at_least(t)`
     (values >= t on the image's scale, the digraph's conditions) is one
     bisect plus a suffix mask; the n + 1 suffix masks are built in one pass on
     the first call, so the gap path never holds them.  The biobjective sweeps
@@ -161,16 +164,20 @@ class _SortedColumn:
     remains the pairwise reference.
     """
 
-    __slots__ = ("scale", "_values", "_order", "_masks", "_suffixes")
+    __slots__ = ("scale", "_values", "_order", "_masks", "_memo", "_suffixes")
 
     def __init__(self, values: Sequence[int | Fraction], scale: int | None):
         self.scale = scale
         self._order = sorted(range(len(values)), key=values.__getitem__)
         self._values = [values[k] for k in self._order]
         self._masks: dict[object, int] = {}
+        self._memo: dict[int, tuple[int | Fraction, int]] = {}
         self._suffixes: list[int] = []
 
     def within(self, bound: int | Fraction) -> int:
+        hit = self._memo.get(id(bound))
+        if hit is not None and hit[0] is bound:
+            return hit[1]
         num, den = bound.as_integer_ratio()  # cut on a scaled column: floor(b * scale), an int
         cut = bound if self.scale is None else num * self.scale // den
         mask = self._masks.get(cut)
@@ -179,6 +186,9 @@ class _SortedColumn:
             for k in self._order[: bisect_right(self._values, cut)]:
                 mask |= 1 << k
             self._masks[cut] = mask
+        if len(self._memo) > len(self._order):
+            self._memo.clear()
+        self._memo[id(bound)] = bound, mask
         return mask
 
     def at_least(self, threshold: int | Fraction) -> int:

@@ -5,12 +5,14 @@ answerer that makes two instances indistinguishable to budget queries.
 The gap oracle and the biobjective sweeps read one per-instance index, the
 sorted columns of the instance's integer image (`Instance._sorted_columns`).
 The gap oracle keeps a cached bitset per budget value of the solutions within
-it, so a query costs p lookups and p big-integer ANDs instead of a scan of the
-instance.  The sweeps find each answer a constrained ("min f2 subject to
-f1 <= bound") or budget-relaxed oracle would give by bisecting prefix minima
-over the two sorted orders, O(n log n) per sweep.  Every gap answer can be
-validated independently against the instance: `valid_gap_answer` is the
-exhaustive check that shares no code with the index.
+it, and each column converts a budget object to its cut once, so a query that
+reuses its budget objects, as the construct_via_gap ladder does, costs p dict
+lookups and p big-integer ANDs instead of a scan of the instance.  The sweeps
+find each answer a constrained ("min f2 subject to f1 <= bound") or
+budget-relaxed oracle would give by bisecting prefix minima over the two
+sorted orders, O(n log n) per sweep.  Every gap answer can be validated
+independently against the instance: `valid_gap_answer` is the exhaustive
+check that shares no code with the index.
 """
 
 from __future__ import annotations
@@ -58,7 +60,10 @@ def gap_oracle(instance: Instance, query: GapQuery) -> Solution | None:
     The answer is the lowest set bit of the AND of the instance's cached
     per-objective bitsets for b (see Instance._sorted_columns).  The index
     keeps one n-bit bitset per distinct floor(b * scale) queried on each
-    objective; on the construct_via_gap path that is at most one per budget level.
+    objective and computes floor(b * scale) once per budget object, keeping
+    up to n + 1 objects per objective; on the construct_via_gap path that is
+    at most one bitset per budget level, and one floor per level while the
+    ladder has at most n + 1 levels.
     """
     if len(query.b) != instance.p:
         raise ValueError("query dimension does not match the instance")

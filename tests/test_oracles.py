@@ -1,6 +1,7 @@
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from random import Random
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mopareto import constructors, dominance, model, oracles
-from mopareto.constructors import verify_approximation
+from mopareto.constructors import construct_via_gap, verify_approximation
 from mopareto.dominance import (
     domination_digraph,
     efficient_set,
@@ -25,6 +26,7 @@ from mopareto.model import (
     RelationKind,
     RelationSpec,
     Solution,
+    derive_value_bound,
 )
 from mopareto.numerics import half_step_delta
 from mopareto.oracles import (
@@ -220,7 +222,12 @@ class TestGapOracleOnTheIntegerImage:
     ):
         # scale_bits: every column falls back (0), some do (12), none do (None)
         columns = list(zip(*(s.f for s in instance.solutions))) or [()] * instance.p
-        budgets = st.tuples(*[mixed_budget(c) for c in columns])
+        # a pool of budget objects per example: one object recurs across queries and
+        # coordinates, and F(b) is an equal budget that is another object
+        pools = [[data.draw(mixed_budget(c)) for _ in range(3)] for c in columns]
+        shared = [b for pool in pools for b in pool]
+        shared += [F(b) for b in data.draw(st.lists(st.sampled_from(shared), max_size=4))]
+        budgets = st.tuples(*[st.sampled_from(pool + shared) for pool in pools])
         with pytest.MonkeyPatch.context() as mp:
             if scale_bits is not None:
                 mp.setattr(model, "_SCALE_BITS", scale_bits)
@@ -232,6 +239,35 @@ class TestGapOracleOnTheIntegerImage:
                 answer = gap_oracle(instance, query)
                 assert answer is scan_gap_oracle(instance, query)
                 assert valid_gap_answer(instance, query, answer)
+            if instance.solutions:
+                assert all(len(c._memo) <= len(instance) + 1 for c in instance._sorted_columns)
+
+    def test_fresh_budgets_on_reused_ids_answer_like_the_scan_and_the_memo_stays_bounded(self):
+        # each query's budgets are dropped before the next ones are made, so CPython
+        # hands their ids to new budgets of other values: a memo keyed by id alone fails
+        instance = gen_random(12, 2, seed=5)
+        rng = Random(5)
+        ids = set()
+        for _ in range(2000):
+            query = GapQuery(b=(F(rng.randint(1, 17), rng.randint(1, 16)),
+                                F(rng.randint(1, 17), rng.randint(1, 16))), delta=F(1, 2))
+            ids.update(map(id, query.b))
+            assert gap_oracle(instance, query) is scan_gap_oracle(instance, query)
+        assert all(len(c._memo) <= len(instance) + 1 for c in instance._sorted_columns)
+        assert len(ids) < 2000  # the ids did recur
+
+    def test_a_sweep_with_more_levels_than_the_memo_holds_finds_what_the_scan_finds(self):
+        instance = gen_random(12, 2, seed=5)
+        levels = set()
+
+        def oracle(query):
+            levels.update(query.b)
+            return gap_oracle(instance, query)
+
+        m = derive_value_bound(instance)
+        found = construct_via_gap(oracle, F(1, 4), m, instance.p)
+        assert len(levels) > len(instance) + 1  # each column's memo was cleared mid-sweep
+        assert found == construct_via_gap(partial(scan_gap_oracle, instance), F(1, 4), m, instance.p)
 
     def test_a_budget_on_a_value_and_one_unit_below_it(self):
         # 1/3 and 2/7 scale by 21: floor(b * 21) decides b = 1/3 (7) and b just below it (6)
@@ -753,9 +789,9 @@ class TestSweepsCallNoPerPickOracle:
         assert "_sorted_columns" not in vars(instance)
         assert sweep(instance, eps) == expected
         # the sweep bisects the instance's cached sorted columns, which hold no
-        # suffix masks (the digraph's) and no budget masks (the gap oracle's)
+        # suffix masks (the digraph's) and no budget masks or memo (the gap oracle's)
         columns = vars(instance)["_sorted_columns"]
-        assert all(not column._suffixes and not column._masks for column in columns)
+        assert all(not (column._suffixes or column._masks or column._memo) for column in columns)
         quasi1 = RelationSpec(RelationKind.QUASI_K, eps, k=1)
         assert verify_approximation(instance, expected.members, quasi1).ok
         # the sweep's only dominance check is its final verification, under
