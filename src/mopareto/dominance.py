@@ -6,13 +6,14 @@ The efficient filters, the weakly-efficient lift, the grid's cell filter
 (on cell coordinates) and the gap construction's prune (on the oracle's
 Fraction images) are one front, `_front`: at p <= 3 a sort-and-sweep (Kung,
 Luccio and Preparata 1975) over a staircase of minimal rows, one sort then one
-`bisect` per row; at p >= 4, once copied columns are dropped, a presorted
-skyline (Chomicki et al. 2003) that tests each row against the minimal rows
-only, n * |minimal| tests.  The digraph is stored as one n-bit row per node,
-the AND of masks from the sorted-column index (`model._SortedColumn`).  The
-filters, the lift and the digraph compare the instance's cached integer image
-(a column past `model._SCALE_BITS` keeps its Fractions); the pairwise
-`values_r_dominate`, on Fractions, is their reference.
+`bisect` per row; at p >= 4, once copied columns are dropped, one sort then a
+pass over blocks of `_FRONT_BLOCK` ranks, each a sorted column and its prefix
+bitsets per coordinate after the first: (p - 1) bisects per row and block.
+The digraph is stored as one n-bit row per node, the AND of masks from the
+sorted-column index (`model._SortedColumn`).  The filters, the lift and the
+digraph compare the instance's cached integer image (a column past
+`model._SCALE_BITS` keeps its Fractions); the pairwise `values_r_dominate`, on
+Fractions, is their reference.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import le, lt, neg
+from operator import lt, neg
 from typing import Sequence
 
 from .model import Instance, RelationSpec, Solution, _tuple
@@ -76,14 +76,12 @@ def exact_components(x: Solution, y: Solution) -> tuple[int, ...]:
     return tuple(i + 1 for i, (a, b) in enumerate(zip(x.f, y.f)) if a <= b)
 
 
-def _weakly_below(y: tuple, x: tuple) -> bool:
-    """Is y at most x in every coordinate?"""
-    return all(map(le, y, x))
-
-
 def _strictly_below(y: tuple, x: tuple) -> bool:
     """Is y strictly below x in every coordinate?"""
     return all(map(lt, y, x))
+
+
+_FRONT_BLOCK = 4096  # ranks per block of the p >= 4 pass: about 1 MB of prefix masks a column
 
 
 def _front(rows: Sequence[tuple], strict: bool) -> list[int]:
@@ -97,33 +95,23 @@ def _front(rows: Sequence[tuple], strict: bool) -> list[int]:
     assignment that drops the pairs it is at most; under `strict`, rows tied in f1 are
     all tested before any enters.  At p >= 4 a column equal to an earlier one changes no
     order and no verdict, so it is dropped first (a lift by copied columns takes the
-    sweep); then a presorted skyline: a row that no minimal row so far is at most is
-    kept and is minimal at once; another is kept only under `strict`, when no minimal
-    row is strictly below it.  Every earlier row has a minimal row at most it, so the
-    minimal rows answer for all: at most n * |minimal| tests of each of `_weakly_below`
-    and `_strictly_below`.
+    sweep); then `_beaten` decides each rank against the ranks below it.
     """
     if rows and len(rows[0]) > 3:
         columns = dict.fromkeys(zip(*rows))  # a copy of an earlier column ties whenever it does
         if len(columns) < len(rows[0]):
             rows = list(zip(*columns))
-    wide = bool(rows) and len(rows[0]) > 3
-    minimal: list[tuple] = []
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    if rows and len(rows[0]) > 3:
+        return [i for i, out in zip(order, _beaten([rows[i] for i in order], strict)) if not out]
     front: list[int] = []
     f2s: list = []
     f3s: list = []
     waiting: list = []  # kept pairs not yet entered: one row's, or under `strict` one f1's
     last: tuple = (None,)
-    for i in sorted(range(len(rows)), key=rows.__getitem__):
+    for i in order:
         x = rows[i]
-        if wide and x != last:
-            last = x
-            kept = not any(map(_weakly_below, minimal, repeat(x)))
-            if kept:
-                minimal.append(x)
-            elif strict:
-                kept = not any(map(_strictly_below, minimal, repeat(x)))
-        elif x != last:
+        if x != last:
             if not strict or x[0] != last[0]:
                 for b, c in waiting:
                     k = bisect_right(f2s, b)
@@ -140,6 +128,55 @@ def _front(rows: Sequence[tuple], strict: bool) -> list[int]:
         if kept:
             front.append(i)
     return front
+
+
+def _beaten(ranked: list[tuple], strict: bool) -> bytearray:
+    """Flags, by rank in the sorted `ranked`, of the rows that a row is strictly below
+    (`strict`) or at most and distinct from.
+
+    Only ranks below `bound[r]` (the first with r's f1 under `strict`, else r's first
+    twin) can beat rank r, and they are at most r in f1, so the other columns decide.
+    Per block of `_FRONT_BLOCK` ranks and column after the first, the index holds the
+    sorted values of the block's rows not yet beaten and the prefix masks of their
+    bits; a row is beaten if the mask of the ranks below its bound survives the AND
+    with the mask at one `bisect` per column.  A row whose bound is at or below a
+    block's start is decided: at most (p - 1) * n * ceil(n / _FRONT_BLOCK) bisects.
+    """
+    bound, first = [], 0
+    for r, x in enumerate(ranked):
+        if (x[0] != ranked[first][0]) if strict else (x != ranked[first]):
+            first = r
+        bound.append(first)
+    side = bisect_left if strict else bisect_right
+    columns = list(zip(*ranked))[1:]
+    beaten = bytearray(len(ranked))
+    alive = [r for r, b in enumerate(bound) if b]  # the first rank's group has none below
+    for start in range(0, len(ranked), _FRONT_BLOCK):
+        if not alive:
+            break
+        stop = min(start + _FRONT_BLOCK, len(ranked))
+        # a beaten row beats nothing that its own beater does not
+        unbeaten = [r for r in range(start, stop) if not beaten[r]]
+        index = []
+        for column in columns:
+            masks, mask = [0], 0
+            for r in sorted(unbeaten, key=column.__getitem__):
+                mask |= 1 << (r - start)
+                masks.append(mask)
+            index.append((column, sorted(column[r] for r in unbeaten), masks))
+        full, survivors = (1 << (stop - start)) - 1, []
+        for r in alive:
+            mask = full if bound[r] >= stop else (1 << (bound[r] - start)) - 1
+            for column, values, masks in index:
+                mask &= masks[side(values, column[r])]
+                if not mask:
+                    break
+            if mask:
+                beaten[r] = 1
+            elif bound[r] > stop:
+                survivors.append(r)
+        alive = survivors
+    return beaten
 
 
 def efficient_set(instance: Instance) -> set[str]:

@@ -152,13 +152,13 @@ class _SortedColumn:
 
     Bit k stands for solutions[k]; the values are ints, or Fractions when
     `scale` is None.  `within(b)` (values <= b, the gap oracle's budgets, as
-    floor(b * scale)) is one bisect per distinct floor, cached, and one floor
-    per budget object: `_memo` maps id(b) to (b, mask), the `copy.deepcopy`
-    memo idiom (a hit must hold b itself, and holding b keeps its id from
-    being reused), cleared once past n + 1 entries.  `at_least(t)`
-    (values >= t on the image's scale, the digraph's conditions) is one
-    bisect plus a suffix mask; the n + 1 suffix masks are built in one pass on
-    the first call, so the gap path never holds them.  The biobjective sweeps
+    floor(b * scale)) is one bisect and one mask per distinct rank, cached
+    (at most n + 1 masks), and one floor per budget object: `_memo` maps id(b)
+    to (b, mask), the `copy.deepcopy` memo idiom (a hit must hold b itself,
+    and holding b keeps its id from being reused), cleared once past n + 1
+    entries.  `at_least(t)` (values >= t on the image's scale, the digraph's
+    conditions) is one bisect plus a suffix mask; the n + 1 suffix masks are
+    built in one pass on the first call, so the gap path never holds them.  The biobjective sweeps
     bisect `_values` and walk `_order` (a stable sort: ties in instance order)
     directly.  The index knows no relation: `dominance.values_r_dominate`
     remains the pairwise reference.
@@ -170,7 +170,7 @@ class _SortedColumn:
         self.scale = scale
         self._order = sorted(range(len(values)), key=values.__getitem__)
         self._values = [values[k] for k in self._order]
-        self._masks: dict[object, int] = {}
+        self._masks: dict[int, int] = {}
         self._memo: dict[int, tuple[int | Fraction, int]] = {}
         self._suffixes: list[int] = []
 
@@ -180,12 +180,13 @@ class _SortedColumn:
             return hit[1]
         num, den = bound.as_integer_ratio()  # cut on a scaled column: floor(b * scale), an int
         cut = bound if self.scale is None else num * self.scale // den
-        mask = self._masks.get(cut)
+        rank = bisect_right(self._values, cut)
+        mask = self._masks.get(rank)
         if mask is None:
             mask = 0
-            for k in self._order[: bisect_right(self._values, cut)]:
+            for k in self._order[:rank]:
                 mask |= 1 << k
-            self._masks[cut] = mask
+            self._masks[rank] = mask
         if len(self._memo) > len(self._order):
             self._memo.clear()
         self._memo[id(bound)] = bound, mask

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, product
+from math import ceil
+from operator import le
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,6 @@ from mopareto.dominance import (
     _check_dims,
     _front,
     _strictly_below,
-    _weakly_below,
     domination_digraph,
     efficient_set,
     exact_components,
@@ -488,6 +489,11 @@ class TestIndexAndImageFiltersMatchThePairwiseReferences:
             assert efficient_set(empty) == weakly_efficient_set(empty) == set()
 
 
+def at_most(y, x):
+    """Is y at most x in every coordinate?"""
+    return all(map(le, y, x))
+
+
 def reference_skyline(rows, beats):
     """The skyline loop that tested each row against every kept row."""
     front, kept = [], []
@@ -500,24 +506,39 @@ def reference_skyline(rows, beats):
 
 BEATS = {
     "strictly-below": _strictly_below,
-    "below-and-distinct": lambda y, x: y != x and _weakly_below(y, x),
-    "weakly-below": _weakly_below,
+    "below-and-distinct": lambda y, x: y != x and at_most(y, x),
+    "weakly-below": at_most,
 }
 STRICT = {"strictly-below": True, "below-and-distinct": False}
+# block sizes of the p >= 4 pass: 1, 2 and 3 ranks split a drawn row set into many blocks
+FRONT_BLOCKS = [1, 2, 3, dominance._FRONT_BLOCK]
 
 
 def asking_the_front(monkeypatch):
-    """Make `dominance._weakly_below` and `_strictly_below` record each (helper, y, x)
-    they are asked, rows by identity; return the record."""
+    """Make `dominance._strictly_below`, its one pair test, record each (y, x) it is
+    asked, rows by identity; return the record."""
     asked = []
-    for name in ("_weakly_below", "_strictly_below"):
 
-        def counting(y, x, name=name, helper=getattr(dominance, name)):
-            asked.append((name, id(y), id(x)))
-            return helper(y, x)
+    def counting(y, x, helper=dominance._strictly_below):
+        asked.append((id(y), id(x)))
+        return helper(y, x)
+
+    monkeypatch.setattr(dominance, "_strictly_below", counting)
+    return asked
+
+
+def counting_bisects(monkeypatch):
+    """Make `dominance`'s `bisect_left` and `bisect_right` record the name of each call;
+    return the record."""
+    calls = []
+    for name in ("bisect_left", "bisect_right"):
+
+        def counting(*args, name=name, search=getattr(dominance, name), **kwargs):
+            calls.append(name)
+            return search(*args, **kwargs)
 
         monkeypatch.setattr(dominance, name, counting)
-    return asked
+    return calls
 
 
 def beaten_rows():
@@ -535,24 +556,29 @@ class TestFrontAsksOnlyTheMinimalRows:
             lambda p: st.lists(st.tuples(*[st.integers(min_value=0, max_value=3)] * p), max_size=40)
         ),
         st.sampled_from(sorted(BEATS)),
+        st.sampled_from(FRONT_BLOCKS),
     )
-    def test_matches_the_loop_over_every_kept_row(self, rows, beats):
-        if beats in STRICT:
-            assert _front(rows, STRICT[beats]) == reference_skyline(rows, BEATS[beats])
-            return
-        # the gap construction's prune, on a gap that answers the rows in turn
-        pool = [Solution(f"x{i}", tuple(Fraction(v + 1) for v in row)) for i, row in enumerate(rows)]
-        asked = []
+    def test_matches_the_loop_over_every_kept_row(self, rows, beats, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dominance, "_FRONT_BLOCK", block)
+            if beats in STRICT:
+                assert _front(rows, STRICT[beats]) == reference_skyline(rows, BEATS[beats])
+                return
+            # the gap construction's prune, on a gap that answers the rows in turn
+            pool = [Solution(f"x{i}", tuple(Fraction(v + 1) for v in row)) for i, row in enumerate(rows)]
+            asked = []
 
-        def gap(query):
-            asked.append(query)
-            return pool[len(asked) - 1] if len(asked) <= len(pool) else None
+            def gap(query):
+                asked.append(query)
+                return pool[len(asked) - 1] if len(asked) <= len(pool) else None
 
-        found = constructors.construct_via_gap(gap, Fraction(1), 2, 2)
-        assert len(asked) >= len(pool)
-        assert found == [pool[i] for i in sorted(reference_skyline(rows, _weakly_below))]
+            found = constructors.construct_via_gap(gap, Fraction(1), 2, 2)
+            assert len(asked) >= len(pool)
+            assert found == [pool[i] for i in sorted(reference_skyline(rows, at_most))]
 
-    def test_a_large_weakly_efficient_front_costs_calls_per_minimal_row(self, monkeypatch):
+    def test_a_large_weakly_efficient_front_asks_no_pair_and_p_minus_1_bisects_per_row(
+        self, monkeypatch
+    ):
         m, ties = 6, 60
         # the fourth coordinate is not a copy of the third, which `_front` would drop
         antichain = [(i, m + 1 - i, 1, 2) for i in range(1, m + 1)]
@@ -561,25 +587,27 @@ class TestFrontAsksOnlyTheMinimalRows:
         dominated = [(i + 1, m + 2 - i, 2, 3) for i in range(1, m)]
         rows = tied[::2] + dominated + antichain[::-1] + tied[1::2]
         asked = asking_the_front(monkeypatch)
+        bisects = counting_bisects(monkeypatch)
         front = _front(rows, strict=True)
         assert sorted(rows[i] for i in front) == sorted(antichain + tied)
-        for name in ("_weakly_below", "_strictly_below"):
-            assert 0 < sum(1 for a in asked if a[0] == name) <= len(rows) * len(antichain)
+        # one block: at most one bisect_left per row and column after the first
+        assert asked == [] and 0 < len(bisects) <= 3 * len(rows)
+        assert set(bisects) == {"bisect_left"}
 
     @pytest.mark.parametrize(
         "make, size",
         [(beaten_rows, 15), (lambda: gen_random(300, 4, seed=1), 47)],
         ids=["beaten", "random"],
     )
-    def test_the_efficient_front_asks_each_pair_once_at_p_4(self, make, size, monkeypatch):
+    def test_the_efficient_front_asks_no_pair_at_p_4(self, make, size, monkeypatch):
         instance = make()
         asked = asking_the_front(monkeypatch)
+        bisects = counting_bisects(monkeypatch)
         efficient = efficient_set(instance)
         assert efficient == reference_efficient_set(instance) and len(efficient) == size
-        minimal = {instance.solution(i).f for i in efficient}
-        assert asked and len(asked) == len(set(asked))
-        assert {name for name, _, _ in asked} == {"_weakly_below"}
-        assert len(asked) <= len(instance.solutions) * len(minimal)
+        # one block: at most one bisect_right per row and column after the first
+        assert asked == [] and 0 < len(bisects) <= 3 * len(instance.solutions)
+        assert set(bisects) == {"bisect_right"}
 
     def test_the_gap_sweeps_prune_at_p_3_asks_no_pair(self, monkeypatch):
         instance = gen_random(100, 3, seed=12, value_range=3)
@@ -594,7 +622,7 @@ class TestFrontAsksOnlyTheMinimalRows:
 
 # numerators 1..4 over 1, 3 or 7: ties in every column and image twins are common,
 # and the scale limits of SCALE_BITS turn the thirds and sevenths into Fraction columns
-sweep_rows = st.integers(min_value=1, max_value=5).flatmap(
+sweep_rows = st.integers(min_value=1, max_value=6).flatmap(
     lambda p: st.lists(
         st.tuples(*[st.builds(Fraction, st.integers(1, 4), st.sampled_from([1, 3, 7]))] * p),
         min_size=1,
@@ -604,15 +632,21 @@ sweep_rows = st.integers(min_value=1, max_value=5).flatmap(
 
 
 class TestFrontSweepMatchesTheSkyline:
-    """`_front`, a sort-and-sweep at p <= 3 and a presorted skyline at p >= 4, keeps the
-    positions and order of `reference_skyline`, the loop over every kept row."""
+    """`_front`, a sort-and-sweep at p <= 3 and a pass over blocks of ranks at p >= 4,
+    keeps the positions and order of `reference_skyline`, the loop over every kept row."""
 
     @settings(max_examples=300, deadline=None)
-    @given(sweep_rows, st.randoms(use_true_random=False), st.sampled_from(SCALE_BITS))
-    def test_same_positions_in_the_same_order_and_the_same_lift(self, rows, rng, scale_bits):
+    @given(
+        sweep_rows,
+        st.randoms(use_true_random=False),
+        st.sampled_from(SCALE_BITS),
+        st.sampled_from(FRONT_BLOCKS),
+    )
+    def test_same_positions_in_the_same_order_and_the_same_lift(self, rows, rng, scale_bits, block):
         eps = Fraction(1)
         spec = RelationSpec(RelationKind.EPSILON, eps)
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dominance, "_FRONT_BLOCK", block)
             instance = under_scale_bits(mp, scale_bits, inst(*rows))
             for beats, strict in STRICT.items():
                 expected = reference_skyline(rows, BEATS[beats])
@@ -649,13 +683,15 @@ class TestCopiedColumnsAreDropped:
     """Columns that copy an earlier one change neither `_front`'s positions nor their order."""
 
     @settings(max_examples=300, deadline=None)
-    @given(widened_rows())
-    def test_same_positions_in_the_same_order(self, case):
+    @given(widened_rows(), st.sampled_from(FRONT_BLOCKS))
+    def test_same_positions_in_the_same_order(self, case, block):
         rows, widened = case
-        for beats, strict in STRICT.items():
-            expected = reference_skyline(widened, BEATS[beats])
-            assert _front(widened, strict) == expected
-            assert sorted(expected) == sorted(reference_skyline(rows, BEATS[beats]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dominance, "_FRONT_BLOCK", block)
+            for beats, strict in STRICT.items():
+                expected = reference_skyline(widened, BEATS[beats])
+                assert _front(widened, strict) == expected
+                assert sorted(expected) == sorted(reference_skyline(rows, BEATS[beats]))
 
 
 def product_front(n):
@@ -668,18 +704,35 @@ def product_front(n):
     return Instance(3, tuple(solutions))
 
 
+def simplex_front(n):
+    """p = 4 antichain: four positive parts of 10**6, cut at three points of a fresh Random(1)."""
+    rng = random.Random(1)
+    solutions = []
+    for i in range(n):
+        cuts = sorted(rng.sample(range(1, 10**6), 3))
+        parts = [b - a for a, b in zip([0] + cuts, cuts + [10**6])]
+        solutions.append(Solution(f"x{i}", tuple(map(Fraction, parts))))
+    return Instance(4, tuple(solutions))
+
+
 class TestNoQuadraticFront:
-    """At p <= 3 no front tests a pair of rows, so none costs n * |front|; at p = 4 each does."""
+    """No front tests a pair of rows, so none costs n * |front|: at p <= 3 each sweeps, at
+    p = 4 each bisects at most p - 1 times per row and block of `_FRONT_BLOCK` ranks."""
+
+    @classmethod
+    def pairs_per_caller(cls, monkeypatch, instance):
+        return cls.per_caller(asking_the_front(monkeypatch), instance)
 
     @staticmethod
-    def pairs_per_caller(monkeypatch, instance):
-        asked = asking_the_front(monkeypatch)
+    def per_caller(record, instance):
+        """How many entries each front's caller adds to `record`: efficient, weakly
+        efficient, the cell filter, the grid's cell filter, the lift."""
         counts = []
 
         def counted(call, *args):
-            before = len(asked)
+            before = len(record)
             result = call(*args)
-            counts.append(len(asked) - before)
+            counts.append(len(record) - before)
             return result
 
         eps = Fraction(1, 4)
@@ -701,7 +754,15 @@ class TestNoQuadraticFront:
         instance = gen_duplicated(gen_antichain(2000), 4, "quasi_k_over_half")
         assert self.pairs_per_caller(monkeypatch, instance) == [0] * 5
 
-    def test_every_front_tests_pairs_at_p_4(self, monkeypatch):
+    def test_no_front_tests_a_pair_at_p_4(self, monkeypatch):
         instance = gen_random(60, 4, seed=1)
-        # efficient, weakly efficient, the cell filter, the grid's cell filter, the lift
-        assert all(self.pairs_per_caller(monkeypatch, instance))
+        # the lift's own scan for a strict dominator is no front: its binding is not counted
+        assert self.pairs_per_caller(monkeypatch, instance) == [0] * 5
+
+    def test_each_front_bisects_at_most_p_minus_1_times_per_row_and_block(self, monkeypatch):
+        n, block = 1000, 64
+        instance = simplex_front(n)
+        monkeypatch.setattr(dominance, "_FRONT_BLOCK", block)
+        assert len(efficient_set(instance)) == n
+        counts = self.per_caller(counting_bisects(monkeypatch), instance)
+        assert all(0 < count <= 3 * n * ceil(n / block) for count in counts), counts

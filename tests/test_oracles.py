@@ -256,6 +256,16 @@ class TestGapOracleOnTheIntegerImage:
         assert all(len(c._memo) <= len(instance) + 1 for c in instance._sorted_columns)
         assert len(ids) < 2000  # the ids did recur
 
+    def test_many_distinct_budgets_keep_at_most_one_mask_per_rank(self):
+        # 2000 budgets cut each column at many distinct floors, but at only n + 1 ranks
+        instance = gen_random(12, 2, seed=5)
+        rng = Random(5)
+        for _ in range(2000):
+            query = GapQuery(b=(F(rng.randint(1, 17), rng.randint(1, 16)),
+                                F(rng.randint(1, 17), rng.randint(1, 16))), delta=F(1, 2))
+            assert gap_oracle(instance, query) is scan_gap_oracle(instance, query)
+        assert all(len(c._masks) <= len(instance) + 1 for c in instance._sorted_columns)
+
     def test_a_sweep_with_more_levels_than_the_memo_holds_finds_what_the_scan_finds(self):
         instance = gen_random(12, 2, seed=5)
         levels = set()
