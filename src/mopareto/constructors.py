@@ -5,19 +5,21 @@ The grid pipeline buckets solutions into cells of intra-cell ratio below
 per-cell representative set suited to the requested relation.  Verification
 is independent of construction: it re-checks coverage of every instance
 solution from the definitions, on the instance's cached integer image
-(`Instance._image`, see `model._scaled`), and emits a certificate that
-`certificate_is_valid` re-checks on Fractions.
+(`Instance._image`, see `model._scaled`) through an index of its own over the
+members' values (no grid, no `Instance._sorted_columns`), and emits a
+certificate that `certificate_is_valid` re-checks on Fractions.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, product, repeat
-from operator import le, mul
+from operator import and_, le, mul, or_
 from typing import Callable, Iterable
 
-from .dominance import _front, _strictly_below
+from .dominance import _FRONT_BLOCK, _front
 from .dominance import exact_components, r_dominates
 from .domsets import greedy_tournament_dominating_set, tournament_view
 from .grid import (
@@ -55,6 +57,10 @@ __all__ = [
 # budget queries one construct_via_gap sweep may issue; the sweep issues
 # levels**p, checked before the first query
 GAP_QUERY_LIMIT = 10**6
+_VERIFY_BLOCK = 1024  # targets per block of verify_approximation's walk: one member mask each
+# a scaled column is tested pairwise when its members' values pass _INDEX_BITS (indexing
+# them costs more than it saves) or its masks would pass _INDEX_MASK_BITS bits in all
+_INDEX_BITS, _INDEX_MASK_BITS = 256, 1 << 27
 
 
 class UnsupportedRelationError(ValueError):
@@ -96,28 +102,81 @@ def verify_approximation(
     in instance order.  Values are compared in the instance's image rows:
     with eps = num/den, "within 1 + eps" is den*a <= (den+num)*b, "exact" a <= b.
     The relation's rule is read only once some pair is compared.
+
+    Its index over the m members is its own (bit t: the t-th in instance order): each
+    scaled column sorts their values once and maps each distinct value to the prefix
+    bitset of those within 1 + eps of it (at most it, where the rule requires exact),
+    one `bisect_right` per value.  Per block of `_VERIFY_BLOCK` targets, the AND of a
+    target's masks proposes its lowest bit; a Fraction column, a column past the
+    `_INDEX_BITS` or `_INDEX_MASK_BITS` limits and the exact count are tested pairwise on
+    it, and only a failed proposal walks the later bits.  O(distinct values * p log m
+    + n * p * ceil(m / 64)) word operations, against O(n * m) pair tests for a scan.
     """
     if isinstance(members, str):  # its characters would be read as one-letter ids
         raise ValueError(f"members must be a collection of ids, got {type(members).__name__}")
     # sorted computes the keys in first-occurrence order: the first unknown id raises KeyError
     ordered = sorted(dict.fromkeys(members), key=instance.position)
-    rows = instance._rows
+    rows, ids = instance._rows, instance.ids
     num, den = spec.eps.numerator, spec.eps.denominator
     required, min_exact = spec.exact_rule(instance.p) if rows and ordered else ((), 0)
-    must, positions = {i + 1 for i in required}, range(1, instance.p + 1)
+    positions = range(1, instance.p + 1)
     member_rows = [rows[instance.position(m)] for m in ordered]
-    coverers = [(m, a, [den * x for x in a]) for m, a in zip(ordered, member_rows)]
-    entries = []
-    for target, b in zip(instance.solutions, rows):
-        slack_b = [(den + num) * y for y in b]
-        for m, a, den_a in coverers:
-            if all(map(le, den_a, slack_b)):
-                exact = tuple(compress(positions, map(le, a, b)))
-                if len(exact) >= min_exact and must.issubset(exact):
-                    entries.append(CertificateEntry(target.id, m, exact))
-                    break
-        else:
-            return VerifyResult(approximation=None, counterexample=target.id)
+    index, pairwise = [], []  # (values, mask per value); (j, values, factors)
+    for j, (scale, values) in enumerate(instance._image):  # never range(p): p may be huge
+        column = [a[j] for a in member_rows]
+        low, high = (1, 1) if j in required else (den, den + num)  # exact, or within 1 + eps
+        if scale is not None and max(column, default=0).bit_length() <= _INDEX_BITS:
+            order = sorted(range(len(column)), key=column.__getitem__)
+            keys, distinct = [low * column[t] for t in order], set(values)
+            cuts = list(map(bisect_right, repeat(keys), map(mul, repeat(high), distinct)))
+            reached = set(cuts)  # only the prefix bitsets at these cuts are kept
+            if len(reached) * len(column) <= _INDEX_MASK_BITS:
+                prefixes = enumerate(accumulate((1 << t for t in order), or_, initial=0))
+                masks = dict(compress(prefixes, map(reached.__contains__, range(len(order) + 1))))
+                index.append((values, dict(zip(distinct, map(masks.__getitem__, cuts)))))
+                continue
+        pairwise.append((j, values, low, high))
+    far = [[low * a[j] for j, _, low, _ in pairwise] for a in member_rows]
+
+    def walk(target: str, b: tuple, proposal: int, slack: tuple) -> CertificateEntry | None:
+        """The entry by the first member of a nonzero proposal to pass the pairwise tests."""
+        t, later = (proposal & -proposal).bit_length() - 1, None
+        while t >= 0:
+            if all(map(le, far[t], slack)):
+                exact = tuple(compress(positions, map(le, member_rows[t], b)))
+                if len(exact) >= min_exact:
+                    return tuple.__new__(CertificateEntry, (target, ordered[t], exact))
+            if later is None:  # the later set bits, once the lowest fails: byte i is bit t + 1 + i
+                ones = bin(proposal >> t + 1)[:1:-1].encode().replace(b"0", b"\0")
+                later = compress(range(t + 1, len(ordered)), ones)
+            t = next(later, -1)
+        return None
+
+    entries: list[CertificateEntry] = []
+    for start in range(0, len(rows), _VERIFY_BLOCK):
+        block = slice(start, start + _VERIFY_BLOCK)
+        targets, block_rows = ids[block], rows[block]
+        proposals = [(1 << len(ordered)) - 1] * len(targets)
+        for values, mask_of in index:
+            proposals = list(map(and_, proposals, map(mask_of.__getitem__, values[block])))
+        stop = proposals.index(0) if 0 in proposals else len(targets)  # no member passes there
+        if pairwise:
+            slack = zip(*[map(mul, repeat(high), values[block]) for _, values, _, high in pairwise])
+            found = list(map(walk, targets[:stop], block_rows, proposals, slack))
+        else:  # every column is indexed, so a first candidate can fail only the count
+            firsts = [(x & -x).bit_length() - 1 for x in proposals[:stop]]
+            tests = map(map, repeat(le), map(member_rows.__getitem__, firsts), block_rows)
+            exact = map(tuple, map(compress, repeat(positions), tests))
+            found = list(map(tuple.__new__, repeat(CertificateEntry),
+                             zip(targets, map(ordered.__getitem__, firsts), exact)))
+            if min_exact:
+                found = [e if len(e[2]) >= min_exact else walk(e[0], b, x, ())
+                         for e, b, x in zip(found, block_rows, proposals)]
+        if None in found:
+            stop = found.index(None)
+        if stop < len(targets):
+            return VerifyResult(approximation=None, counterexample=targets[stop])
+        entries += found
     approx = _unchecked(ApproximationSet, relation=spec, members=tuple(ordered),
                         certificate=tuple(entries))  # instance ids, positions: every rule holds
     return VerifyResult(approximation=approx, counterexample=None)
@@ -232,7 +291,10 @@ def weakly_efficient_lift(
     preserved whenever distinct dominators exist.  The result consists of
     weakly efficient solutions only and therefore covers every solution with
     at least one exact component.  Images are the instance's integer rows, whose
-    positive per-column scales keep every lexicographic order.
+    positive per-column scales keep every lexicographic order.  The front is read in
+    blocks of `_FRONT_BLOCK` ranks, each column sorted with prefix bitsets of its ranks:
+    a member's pick is the lowest untaken bit in the AND of one `bisect_left` mask per
+    column, in the first block that has one.
     """
     failure = "input set fails epsilon coverage at solution {!r}"
     inbound = _certified(instance, members, RelationSpec(RelationKind.EPSILON, eps), failure)
@@ -240,20 +302,29 @@ def weakly_efficient_lift(
     front = _front(rows, strict=True)  # the weakly efficient, least image first
     weakly = {ids[k] for k in front}
     # kept members reserve their ids first so replacements never collide with them
-    taken = {m for m in inbound.members if m in weakly}
-    chosen: list[str] = []
-    for member in inbound.members:
-        if member in weakly:
-            chosen.append(member)
-            continue
-        row = rows[instance.position(member)]
-        below = (ids[k] for k in front if _strictly_below(rows[k], row))
-        pick = next((i for i in below if i not in taken), None)
-        if pick is None:
-            # every dominator already serves; those members cover this one too
-            continue
-        taken.add(pick)
-        chosen.append(pick)
+    chosen = [m for m in inbound.members if m in weakly]
+    kept = set(chosen)
+    lifted = [rows[instance.position(m)] for m in inbound.members if m not in weakly]
+    for start in range(0, len(front), _FRONT_BLOCK):
+        if not lifted:
+            break
+        part, waiting = front[start : start + _FRONT_BLOCK], []
+        free = sum(1 << r for r, k in enumerate(part) if ids[k] not in kept)  # untaken ranks
+        index = []  # per column: the block's values sorted, with prefix masks of their ranks
+        for column in zip(*map(rows.__getitem__, part)):
+            order = sorted(range(len(part)), key=column.__getitem__)
+            masks = list(accumulate((1 << r for r in order), or_, initial=0))
+            index.append(([column[r] for r in order], masks))
+        for x in lifted:  # in member order, each takes its least untaken rank strictly below
+            below = free
+            for (values, masks), v in zip(index, x):
+                below &= masks[bisect_left(values, v)]
+            if below:
+                free ^= below & -below
+                chosen.append(ids[part[(below & -below).bit_length() - 1]])
+            else:
+                waiting.append(x)
+        lifted = waiting  # a member left at the end has every dominator serving: they cover it
     return _certified(instance, chosen, RelationSpec(RelationKind.QUASI_K, eps, k=1))
 
 

@@ -2,6 +2,8 @@ import math
 import random
 import sys
 from fractions import Fraction
+from itertools import compress
+from operator import le
 
 import pytest
 from hypothesis import example, given, settings
@@ -342,6 +344,112 @@ class TestVerifyKernelMatchesTheOldLoop:
                 assert certificate_is_valid(instance, got.approximation)
 
 
+# The member scan the member-rank index replaced, kept verbatim: for each target, the
+# members in instance order until one is within 1 + eps in every column and passes the rule.
+def reference_verify_approximation(instance, members, spec):
+    if isinstance(members, str):  # its characters would be read as one-letter ids
+        raise ValueError(f"members must be a collection of ids, got {type(members).__name__}")
+    # sorted computes the keys in first-occurrence order: the first unknown id raises KeyError
+    ordered = sorted(dict.fromkeys(members), key=instance.position)
+    rows = instance._rows
+    num, den = spec.eps.numerator, spec.eps.denominator
+    required, min_exact = spec.exact_rule(instance.p) if rows and ordered else ((), 0)
+    must, positions = {i + 1 for i in required}, range(1, instance.p + 1)
+    member_rows = [rows[instance.position(m)] for m in ordered]
+    coverers = [(m, a, [den * x for x in a]) for m, a in zip(ordered, member_rows)]
+    entries = []
+    for target, b in zip(instance.solutions, rows):
+        slack_b = [(den + num) * y for y in b]
+        for m, a, den_a in coverers:
+            if all(map(le, den_a, slack_b)):
+                exact = tuple(compress(positions, map(le, a, b)))
+                if len(exact) >= min_exact and must.issubset(exact):
+                    entries.append(CertificateEntry(target.id, m, exact))
+                    break
+        else:
+            return VerifyResult(approximation=None, counterexample=target.id)
+    # instance ids, positions: every rule holds
+    approx = model._unchecked(ApproximationSet, relation=spec, members=tuple(ordered),
+                              certificate=tuple(entries))
+    return VerifyResult(approximation=approx, counterexample=None)
+
+
+def raised(verify, instance, members, spec):
+    """A verifier's result, or the type and text of what it raised."""
+    try:
+        return verify(instance, members, spec)
+    except (KeyError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def scan_cases(draw):
+    """`verify_cases`, with k up to p + 1 (past p the rule raises), and its member list
+    replaced, now and then, by every other id around an outlier that no other solution
+    covers (at the first, a middle or the last position), by one with an unknown id, or
+    by a str."""
+    instance, members, spec = draw(verify_cases())
+    if spec.k is not None and draw(st.booleans()):
+        spec = RelationSpec(spec.kind, spec.eps, spec.k + 1)
+    shape = draw(st.sampled_from(["drawn", "outlier", "unknown", "str"]))
+    solutions = list(instance.solutions)
+    if shape == "outlier" and solutions:
+        # a third of each column's least value: eps <= 1, so no other solution is within 1 + eps
+        low = tuple(min(column) / 3 for column in zip(*(s.f for s in solutions)))
+        at = draw(st.sampled_from([0, len(solutions) // 2, len(solutions)]))
+        solutions.insert(at, Solution("out", low))
+        instance = Instance(instance.p, tuple(solutions))
+        members = draw(st.permutations([s.id for s in solutions if s.id != "out"])).copy()
+        members += draw(st.lists(st.sampled_from(members), max_size=2)) if members else []
+    elif shape == "unknown":
+        members = list(members)
+        members.insert(draw(st.integers(0, len(members))), "ghost")
+    elif shape == "str":
+        members = "".join(members)
+    return instance, members, spec
+
+
+class TestVerifyMatchesTheMemberScan:
+    """The member-rank index proposes what the scan finds: the same members, certificate
+    and counterexample, and the same exceptions, across blocks and index limits."""
+
+    WIDTH, MASKS = constructors._INDEX_BITS, constructors._INDEX_MASK_BITS
+    # half the examples index every scaled column; the rest leave some or all pairwise
+    LIMITS = st.one_of(
+        st.just((WIDTH, MASKS)), st.sampled_from([(0, MASKS), (8, MASKS), (WIDTH, 0), (WIDTH, 4)])
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scan_cases(),
+        st.sampled_from([1, 2, 3, constructors._VERIFY_BLOCK]),
+        st.sampled_from([0, 12, 24, None]),
+        LIMITS,
+    )
+    # s2's first candidate s1 is within 1 + eps but exact in one column, not k = 2
+    @example((inst((1, 3), (2, 2)), ["s2", "s1"], RelationSpec(RelationKind.QUASI_K, F(1), 2)),
+             constructors._VERIFY_BLOCK, None, (WIDTH, MASKS))
+    # s2 covers s1 on both boundaries: equal in the exact column, 1 + eps times it in the other
+    @example((inst((1, 1), (1, 2)), ["s2"], RelationSpec(RelationKind.ONE_EXACT, F(1))),
+             constructors._VERIFY_BLOCK, None, (WIDTH, MASKS))
+    def test_same_result_and_same_exceptions(self, case, block, scale_bits, limits):
+        # scale_bits: every column falls back to Fractions (0), some do (12, 24), none
+        # does (None); limits: _INDEX_BITS and _INDEX_MASK_BITS
+        instance, members, spec = case
+        index_bits, mask_bits = limits
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(constructors, "_VERIFY_BLOCK", block)
+            mp.setattr(constructors, "_INDEX_BITS", index_bits)
+            mp.setattr(constructors, "_INDEX_MASK_BITS", mask_bits)
+            if scale_bits is not None:
+                mp.setattr(model, "_SCALE_BITS", scale_bits)
+            instance = Instance(instance.p, instance.solutions)  # no image cached yet
+            got = raised(verify_approximation, instance, members, spec)
+        assert got == raised(reference_verify_approximation, instance, members, spec)
+        if isinstance(got, VerifyResult) and got.ok:
+            assert certificate_is_valid(instance, got.approximation)
+
+
 class TestRuleIsReadOnlyWhenAPairIsCompared:
     """two-exact and quasi-k with k=2 cannot apply at p = 1; verification notices at a pair."""
 
@@ -355,6 +463,13 @@ class TestRuleIsReadOnlyWhenAPairIsCompared:
         empty = Instance(p=1, solutions=())
         result = verify_approximation(empty, [], spec)
         assert result.ok and result.approximation.certificate == ()
+
+    def test_an_empty_instance_at_any_p_verifies_and_lifts(self):
+        # nothing may be built per objective: p = 10**20 columns would never finish
+        empty = Instance(p=10**20, solutions=())
+        result = verify_approximation(empty, [], RelationSpec(RelationKind.EPSILON, F(1, 2)))
+        assert result.ok and result.approximation.certificate == ()
+        assert weakly_efficient_lift(empty, [], F(1, 2)).members == ()
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_empty_member_list_fails_at_the_first_solution(self, spec):
@@ -517,7 +632,7 @@ class TestWeaklyEfficientLift:
 
     @settings(max_examples=400, deadline=None)
     @given(
-        st.integers(min_value=1, max_value=3).flatmap(
+        st.integers(min_value=1, max_value=4).flatmap(
             lambda p: st.lists(
                 st.tuples(*[st.one_of(st.integers(1, 3), st.sampled_from(LIFT_FRACTIONS))] * p),
                 min_size=1,
@@ -526,17 +641,19 @@ class TestWeaklyEfficientLift:
         ),
         st.randoms(use_true_random=False),
         st.sampled_from([0, 12, None]),
+        st.sampled_from([1, 2, 3, constructors._FRONT_BLOCK]),
     )
-    @example(MIXED, random.Random(27), 12)  # 27 and 17 draw {s4, s5} and {s4}
-    @example(MIXED, random.Random(17), 12)
-    @example(MIXED, random.Random(27), None)
-    def test_matches_the_sorted_candidate_loop(self, vectors, rng, scale_bits):
+    @example(MIXED, random.Random(27), 12, constructors._FRONT_BLOCK)  # 27 and 17 draw
+    @example(MIXED, random.Random(17), 12, constructors._FRONT_BLOCK)  # {s4, s5} and {s4}
+    @example(MIXED, random.Random(27), None, constructors._FRONT_BLOCK)
+    def test_matches_the_sorted_candidate_loop(self, vectors, rng, scale_bits, block):
         # images from {1,2,3} and fractions over 2, 7, 11, 13 and 64, so image twins
         # and lexicographic ties broken in another scaled column are common; the input
         # set is a random subset plus whatever it leaves uncovered at eps=1.
         # scale_bits: every column falls back (0), a column whose LCM passes 12
-        # bits does (12), none does (None)
+        # bits does (12), none does (None); block: front ranks per block of the lift
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(constructors, "_FRONT_BLOCK", block)
             if scale_bits is not None:
                 mp.setattr(model, "_SCALE_BITS", scale_bits)
             instance = inst(*vectors)  # its image is cached under the patched limit
